@@ -36,7 +36,7 @@ from .simulation import (
     SphereSimConfig,
     run_location_experiment,
 )
-from .spaces import KIND_FOR_METRIC, distance_matrix, load_histogram_csv, load_objects
+from .spaces import KIND_FOR_METRIC, distance_matrix, load_histogram_csv, load_objects, object_to_dict
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -68,11 +68,23 @@ def _emit(report: dict, out: str | None) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on internal parallelism; results are identical "
-                        "for every value (current implementation is sequential)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-time fields (breaks byte-reproducibility)")
+
+
+def _add_out_of_sample(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out-of-sample", action="store_true",
+                   help="optimize over the coordinate chart (metric spd only)")
+    p.add_argument("--tsh", type=float, default=0.9,
+                   help="PCA explained-variance threshold (default 0.9)")
+    p.add_argument("--optimizer", choices=["simplex", "lbfgs"], default="simplex",
+                   help="box optimizer (default simplex)")
+    p.add_argument("--starts", type=int, default=5,
+                   help="number of top in-sample starts (default 5)")
+    p.add_argument("--halfwidth", type=float, default=0.05,
+                   help="box half-width per PCA coordinate (default 0.05)")
+    p.add_argument("--max-evals", type=int, default=None,
+                   help="objective evaluation budget per start (default 500 x dimension)")
 
 
 def _optimizer_from_args(args) -> OptimizerConfig:
@@ -90,6 +102,11 @@ def cmd_dist(args) -> int:
 
 def cmd_depth(args) -> int:
     method = DepthMethod.parse(args.method)
+    if args.subsample is not None:
+        if method is not DepthMethod.MOD3:
+            raise InvalidArgumentError("--subsample applies to MOD3 only")
+        if args.seed is None:
+            raise InvalidArgumentError("--subsample requires --seed")
     if args.dm:
         dm = read_distance_csv(args.dm)
         config_input = {"dm": args.dm}
@@ -100,14 +117,10 @@ def cmd_depth(args) -> int:
         dm = distance_matrix(objects, args.metric)
         config_input = {"in": args.infile, "metric": args.metric or objects.metric}
     if args.subsample is not None:
-        if args.seed is None:
-            raise InvalidArgumentError("--subsample requires --seed")
         values = [mod3_depth_subsampled(dm.values[i], dm, args.subsample, args.seed)
                   for i in range(dm.n)]
         payload = {"method": method.value, "values": values, "elapsed_seconds": None,
                    "subsample": args.subsample}
-        if method is not DepthMethod.MOD3:
-            raise InvalidArgumentError("--subsample applies to MOD3 only")
     else:
         report = depth_all_sample(dm, method)
         payload = report.to_dict(with_timing=args.timings)
@@ -139,7 +152,7 @@ def cmd_deepest(args) -> int:
             raise InvalidArgumentError("--out-of-sample requires --seed")
         cfg = _optimizer_from_args(args)
         result = deepest_out_of_sample(objects, method, chart_for(objects),
-                                       tsh=args.tsh, cfg=cfg, seed=args.seed, dm=dm)
+                                       tsh=args.tsh, cfg=cfg, dm=dm)
         config.update({"tsh": args.tsh, "optimizer": args.optimizer, "starts": args.starts,
                        "halfwidth": args.halfwidth, "max_evals": args.max_evals,
                        "seed": args.seed})
@@ -147,9 +160,6 @@ def cmd_deepest(args) -> int:
     else:
         result = deepest_in_sample(dm, method)
         payload = result.to_dict()
-        payload["object"] = None
-        from .spaces import object_to_dict
-
         payload["object"] = object_to_dict(objects.items[result.index])
     _emit(envelope("deepest", config, payload), args.out)
     return 0
@@ -237,19 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--metric", choices=sorted(KIND_FOR_METRIC))
     p.add_argument("--method", required=True, help=_METHOD_HELP)
-    p.add_argument("--out-of-sample", action="store_true",
-                   help="optimize over the coordinate chart (metric spd only)")
-    p.add_argument("--tsh", type=float, default=0.9,
-                   help="PCA explained-variance threshold (default 0.9)")
-    p.add_argument("--optimizer", choices=["simplex", "lbfgs"], default="simplex",
-                   help="box optimizer (default simplex)")
-    p.add_argument("--starts", type=int, default=5,
-                   help="number of top in-sample starts (default 5)")
-    p.add_argument("--halfwidth", type=float, default=0.05,
-                   help="box half-width per PCA coordinate (default 0.05)")
-    p.add_argument("--max-evals", type=int, default=None,
-                   help="objective evaluation budget per start (default 500 x dimension)")
-    p.add_argument("--seed", type=int, help="seed (required with --out-of-sample)")
+    _add_out_of_sample(p)
+    p.add_argument("--seed", type=int,
+                   help="required with --out-of-sample and recorded in the report; "
+                        "the search itself is deterministic")
     _add_common(p)
     p.set_defaults(func=cmd_deepest)
 
@@ -263,12 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu-bulk", type=float, default=0.0, help="bulk log-mean (default 0)")
     p.add_argument("--nu-out", type=float, default=3.0, help="outlier log-mean (default 3)")
     p.add_argument("--baseline", action="store_true", help="add a random-pick column")
-    p.add_argument("--out-of-sample", action="store_true")
-    p.add_argument("--tsh", type=float, default=0.9)
-    p.add_argument("--optimizer", choices=["simplex", "lbfgs"], default="simplex")
-    p.add_argument("--starts", type=int, default=5)
-    p.add_argument("--halfwidth", type=float, default=0.05)
-    p.add_argument("--max-evals", type=int, default=None)
+    _add_out_of_sample(p)
     p.add_argument("--csv", help="also write a tidy CSV (one row per replicate x method)")
     _add_common(p)
     p.set_defaults(func=lambda a: _simulate(a, "corr"))
@@ -317,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except NumericFailureError as exc:

@@ -21,13 +21,13 @@ falls below the objective at the start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .depths import DepthMethod, depth_of_query, depth_values
+from .depths import DepthMethod, depth_of_query, depth_values, sample_state
 from .errors import (
     DegenerateDecodeError,
     InsufficientSampleError,
@@ -375,8 +375,7 @@ def chart_for(objects: ObjectSet) -> CoordinateChart:
 
 def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod,
                           chart: CoordinateChart | None = None, tsh: float = 0.9,
-                          cfg: OptimizerConfig | None = None, seed: int | None = None,
-                          dm=None) -> DeepestResult:
+                          cfg: OptimizerConfig | None = None, dm=None) -> DeepestResult:
     """Box-constrained multistart depth maximization over a coordinate chart.
 
     Pipeline: encode all objects; fit a PCA reduction at threshold ``tsh``;
@@ -385,10 +384,8 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod,
     over the box start +/- half_width per coordinate; return the decoded
     object of the best run. Coordinate vectors that fail to decode score
     below the method's range instead of aborting the run. The result's
-    depth never falls below the depth of any reconstructed start.
-
-    The pipeline is deterministic; ``seed`` is accepted for interface
-    stability and currently unused.
+    depth never falls below the depth of any reconstructed start. The
+    pipeline is deterministic.
     """
     method = DepthMethod(method)
     cfg = cfg or OptimizerConfig()
@@ -399,24 +396,22 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod,
         dm = distance_matrix(objects)
     data = np.array([chart.encode(o) for o in objects.items])
     model = pca_fit(data, tsh)
-    values = depth_values(dm, method)
+    # the sample-side work of the depth is shared by every evaluation
+    state = sample_state(dm, method)
+    values = depth_values(state, method)
     ranked = np.argsort(-values, kind="stable")
     starts = [int(t) for t in ranked[: min(cfg.starts, len(ranked))]]
     failure_score = method.value_range[0] - 1.0
 
-    def make_objective():
-        def objective(w):
-            vec = pca_decode(model, w)
-            try:
-                obj = chart.decode(vec)
-            except (DegenerateDecodeError, NotPositiveDefiniteError, InvalidArgumentError):
-                return failure_score
-            q = query_distances(obj, objects)
-            return depth_of_query(q, dm, method)
+    def objective(w):
+        vec = pca_decode(model, w)
+        try:
+            obj = chart.decode(vec)
+        except (DegenerateDecodeError, NotPositiveDefiniteError, InvalidArgumentError):
+            return failure_score
+        q = query_distances(obj, objects)
+        return depth_of_query(q, state, method)
 
-        return objective
-
-    objective = make_objective()
     best_run = None  # (value, rank, point, evals, sample_index)
     total_evals = 0
     for rank, sample_index in enumerate(starts):
@@ -438,8 +433,3 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod,
     decoded = chart.decode(pca_decode(model, point))
     return DeepestResult(depth=float(value), source="out-of-sample", object=decoded,
                          start_index=sample_index, evaluations=total_evals)
-
-
-def with_max_evaluations(cfg: OptimizerConfig, max_evaluations: int | None) -> OptimizerConfig:
-    """Copy of ``cfg`` with a different evaluation budget."""
-    return replace(cfg, max_evaluations=max_evaluations)

@@ -14,8 +14,17 @@ distances ``q`` and the sample's pairwise :class:`DistanceMatrix`:
   squared-distance cosines around the query.
 * ``MHD``  -- half-space-style depth: minimum over ordered anchor pairs
   (a1 at most as far from the query as a2) of the empirical probability
-  that a sample point is at least as close to a1 as to a2. Anchors default
-  to the sample itself.
+  that a sample point is at least as close to a1 as to a2. The anchors are
+  the sample itself.
+
+Each method has one evaluator, which maps a (rows, n) block of query
+distances to ``rows`` depths: it builds a table of per-tuple terms (one
+row per query) and reduces each row to a depth. It reads a
+:class:`SampleState` built once per sample, holding only what that method
+needs of the sample. Scoring one query is a 1-row block; scoring every
+sample object (``depth_values``) runs the sample's own distance rows
+through the same evaluator, in blocks sized by ``_BLOCK_TARGET``, so both
+give bitwise identical values.
 
 Full-sample evaluation (``depth_all_sample``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
@@ -38,19 +47,8 @@ from .core import DET2_TOL, KERNEL_RADICAND_TOL, as_distance_array
 from .errors import InsufficientSampleError, InvalidArgumentError, MetricViolationError
 from .seeding import SUBSAMPLE_TAG, child_rng
 
-try:  # optional accelerator; the numpy fallback is bitwise identical
-    import numba.config
-    from numba import njit as _njit, prange as _prange
-
-    # the portable threading layer avoids TBB/OMP version sniffing; kernels
-    # write disjoint slots, so values do not depend on the thread count
-    numba.config.THREADING_LAYER = "workqueue"
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-# Blocked full-sample evaluation sizes its query blocks so that the bulk
-# temporaries stay around this many elements.
+# Evaluation sizes its query blocks so that the bulk temporaries stay around
+# this many elements.
 _BLOCK_TARGET = 4_000_000
 # Above this many triples the subsampled estimator unranks lazily instead of
 # materializing the exhaustive triple-index arrays.
@@ -111,6 +109,52 @@ class DepthReport:
         }
 
 
+@dataclass(frozen=True)
+class SampleState:
+    """What one method's evaluator reads of a sample, built once per sample.
+
+    ``values`` is the (n, n) distance array, so a state stands in for the
+    distance matrix wherever one is accepted. ``index`` holds the sample
+    tuples the method averages over: pairs i<j for MOD2, MLD and MSD; for
+    MOD3 the triples i<j<k followed by the flat positions of their pairs
+    (i, j), (j, k), (i, k) in an (n, n) table; none for MHD. ``table``
+    holds the sample-side numbers: squared distances (MOD3), squared pair
+    distances (MOD2, MSD), pair distances (MLD), or the anchor-pair
+    probabilities (MHD).
+    """
+
+    method: DepthMethod
+    values: np.ndarray
+    index: tuple
+    table: np.ndarray
+
+
+def sample_state(dm, method: DepthMethod) -> SampleState:
+    """The :class:`SampleState` of ``dm`` for ``method``.
+
+    ``dm`` is a distance matrix, an array, or a state; a state built for
+    the same method is returned as it is.
+    """
+    method = DepthMethod(method)
+    if isinstance(dm, SampleState) and dm.method is method:
+        return dm
+    v = as_distance_array(dm)
+    _require(v.shape[0], method.min_sample, method.value)
+    if method is DepthMethod.MOD3:
+        return _mod3_state(v, _triple_indices(v.shape[0]))
+    if method is DepthMethod.MHD:
+        return SampleState(method, v, (), mhd_pair_probabilities(v))
+    index = np.triu_indices(v.shape[0], 1)
+    d_ij = v[index]
+    return SampleState(method, v, index, d_ij if method is DepthMethod.MLD else d_ij ** 2)
+
+
+def _mod3_state(v: np.ndarray, triples: tuple) -> SampleState:
+    i, j, k = triples
+    n = v.shape[0]
+    return SampleState(DepthMethod.MOD3, v, (i, j, k, i * n + j, j * n + k, i * n + k), v * v)
+
+
 def _check_query(q, n: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
@@ -128,21 +172,33 @@ def _require(n: int, minimum: int, what: str) -> None:
 @lru_cache(maxsize=8)
 def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All index triples i<j<k of range(n), in lexicographic order."""
-    parts_i, parts_j, parts_k = [], [], []
-    for i in range(n - 2):
-        u = n - 1 - i
-        jj, kk = np.triu_indices(u, 1)
-        parts_i.append(np.full(jj.size, i, dtype=np.int32))
-        parts_j.append((jj + i + 1).astype(np.int32))
-        parts_k.append((kk + i + 1).astype(np.int32))
-    out = tuple(np.concatenate(p) for p in (parts_i, parts_j, parts_k))
+    r = np.arange(n)
+    mask = (r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r)
+    # contiguous copies: ``take`` would copy strided index arrays on every call
+    out = tuple(np.ascontiguousarray(t) for t in np.nonzero(mask))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _mod3_radicand(a, c_ij, c_jk, c_ik, a_i, a_j, a_k):
-    """Kernel radicand det(B3) + 4*prod for gathered triple entries."""
+# ---------------------------------------------------------------------------
+# evaluators: a per-tuple table for a (rows, n) block of query distances,
+# then a reduction of each row of the table to that query's depth
+#
+# Gathers use ``take``, not fancy indexing, so every table is C-ordered:
+# ``mean(axis=1)`` then sums each row pairwise, exactly as it sums a 1-row
+# table, and depths do not depend on the block size.
+
+
+def _mod3_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """Kernel of every (query, triple)."""
+    a = q * q
+    i, j, k, ij, jk, ik = s.index
+    # B-matrix off-diagonal entries of every query against every sample pair
+    c = (0.5 * (a[:, :, None] + a[:, None, :] - s.table)).reshape(a.shape[0], -1)
+    c_ij, c_jk, c_ik = c.take(ij, axis=1), c.take(jk, axis=1), c.take(ik, axis=1)
+    a_i, a_j, a_k = a.take(i, axis=1), a.take(j, axis=1), a.take(k, axis=1)
+    # kernel radicand det(B3) + 4*prod
     prod = a_i * a_j * a_k
     rad = (
         5.0 * prod
@@ -157,66 +213,114 @@ def _mod3_radicand(a, c_ij, c_jk, c_ik, a_i, a_j, a_k):
     return np.sqrt(np.maximum(rad, 0.0))
 
 
-def _mod3_kernels_numpy(a_rows: np.ndarray, d2: np.ndarray, i, j, k) -> np.ndarray:
-    c = _cross_gram(a_rows, d2)
-    return _mod3_radicand(a_rows, c[:, i, j], c[:, j, k], c[:, i, k],
-                          a_rows[:, i], a_rows[:, j], a_rows[:, k])
+def _sqrt_det2(a_i, a_j, c_ij):
+    """sqrt of the 2x2 determinant with exact-zero snapping.
+
+    Exact arithmetic keeps the determinant nonnegative, reaching zero on
+    aligned triples; round-off scatters those zeros to ~1e-16 * scale, so
+    anything below DET2_TOL relative to the squared largest entry is
+    treated as an exact zero (also absorbing negative undershoots).
+    """
+    det = a_i * a_j - c_ij * c_ij
+    m = np.maximum(np.maximum(a_i, a_j), np.abs(c_ij))
+    return np.where(det > DET2_TOL * m * m, np.sqrt(np.maximum(det, 0.0)), 0.0)
 
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True, parallel=True)
-    def _mod3_kernels_loop(a_rows, d2, ti, tj, tk, tol, out):  # pragma: no cover
-        # operation order mirrors _mod3_kernels_numpy exactly, so kernel
-        # values are bitwise identical to the numpy path
-        rows = a_rows.shape[0]
-        violations = 0
-        for r in _prange(rows):
-            a = a_rows[r]
-            for t in range(ti.size):
-                i, j, k = ti[t], tj[t], tk[t]
-                a_i, a_j, a_k = a[i], a[j], a[k]
-                c_ij = 0.5 * ((a_i + a_j) - d2[i, j])
-                c_jk = 0.5 * ((a_j + a_k) - d2[j, k])
-                c_ik = 0.5 * ((a_i + a_k) - d2[i, k])
-                prod = a_i * a_j * a_k
-                rad = (
-                    5.0 * prod
-                    + 2.0 * c_ij * c_jk * c_ik
-                    - a_i * c_jk * c_jk
-                    - a_j * c_ik * c_ik
-                    - a_k * c_ij * c_ij
-                )
-                scale = prod if prod > 1.0 else 1.0
-                if rad < -tol * scale:
-                    violations += 1
-                out[r, t] = np.sqrt(rad) if rad > 0.0 else 0.0
-        return violations
+def _mod2_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """Kernel of every (query, pair)."""
+    a = q * q
+    i, j = s.index
+    a_i, a_j = a.take(i, axis=1), a.take(j, axis=1)
+    return _sqrt_det2(a_i, a_j, 0.5 * (a_i + a_j - s.table))
 
 
-def _mod3_kernels(a_rows: np.ndarray, d2: np.ndarray, i, j, k) -> np.ndarray:
-    """Kernel table (rows x triples) for a block of queries."""
-    if not _HAVE_NUMBA:
-        return _mod3_kernels_numpy(a_rows, d2, i, j, k)
-    out = np.empty((a_rows.shape[0], i.size))
-    violations = _mod3_kernels_loop(np.ascontiguousarray(a_rows), d2, i, j, k,
-                                    KERNEL_RADICAND_TOL, out)
-    if violations:
-        raise MetricViolationError("kernel radicand below round-off tolerance; not a metric")
+def _mld_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """Whether each pair is farther apart than both are from the query."""
+    i, j = s.index
+    return s.table > np.maximum(q.take(i, axis=1), q.take(j, axis=1))
+
+
+def _msd_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """Clipped cosine-like ratio of every (query, pair)."""
+    i, j = s.index
+    qi, qj = q.take(i, axis=1), q.take(j, axis=1)
+    active = (qi != 0.0) & (qj != 0.0)
+    num = qi * qi + qj * qj - s.table
+    denom = np.where(active, qi * qj, 1.0)
+    return np.where(active, np.clip(num / denom, -2.0, 2.0), 0.0)
+
+
+def _mhd_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """Probability of every qualifying ordered anchor pair."""
+    n = q.shape[1]
+    qual = (q[:, :, None] <= q[:, None, :]) & ~np.eye(n, dtype=bool)
+    # probabilities never exceed 1, so filling the pairs that do not qualify
+    # with 1 keeps the minimum, and gives depth 1 when none qualifies (n = 1)
+    return np.where(qual, s.table, 1.0).reshape(q.shape[0], -1)
+
+
+def _kernel_depth(t: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + t.mean(axis=1))
+
+
+_EVALUATE = {
+    DepthMethod.MOD3: (_mod3_terms, _kernel_depth),
+    DepthMethod.MOD2: (_mod2_terms, _kernel_depth),
+    DepthMethod.MLD: (_mld_terms, lambda t: np.count_nonzero(t, axis=1) / t.shape[1]),
+    DepthMethod.MSD: (_msd_terms, lambda t: 1.0 - 0.5 * t.mean(axis=1)),
+    DepthMethod.MHD: (_mhd_terms, lambda t: t.min(axis=1)),
+}
+
+
+def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """Depths of the (rows, n) query distances ``q``, block by block."""
+    terms, reduce = _EVALUATE[s.method]
+    # elements per query row of the bulk temporaries: one per tuple
+    row_size = s.index[0].size if s.index else s.table.size
+    block = max(1, _BLOCK_TARGET // row_size)
+    out = np.empty(q.shape[0])
+    for start in range(0, q.shape[0], block):
+        # rebinding ``table`` frees the previous block's table only after the
+        # next one is built; held at the top of the heap, it keeps glibc
+        # malloc from handing the block's memory back to the system and
+        # faulting it in again (MOD3 at n=140: about 8k instead of 130k
+        # minor page faults per pass)
+        table = terms(s, q[start:start + block])
+        out[start:start + block] = reduce(table)
     return out
 
 
-def _cross_gram(a_rows: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """B-matrix off-diagonal table for a block of queries.
+# ---------------------------------------------------------------------------
+# public entry points
 
-    ``a_rows`` holds squared query distances (b, n); ``d2`` the squared
-    pairwise distances (n, n). Entry [t, k, l] is the (k, l) B-matrix value
-    for query t, with the diagonal pinned to the exact squared distances.
+
+def depth_values(dm, method: DepthMethod) -> np.ndarray:
+    """Depth of every sample object w.r.t. the full sample (self included).
+
+    ``dm`` may be a :class:`SampleState` in place of the distance matrix.
     """
-    c = 0.5 * (a_rows[:, :, None] + a_rows[:, None, :] - d2[None, :, :])
-    idx = np.arange(d2.shape[0])
-    c[:, idx, idx] = a_rows
-    return c
+    state = sample_state(dm, method)
+    return _depths(state, state.values)
+
+
+def depth_of_query(q, dm, method: DepthMethod) -> float:
+    """Depth of one query object, given its distances ``q`` to the sample.
+
+    ``dm`` may be a :class:`SampleState` in place of the distance matrix,
+    so that repeated queries share the sample-side work.
+    """
+    state = sample_state(dm, method)
+    q = _check_query(q, state.values.shape[0])
+    return float(_depths(state, q[None, :])[0])
+
+
+def depth_all_sample(dm, method: DepthMethod) -> DepthReport:
+    """Full-sample :class:`DepthReport` with wall-time of the evaluation."""
+    method = DepthMethod(method)
+    start = time.perf_counter()
+    values = depth_values(dm, method)
+    elapsed = time.perf_counter() - start
+    return DepthReport(method, values, elapsed)
 
 
 def mod3_depth(q, dm) -> float:
@@ -225,18 +329,64 @@ def mod3_depth(q, dm) -> float:
     Averages the kernel over all C(n, 3) unordered sample triples; exact
     and deterministic. O(n^3) per query.
     """
+    return depth_of_query(q, dm, DepthMethod.MOD3)
+
+
+def mod2_depth(q, dm) -> float:
+    """Order-2 kernel depth of one query object, in [0, 1].
+
+    Identically 1 for one-dimensional Euclidean data; see the module notes.
+    O(n^2) per query.
+    """
+    return depth_of_query(q, dm, DepthMethod.MOD2)
+
+
+def mld_depth(q, dm) -> float:
+    """Lens-style depth: fraction of sample pairs strictly farther from each
+    other than both are from the query. O(n^2) per query."""
+    return depth_of_query(q, dm, DepthMethod.MLD)
+
+
+def msd_depth(q, dm) -> float:
+    """Spatial-style depth in [0, 2] from squared-distance cosines.
+
+    Pairs where either query distance is exactly zero contribute zero.
+    The cosine-like ratio is mathematically confined to [-2, 2]; floating
+    point can poke out for near-coincident objects, so it is clipped.
+    """
+    return depth_of_query(q, dm, DepthMethod.MSD)
+
+
+def mhd_depth(q, dm) -> float:
+    """Half-space-style depth of one query object, in [0, 1].
+
+    Minimizes, over ordered anchor pairs (a1, a2) of sample objects with
+    a1 != a2 and the query at least as close to a1 as to a2, the empirical
+    probability that a sample point is at least as close to a1 as to a2.
+    With a single-object sample no pair qualifies and the depth is 1.
+    """
+    return depth_of_query(q, dm, DepthMethod.MHD)
+
+
+def mhd_pair_probabilities(dm) -> np.ndarray:
+    """Empirical closer-to-a1-than-a2 probabilities for all anchor pairs.
+
+    The anchors are the sample objects of the (n, n) distances ``dm``;
+    entry [a1, a2] of the result is the fraction of sample points at least
+    as close to a1 as to a2 (ties counted).
+    """
     v = as_distance_array(dm)
     n = v.shape[0]
-    _require(n, 3, "MOD3")
-    q = _check_query(q, n)
-    a = q * q
-    i, j, k = _triple_indices(n)
-    h = _mod3_kernels(a[None, :], v * v, i, j, k)[0]
-    return float(1.0 / (1.0 + h.mean()))
+    block = max(1, _BLOCK_TARGET // (n * n))
+    acc = np.zeros((n, n))
+    for s in range(0, n, block):
+        part = v[s:s + block]
+        acc += np.count_nonzero(part[:, :, None] <= part[:, None, :], axis=0)
+    return acc / n
 
 
-def _total_triples(n: int) -> int:
-    return math.comb(n, 3)
+# ---------------------------------------------------------------------------
+# subsampled MOD3
 
 
 def _unrank_triple(rank: int, n: int, first_cum: list) -> tuple[int, int, int]:
@@ -274,144 +424,23 @@ def mod3_depth_subsampled(q, dm, m: int, seed: int) -> float:
     n = v.shape[0]
     _require(n, 3, "MOD3")
     q = _check_query(q, n)
-    total = _total_triples(n)
+    total = math.comb(n, 3)
     if not 1 <= m <= total:
         raise InvalidArgumentError(f"triple count m={m} must be in [1, C({n},3)={total}]")
     rng = child_rng(seed, SUBSAMPLE_TAG)
     ranks = _sample_triple_ranks(total, m, rng)
     if total <= _MAX_MATERIALIZED_TRIPLES:
-        ti, tj, tk = _triple_indices(n)
         sel = np.asarray(ranks, dtype=np.int64)
-        i, j, k = ti[sel], tj[sel], tk[sel]
+        triples = tuple(t[sel] for t in _triple_indices(n))
     else:
         counts = [math.comb(n - 1 - t, 2) for t in range(n - 2)]
         first_cum = [0]
         for cnt in counts[:-1]:
             first_cum.append(first_cum[-1] + cnt)
         trip = np.array([_unrank_triple(r, n, first_cum) for r in ranks], dtype=np.int64)
-        i, j, k = trip[:, 0], trip[:, 1], trip[:, 2]
-    a = q * q
-    h = _mod3_kernels_numpy(a[None, :], v * v, i, j, k)[0]
-    return float(1.0 / (1.0 + h.mean()))
-
-
-def _sqrt_det2(a_i, a_j, c_ij):
-    """sqrt of the 2x2 determinant with exact-zero snapping.
-
-    Exact arithmetic keeps the determinant nonnegative, reaching zero on
-    aligned triples; round-off scatters those zeros to ~1e-16 * scale, so
-    anything below DET2_TOL relative to the squared largest entry is
-    treated as an exact zero (also absorbing negative undershoots).
-    """
-    det = a_i * a_j - c_ij * c_ij
-    m = np.maximum(np.maximum(a_i, a_j), np.abs(c_ij))
-    return np.where(det > DET2_TOL * m * m, np.sqrt(np.maximum(det, 0.0)), 0.0)
-
-
-def mod2_depth(q, dm) -> float:
-    """Order-2 kernel depth of one query object, in [0, 1].
-
-    Identically 1 for one-dimensional Euclidean data; see the module notes.
-    O(n^2) per query.
-    """
-    v = as_distance_array(dm)
-    n = v.shape[0]
-    _require(n, 2, "MOD2")
-    q = _check_query(q, n)
-    a = q * q
-    i, j = np.triu_indices(n, 1)
-    c_ij = 0.5 * (a[i] + a[j] - v[i, j] ** 2)
-    vals = _sqrt_det2(a[i], a[j], c_ij)
-    return float(1.0 / (1.0 + vals.mean()))
-
-
-def mld_depth(q, dm) -> float:
-    """Lens-style depth: fraction of sample pairs strictly farther from each
-    other than both are from the query. O(n^2) per query."""
-    v = as_distance_array(dm)
-    n = v.shape[0]
-    _require(n, 2, "MLD")
-    q = _check_query(q, n)
-    i, j = np.triu_indices(n, 1)
-    wins = v[i, j] > np.maximum(q[i], q[j])
-    return float(np.count_nonzero(wins) / wins.size)
-
-
-def msd_depth(q, dm) -> float:
-    """Spatial-style depth in [0, 2] from squared-distance cosines.
-
-    Pairs where either query distance is exactly zero contribute zero.
-    The cosine-like ratio is mathematically confined to [-2, 2]; floating
-    point can poke out for near-coincident objects, so it is clipped.
-    """
-    v = as_distance_array(dm)
-    n = v.shape[0]
-    _require(n, 2, "MSD")
-    q = _check_query(q, n)
-    i, j = np.triu_indices(n, 1)
-    qi, qj = q[i], q[j]
-    active = (qi != 0.0) & (qj != 0.0)
-    terms = np.zeros(i.size)
-    num = qi[active] ** 2 + qj[active] ** 2 - v[i, j][active] ** 2
-    terms[active] = np.clip(num / (qi[active] * qj[active]), -2.0, 2.0)
-    return float(1.0 - 0.5 * terms.mean())
-
-
-def mhd_pair_probabilities(anchor_cols) -> np.ndarray:
-    """Empirical closer-to-a1-than-a2 probabilities for all anchor pairs.
-
-    ``anchor_cols[i, a]`` is the distance from sample point i to anchor a;
-    entry [a1, a2] of the result is the fraction of sample points at least
-    as close to a1 as to a2 (ties counted).
-    """
-    cols = np.asarray(anchor_cols, dtype=float)
-    if cols.ndim != 2 or cols.size == 0:
-        raise InvalidArgumentError("anchor distances must form a nonempty (n, A) matrix")
-    n, n_anchors = cols.shape
-    block = max(1, _BLOCK_TARGET // max(1, n_anchors * n_anchors))
-    acc = np.zeros((n_anchors, n_anchors))
-    for s in range(0, n, block):
-        part = cols[s:s + block]
-        acc += np.count_nonzero(part[:, :, None] <= part[:, None, :], axis=0)
-    return acc / n
-
-
-def mhd_depth(q, dm=None, anchors_q=None, anchor_cols=None, pair_probs=None) -> float:
-    """Half-space-style depth of one query object, in [0, 1].
-
-    Minimizes, over ordered anchor pairs (a1, a2) with a1 != a2 and the
-    query at least as close to a1 as to a2, the empirical probability that
-    a sample point is at least as close to a1 as to a2. Anchors default to
-    the sample itself (``anchors_q = q``, ``anchor_cols = dm``); pass both
-    to use an explicit anchor subset. With a single anchor no pair
-    qualifies and the depth is 1. ``pair_probs`` short-circuits the
-    O(n * A^2) precomputation when evaluating many queries.
-    """
-    if anchors_q is None:
-        anchors_q = q
-    if anchor_cols is None:
-        if dm is None:
-            raise InvalidArgumentError("need dm or anchor_cols")
-        anchor_cols = as_distance_array(dm)
-    anchors_q = np.asarray(anchors_q, dtype=float)
-    cols = np.asarray(anchor_cols, dtype=float)
-    if anchors_q.ndim != 1 or anchors_q.size == 0:
-        raise InvalidArgumentError("anchor set must be nonempty")
-    if cols.ndim != 2 or cols.shape[1] != anchors_q.size:
-        raise InvalidArgumentError(
-            f"anchor_cols shape {cols.shape} inconsistent with {anchors_q.size} anchors"
-        )
-    if not np.all(np.isfinite(anchors_q)) or np.min(anchors_q) < 0:
-        raise InvalidArgumentError("anchor distances must be finite and nonnegative")
-    n_anchors = anchors_q.size
-    if n_anchors == 1:
-        return 1.0
-    probs = mhd_pair_probabilities(cols) if pair_probs is None else np.asarray(pair_probs)
-    qual = anchors_q[:, None] <= anchors_q[None, :]
-    np.fill_diagonal(qual, False)
-    if not qual.any():
-        return 1.0
-    return float(np.min(probs[qual]))
+        triples = (trip[:, 0], trip[:, 1], trip[:, 2])
+    # the exact evaluator over the drawn triples, in rank order
+    return float(_kernel_depth(_mod3_terms(_mod3_state(v, triples), q[None, :]))[0])
 
 
 def euclidean_oja_depth(points, x) -> float:
@@ -434,126 +463,3 @@ def euclidean_oja_depth(points, x) -> float:
     diffs = pts[idx] - xc  # (C, p, p); rows are X_sel - x
     dets = np.abs(np.linalg.det(diffs))
     return float(1.0 / (1.0 + dets.mean()))
-
-
-# ---------------------------------------------------------------------------
-# full-sample evaluation
-
-
-def _row_means(block: np.ndarray) -> np.ndarray:
-    # row-by-row contiguous means: bitwise identical to the per-query path,
-    # where each query reduces a 1-D array
-    return np.array([row.mean() for row in block])
-
-
-def _mod3_values_all(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    i, j, k = _triple_indices(n)
-    d2 = v * v
-    out = np.empty(n)
-    block = max(1, _BLOCK_TARGET // max(1, i.size))
-    for s in range(0, n, block):
-        h = _mod3_kernels(d2[s:s + block], d2, i, j, k)
-        out[s:s + block] = 1.0 / (1.0 + _row_means(h))
-    return out
-
-
-def _mod2_values_all(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    i, j = np.triu_indices(n, 1)
-    d2 = v * v
-    out = np.empty(n)
-    block = max(1, _BLOCK_TARGET // max(1, i.size))
-    for s in range(0, n, block):
-        a = d2[s:s + block]
-        c_ij = 0.5 * (a[:, i] + a[:, j] - d2[i, j][None, :])
-        vals = _sqrt_det2(a[:, i], a[:, j], c_ij)
-        out[s:s + block] = 1.0 / (1.0 + _row_means(vals))
-    return out
-
-
-def _mld_values_all(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    i, j = np.triu_indices(n, 1)
-    d_ij = v[i, j]
-    out = np.empty(n)
-    block = max(1, _BLOCK_TARGET // max(1, i.size))
-    for s in range(0, n, block):
-        q = v[s:s + block]
-        wins = d_ij[None, :] > np.maximum(q[:, i], q[:, j])
-        out[s:s + block] = np.count_nonzero(wins, axis=1) / d_ij.size
-    return out
-
-
-def _msd_values_all(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    i, j = np.triu_indices(n, 1)
-    d2_ij = v[i, j] ** 2
-    out = np.empty(n)
-    block = max(1, _BLOCK_TARGET // max(1, i.size))
-    for s in range(0, n, block):
-        q = v[s:s + block]
-        qi, qj = q[:, i], q[:, j]
-        active = (qi != 0.0) & (qj != 0.0)
-        num = qi * qi + qj * qj - d2_ij[None, :]
-        denom = np.where(active, qi * qj, 1.0)
-        terms = np.where(active, np.clip(num / denom, -2.0, 2.0), 0.0)
-        out[s:s + block] = 1.0 - 0.5 * _row_means(terms)
-    return out
-
-
-def _mhd_values_all(v: np.ndarray) -> np.ndarray:
-    # anchors are the sample itself; pairwise probabilities shared across
-    # queries, keeping the full-sample cost at O(n^3)
-    n = v.shape[0]
-    probs = mhd_pair_probabilities(v)
-    if n == 1:
-        return np.ones(1)
-    out = np.empty(n)
-    eye = np.eye(n, dtype=bool)
-    block = max(1, _BLOCK_TARGET // max(1, n * n))
-    for s in range(0, n, block):
-        q = v[s:s + block]
-        qual = (q[:, :, None] <= q[:, None, :]) & ~eye[None, :, :]
-        masked = np.where(qual, probs[None, :, :], np.inf)
-        out[s:s + block] = masked.min(axis=(1, 2))
-    return out
-
-
-_ALL_SAMPLE = {
-    DepthMethod.MOD3: _mod3_values_all,
-    DepthMethod.MOD2: _mod2_values_all,
-    DepthMethod.MLD: _mld_values_all,
-    DepthMethod.MSD: _msd_values_all,
-    DepthMethod.MHD: _mhd_values_all,
-}
-
-_PER_QUERY = {
-    DepthMethod.MOD3: mod3_depth,
-    DepthMethod.MOD2: mod2_depth,
-    DepthMethod.MLD: mld_depth,
-    DepthMethod.MSD: msd_depth,
-    DepthMethod.MHD: mhd_depth,
-}
-
-
-def depth_values(dm, method: DepthMethod) -> np.ndarray:
-    """Depth of every sample object w.r.t. the full sample (self included)."""
-    method = DepthMethod(method)
-    v = as_distance_array(dm)
-    _require(v.shape[0], method.min_sample, method.value)
-    return _ALL_SAMPLE[method](v)
-
-
-def depth_of_query(q, dm, method: DepthMethod) -> float:
-    """Per-query dispatch across the five methods."""
-    return _PER_QUERY[DepthMethod(method)](q, dm)
-
-
-def depth_all_sample(dm, method: DepthMethod) -> DepthReport:
-    """Full-sample :class:`DepthReport` with wall-time of the evaluation."""
-    method = DepthMethod(method)
-    start = time.perf_counter()
-    values = depth_values(dm, method)
-    elapsed = time.perf_counter() - start
-    return DepthReport(method, values, elapsed)

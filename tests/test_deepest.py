@@ -306,3 +306,23 @@ class TestOutOfSample:
         r2 = deepest_out_of_sample(objs, DepthMethod.MLD, cfg=opt)
         assert r1.depth == r2.depth
         assert np.array_equal(r1.object.entries, r2.object.entries)
+
+    def test_mhd_pair_probabilities_computed_once(self, monkeypatch):
+        # the pair probabilities depend on the sample only, so one search
+        # computes them once however many objective evaluations it makes
+        from metricdepth import depths
+
+        calls = []
+        original = depths.mhd_pair_probabilities
+
+        def counting(cols):
+            calls.append(1)
+            return original(cols)
+
+        monkeypatch.setattr(depths, "mhd_pair_probabilities", counting)
+        cfg = CorrSimConfig(p=3, n=10, eps=0.1, reps=1, seed=4)
+        objs, _ = gen_correlation_sample(cfg, child_rng(4, 1))
+        res = deepest_out_of_sample(objs, DepthMethod.MHD,
+                                    cfg=OptimizerConfig(max_evaluations=20, starts=2))
+        assert res.evaluations > 1
+        assert len(calls) == 1

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import euclidean_dm, line_dm
+from conftest import euclidean_dm, line_dm, nonmetric_dm
 from metricdepth.core import DistanceMatrix
+from metricdepth import depths
 from metricdepth.depths import (
     DepthMethod,
     DepthReport,
     depth_all_sample,
+    depth_of_query,
     depth_values,
     euclidean_oja_depth,
     mhd_depth,
@@ -25,7 +27,11 @@ from metricdepth.depths import (
     _triple_indices,
     _unrank_triple,
 )
-from metricdepth.errors import InsufficientSampleError, InvalidArgumentError
+from metricdepth.errors import (
+    InsufficientSampleError,
+    InvalidArgumentError,
+    MetricViolationError,
+)
 
 LINE_024 = line_dm([0.0, 2.0, 4.0])
 
@@ -198,23 +204,6 @@ class TestMhd:
             assert found
             assert mhd_depth(q, dm) == pytest.approx(best, abs=0)
 
-    def test_explicit_anchor_subset(self, rng):
-        pts = rng.standard_normal(9)
-        dm = line_dm(pts)
-        x = 0.2
-        q = np.abs(pts - x)
-        anchors = [0, 3, 5]
-        sub = mhd_depth(
-            q,
-            anchors_q=q[anchors],
-            anchor_cols=dm.values[:, anchors],
-        )
-        assert 0.0 <= sub <= 1.0
-
-    def test_empty_anchors_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            mhd_depth(np.array([]), anchor_cols=np.zeros((3, 0)))
-
 
 class TestEuclideanOja:
     def test_plane_hand_example(self):
@@ -270,14 +259,23 @@ class TestFullSample:
         assert np.all(depth_values(dm, DepthMethod.MOD2) == 1.0)
 
     @pytest.mark.parametrize("method", list(DepthMethod))
-    def test_matches_per_query_bitwise(self, method, rng):
-        from metricdepth.depths import _PER_QUERY
-
+    def test_matches_per_query_bitwise(self, method, rng, monkeypatch):
         pts = rng.standard_normal((20, 3))
         dm = euclidean_dm(pts)
-        all_values = depth_values(dm, method)
-        per = np.array([_PER_QUERY[method](dm.values[i], dm) for i in range(20)])
-        assert np.array_equal(all_values, per)
+        per = np.array([depth_of_query(dm.values[i], dm, method) for i in range(20)])
+        # the default target scores all 20 objects in one block; 1500
+        # elements splits them into blocks of 1 (MOD3, 1140 triples), 7
+        # (pair methods, 190 pairs) and 3 rows (MHD, 400 anchor pairs)
+        for target in (depths._BLOCK_TARGET, 1500):
+            monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
+            assert np.array_equal(depth_values(dm, method), per)
+
+    def test_mod3_metric_violation_raises(self):
+        dm = nonmetric_dm()
+        with pytest.raises(MetricViolationError):
+            depth_values(dm, DepthMethod.MOD3)
+        with pytest.raises(MetricViolationError):
+            depth_of_query(dm.values[0], dm, DepthMethod.MOD3)
 
     def test_report_carries_timing(self):
         report = depth_all_sample(LINE_024, DepthMethod.MLD)
@@ -300,10 +298,8 @@ class TestInvarianceProperties:
         dm = euclidean_dm(pts)
         perm = rng.permutation(12)
         dm_p = DistanceMatrix(dm.values[np.ix_(perm, perm)])
-        from metricdepth.depths import _PER_QUERY
-
-        before = _PER_QUERY[method](q, dm)
-        after = _PER_QUERY[method](q[perm], dm_p)
+        before = depth_of_query(q, dm, method)
+        after = depth_of_query(q[perm], dm_p, method)
         if method in (DepthMethod.MLD, DepthMethod.MHD):
             assert before == after
         else:
@@ -347,26 +343,6 @@ class TestInvarianceProperties:
                                       np.argsort(-v2, kind="stable"))
 
 
-class TestAcceleratedPath:
-    def test_jit_kernels_match_numpy_bitwise(self, rng):
-        from metricdepth.depths import (
-            _HAVE_NUMBA,
-            _mod3_kernels,
-            _mod3_kernels_numpy,
-        )
-
-        if not _HAVE_NUMBA:
-            pytest.skip("numba not installed; single code path")
-        pts = rng.standard_normal((25, 3))
-        v = np.linalg.norm(pts[:, None] - pts[None], axis=2)
-        d2 = v * v
-        i, j, k = _triple_indices(25)
-        assert np.array_equal(
-            _mod3_kernels(d2[:6], d2, i, j, k),
-            _mod3_kernels_numpy(d2[:6], d2, i, j, k),
-        )
-
-
 @st.composite
 def euclidean_config(draw):
     n = draw(st.integers(min_value=3, max_value=10))
@@ -388,9 +364,7 @@ class TestRangeInvariantsHypothesis:
         pts, x = config
         q = np.linalg.norm(pts - x, axis=1)
         dm = euclidean_dm(pts)
-        from metricdepth.depths import _PER_QUERY
-
         for method in DepthMethod:
-            value = _PER_QUERY[method](q, dm)
+            value = depth_of_query(q, dm, method)
             lo, hi = method.value_range
             assert lo <= value <= hi
