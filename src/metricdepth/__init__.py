@@ -21,13 +21,11 @@ from .core import (
     write_distance_csv,
 )
 from .deepest import (
-    CoordinateChart,
     DeepestResult,
     OptimizerConfig,
     PcaModel,
     cholesky_decode,
     cholesky_encode,
-    correlation_chart,
     deepest_in_sample,
     deepest_out_of_sample,
     optimize_box,

@@ -22,11 +22,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import read_distance_csv, write_distance_csv
-from .deepest import OptimizerConfig, chart_for, deepest_in_sample, deepest_out_of_sample
+from .deepest import OptimizerConfig, deepest_in_sample, deepest_out_of_sample
 from .depths import DepthMethod, depth_all_sample, mod3_depth_subsampled
 from .errors import InvalidArgumentError, NumericFailureError
 from .inference import label_swap_experiment, permutation_test
@@ -36,7 +34,7 @@ from .simulation import (
     SphereSimConfig,
     run_location_experiment,
 )
-from .spaces import KIND_FOR_METRIC, distance_matrix, load_histogram_csv, load_objects, object_to_dict
+from .spaces import distance_matrix, load_histogram_csv, load_objects, object_to_dict
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -48,14 +46,10 @@ def _parse_methods(text: str) -> list[DepthMethod]:
     return [DepthMethod.parse(part) for part in text.split(",") if part]
 
 
-def _load_dataset(path: str, metric: str | None):
+def _load_dataset(path: str):
     if str(path).endswith(".csv"):
-        objects = load_histogram_csv(path)
-    else:
-        objects = load_objects(path)
-    if metric is not None and metric not in KIND_FOR_METRIC:
-        raise InvalidArgumentError(f"unknown metric {metric!r}")
-    return objects
+        return load_histogram_csv(path)
+    return load_objects(path)
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -74,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_out_of_sample(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-of-sample", action="store_true",
-                   help="optimize over the coordinate chart (metric spd only)")
+                   help="optimize over Cholesky coordinates (correlation matrices only)")
     p.add_argument("--tsh", type=float, default=0.9,
                    help="PCA explained-variance threshold (default 0.9)")
     p.add_argument("--optimizer", choices=["simplex", "lbfgs"], default="simplex",
@@ -94,8 +88,7 @@ def _optimizer_from_args(args) -> OptimizerConfig:
 
 
 def cmd_dist(args) -> int:
-    objects = _load_dataset(args.infile, args.metric)
-    dm = distance_matrix(objects, args.metric)
+    dm = distance_matrix(_load_dataset(args.infile))
     write_distance_csv(args.out, dm)
     return 0
 
@@ -113,9 +106,9 @@ def cmd_depth(args) -> int:
     else:
         if not args.infile:
             raise InvalidArgumentError("provide --in objects.json or --dm matrix.csv")
-        objects = _load_dataset(args.infile, args.metric)
-        dm = distance_matrix(objects, args.metric)
-        config_input = {"in": args.infile, "metric": args.metric or objects.metric}
+        objects = _load_dataset(args.infile)
+        dm = distance_matrix(objects)
+        config_input = {"in": args.infile, "metric": objects.metric}
     if args.subsample is not None:
         values = [mod3_depth_subsampled(dm.values[i], dm, args.subsample, args.seed)
                   for i in range(dm.n)]
@@ -141,24 +134,21 @@ def cmd_depth(args) -> int:
 
 def cmd_deepest(args) -> int:
     method = DepthMethod.parse(args.method)
-    objects = _load_dataset(args.infile, args.metric)
-    dm = distance_matrix(objects, args.metric)
-    config = {"in": args.infile, "metric": args.metric or objects.metric,
+    if args.out_of_sample and args.seed is None:
+        raise InvalidArgumentError("--out-of-sample requires --seed")
+    objects = _load_dataset(args.infile)
+    config = {"in": args.infile, "metric": objects.metric,
               "method": method.value, "out_of_sample": bool(args.out_of_sample)}
     if args.out_of_sample:
-        if (args.metric or objects.metric) != "spd":
-            raise InvalidArgumentError("out-of-sample supports metric spd only")
-        if args.seed is None:
-            raise InvalidArgumentError("--out-of-sample requires --seed")
         cfg = _optimizer_from_args(args)
-        result = deepest_out_of_sample(objects, method, chart_for(objects),
-                                       tsh=args.tsh, cfg=cfg, dm=dm)
+        # checks the object kind before computing the distance matrix
+        result = deepest_out_of_sample(objects, method, tsh=args.tsh, cfg=cfg)
         config.update({"tsh": args.tsh, "optimizer": args.optimizer, "starts": args.starts,
                        "halfwidth": args.halfwidth, "max_evals": args.max_evals,
                        "seed": args.seed})
         payload = result.to_dict()
     else:
-        result = deepest_in_sample(dm, method)
+        result = deepest_in_sample(distance_matrix(objects), method)
         payload = result.to_dict()
         payload["object"] = object_to_dict(objects.items[result.index])
     _emit(envelope("deepest", config, payload), args.out)
@@ -191,11 +181,11 @@ def _simulate(args, space: str) -> int:
 
 
 def cmd_permtest(args) -> int:
-    objects = _load_dataset(args.infile, args.metric)
+    objects = _load_dataset(args.infile)
     method = DepthMethod.parse(args.method)
     report = permutation_test(objects, method, B=args.B, seed=args.seed,
-                              metric=args.metric, corrected=args.pvalue_corrected)
-    config = {"in": args.infile, "metric": args.metric or objects.metric,
+                              corrected=args.pvalue_corrected)
+    config = {"in": args.infile, "metric": objects.metric,
               "method": method.value, "B": args.B, "seed": args.seed,
               "pvalue_corrected": args.pvalue_corrected}
     _emit(envelope("permtest", config, report.to_dict()), args.out)
@@ -203,12 +193,11 @@ def cmd_permtest(args) -> int:
 
 
 def cmd_swap_test(args) -> int:
-    objects = _load_dataset(args.infile, args.metric)
+    objects = _load_dataset(args.infile)
     methods = _parse_methods(args.methods)
     report = label_swap_experiment(objects, methods, k=args.k, repeats=args.repeats,
-                                   B=args.B, seed=args.seed, metric=args.metric,
-                                   corrected=args.pvalue_corrected)
-    config = {"in": args.infile, "metric": args.metric or objects.metric,
+                                   B=args.B, seed=args.seed, corrected=args.pvalue_corrected)
+    config = {"in": args.infile, "metric": objects.metric,
               "methods": [m.value for m in methods], "k": args.k,
               "repeats": args.repeats, "B": args.B, "seed": args.seed,
               "pvalue_corrected": args.pvalue_corrected}
@@ -226,14 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="objects JSON -> distance matrix CSV")
     p.add_argument("--in", dest="infile", required=True, help="objects JSON file")
-    p.add_argument("--metric", choices=sorted(KIND_FOR_METRIC),
-                   help="metric selector (default: inferred from the object kind)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("depth", help="per-object depths of a sample")
     p.add_argument("--in", dest="infile", help="objects JSON file")
-    p.add_argument("--metric", choices=sorted(KIND_FOR_METRIC))
     p.add_argument("--dm", help="precomputed distance-matrix CSV")
     p.add_argument("--method", required=True, help=_METHOD_HELP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -245,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deepest", help="deepest-object estimate")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--metric", choices=sorted(KIND_FOR_METRIC))
     p.add_argument("--method", required=True, help=_METHOD_HELP)
     _add_out_of_sample(p)
     p.add_argument("--seed", type=int,
@@ -286,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("permtest", help="two-group permutation test")
     p.add_argument("--in", dest="infile", required=True,
                    help="labeled dataset (JSON, or histogram CSV by extension)")
-    p.add_argument("--metric", choices=sorted(KIND_FOR_METRIC))
     p.add_argument("--method", required=True, help=_METHOD_HELP)
     p.add_argument("--B", type=int, default=500, help="permutations (default 500)")
     p.add_argument("--seed", type=int, required=True)
@@ -297,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swap-test", help="label-swap contamination experiment")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--metric", choices=sorted(KIND_FOR_METRIC))
     p.add_argument("--methods", required=True, help="comma-separated depth methods")
     p.add_argument("--k", type=int, required=True, help="labels swapped per group")
     p.add_argument("--repeats", type=int, default=10, help="swap repetitions (default 10)")

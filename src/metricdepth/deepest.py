@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .depths import DepthMethod, depth_of_query, depth_values, sample_state
 from .errors import (
@@ -38,16 +36,6 @@ from .spaces import CorrelationMatrix, ObjectSet, distance_matrix, query_distanc
 
 _NM_REFLECT, _NM_EXPAND, _NM_CONTRACT, _NM_SHRINK = 1.0, 2.0, 0.5, 0.5
 _NM_STEP_FRACTION = 0.10  # initial simplex step, as a fraction of box width
-
-
-@dataclass(frozen=True)
-class CoordinateChart:
-    """Bijection between objects of one kind and q-dimensional vectors."""
-
-    kind: str
-    q: int
-    encode: Callable[[object], np.ndarray]
-    decode: Callable[[np.ndarray], object]
 
 
 @dataclass(frozen=True)
@@ -160,13 +148,6 @@ def cholesky_decode(v) -> CorrelationMatrix:
         return CorrelationMatrix(out)
     except (InvalidArgumentError, NotPositiveDefiniteError) as exc:
         raise DegenerateDecodeError(f"decoded matrix is not a valid correlation: {exc}") from exc
-
-
-def correlation_chart(p: int) -> CoordinateChart:
-    if p < 2:
-        raise InvalidArgumentError("correlation chart needs p >= 2")
-    return CoordinateChart(kind="corr", q=p * (p + 1) // 2,
-                           encode=cholesky_encode, decode=cholesky_decode)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +296,9 @@ def _nelder_mead_box(objective, start, lower, upper, ftol, max_evals, best: _Inc
 
 
 def _lbfgsb_box(objective, start, lower, upper, ftol, fd_step, max_evals, best: _Incumbent):
+    # imported here: scipy.optimize takes most of the package's import time
+    from scipy.optimize import minimize
+
     def negated(x):
         val = float(objective(np.asarray(x, dtype=float)))
         best.evaluations += 1
@@ -365,20 +349,12 @@ def optimize_box(objective, start, lower, upper, cfg: OptimizerConfig | None = N
 # out-of-sample pipeline
 
 
-def chart_for(objects: ObjectSet) -> CoordinateChart:
-    if objects.kind != "corr":
-        raise InvalidArgumentError(
-            "out-of-sample estimation supports correlation objects (metric spd) only"
-        )
-    return correlation_chart(objects.items[0].p)
-
-
-def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod,
-                          chart: CoordinateChart | None = None, tsh: float = 0.9,
+def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 0.9,
                           cfg: OptimizerConfig | None = None, dm=None) -> DeepestResult:
-    """Box-constrained multistart depth maximization over a coordinate chart.
+    """Box-constrained multistart depth maximization over the Cholesky chart.
 
-    Pipeline: encode all objects; fit a PCA reduction at threshold ``tsh``;
+    Supports correlation matrices of dimension p >= 2. Pipeline: encode all
+    objects (:func:`cholesky_encode`); fit a PCA reduction at threshold ``tsh``;
     take the top ``cfg.starts`` in-sample deepest objects as starts in PCA
     coordinates; around each start maximize the depth of the decoded object
     over the box start +/- half_width per coordinate; return the decoded
@@ -389,12 +365,13 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod,
     """
     method = DepthMethod(method)
     cfg = cfg or OptimizerConfig()
-    chart = chart or chart_for(objects)
-    if chart.kind != objects.kind:
-        raise InvalidArgumentError(f"chart kind {chart.kind!r} does not match objects {objects.kind!r}")
+    if objects.kind != "corr" or objects.items[0].p < 2:
+        raise InvalidArgumentError(
+            "out-of-sample estimation supports correlation matrices with p >= 2 only"
+        )
     if dm is None:
         dm = distance_matrix(objects)
-    data = np.array([chart.encode(o) for o in objects.items])
+    data = np.array([cholesky_encode(o) for o in objects.items])
     model = pca_fit(data, tsh)
     # the sample-side work of the depth is shared by every evaluation
     state = sample_state(dm, method)
@@ -406,7 +383,7 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod,
     def objective(w):
         vec = pca_decode(model, w)
         try:
-            obj = chart.decode(vec)
+            obj = cholesky_decode(vec)
         except (DegenerateDecodeError, NotPositiveDefiniteError, InvalidArgumentError):
             return failure_score
         q = query_distances(obj, objects)
@@ -430,6 +407,6 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod,
         return DeepestResult(depth=float(values[i0]), source="in-sample", index=i0,
                              object=objects.items[i0], start_index=i0,
                              evaluations=total_evals)
-    decoded = chart.decode(pca_decode(model, point))
+    decoded = cholesky_decode(pca_decode(model, point))
     return DeepestResult(depth=float(value), source="out-of-sample", object=decoded,
                          start_index=sample_index, evaluations=total_evals)

@@ -45,10 +45,12 @@ import numpy as np
 
 from .core import DET2_TOL, KERNEL_RADICAND_TOL, as_distance_array
 from .errors import InsufficientSampleError, InvalidArgumentError, MetricViolationError
-from .seeding import SUBSAMPLE_TAG, child_rng
+from .seeding import SUBSAMPLE_TAG, check_seed, child_rng
 
-# Evaluation sizes its query blocks so that the bulk temporaries stay around
-# this many elements.
+# Evaluation sizes its query blocks so that each bulk temporary holds about
+# this many elements (32 MB of float64). The bound is per temporary, not for
+# all of them together: the MOD3 evaluator keeps about a dozen live at once,
+# which is why a full MOD3 pass at n=140 peaks near 437 MB RSS.
 _BLOCK_TARGET = 4_000_000
 # Above this many triples the subsampled estimator unranks lazily instead of
 # materializing the exhaustive triple-index arrays.
@@ -414,6 +416,29 @@ def _sample_triple_ranks(total: int, m: int, rng: np.random.Generator) -> list:
     return sorted(chosen)
 
 
+@lru_cache(maxsize=4)
+def _subsampled_triples(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``m`` triples drawn for ``seed``, in rank order.
+
+    Cached, so scoring every object of a sample draws the triples once.
+    """
+    total = math.comb(n, 3)
+    ranks = _sample_triple_ranks(total, m, child_rng(seed, SUBSAMPLE_TAG))
+    if total <= _MAX_MATERIALIZED_TRIPLES:
+        sel = np.asarray(ranks, dtype=np.int64)
+        triples = tuple(t[sel] for t in _triple_indices(n))
+    else:
+        counts = [math.comb(n - 1 - t, 2) for t in range(n - 2)]
+        first_cum = [0]
+        for cnt in counts[:-1]:
+            first_cum.append(first_cum[-1] + cnt)
+        trip = np.array([_unrank_triple(r, n, first_cum) for r in ranks], dtype=np.int64)
+        triples = (trip[:, 0], trip[:, 1], trip[:, 2])
+    for t in triples:
+        t.flags.writeable = False
+    return triples
+
+
 def mod3_depth_subsampled(q, dm, m: int, seed: int) -> float:
     """MOD3 estimate from ``m`` triples drawn uniformly without replacement.
 
@@ -427,18 +452,7 @@ def mod3_depth_subsampled(q, dm, m: int, seed: int) -> float:
     total = math.comb(n, 3)
     if not 1 <= m <= total:
         raise InvalidArgumentError(f"triple count m={m} must be in [1, C({n},3)={total}]")
-    rng = child_rng(seed, SUBSAMPLE_TAG)
-    ranks = _sample_triple_ranks(total, m, rng)
-    if total <= _MAX_MATERIALIZED_TRIPLES:
-        sel = np.asarray(ranks, dtype=np.int64)
-        triples = tuple(t[sel] for t in _triple_indices(n))
-    else:
-        counts = [math.comb(n - 1 - t, 2) for t in range(n - 2)]
-        first_cum = [0]
-        for cnt in counts[:-1]:
-            first_cum.append(first_cum[-1] + cnt)
-        trip = np.array([_unrank_triple(r, n, first_cum) for r in ranks], dtype=np.int64)
-        triples = (trip[:, 0], trip[:, 1], trip[:, 2])
+    triples = _subsampled_triples(n, m, check_seed(seed))
     # the exact evaluator over the drawn triples, in rank order
     return float(_kernel_depth(_mod3_terms(_mod3_state(v, triples), q[None, :]))[0])
 

@@ -117,18 +117,16 @@ def statistic_from_dm(dm, labels, method: DepthMethod) -> float:
     return float(v[picks[0], picks[1]])
 
 
-def deepest_distance_statistic(objects: ObjectSet, method: DepthMethod,
-                               metric: str | None = None) -> float:
+def deepest_distance_statistic(objects: ObjectSet, method: DepthMethod) -> float:
     """Observed test statistic of a labeled two-group object set."""
     if objects.labels is None:
         raise InvalidArgumentError("object set carries no labels")
-    dm = distance_matrix(objects, metric)
+    dm = distance_matrix(objects)
     return statistic_from_dm(dm, objects.labels, DepthMethod(method))
 
 
 def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
-                     metric: str | None = None, corrected: bool = False,
-                     labels=None, dm=None) -> PermutationReport:
+                     corrected: bool = False, labels=None, dm=None) -> PermutationReport:
     """Two-group permutation test of the deepest-distance statistic.
 
     Labels are permuted uniformly at random ``B`` times (group sizes
@@ -149,7 +147,7 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
         raise InvalidArgumentError("labels length must match the object set")
     _check_group_sizes(labels, names, method)
     if dm is None:
-        dm = distance_matrix(objects, metric)
+        dm = distance_matrix(objects)
     v = as_distance_array(dm)
     t_obs = statistic_from_dm(v, labels, method)
     t_perm = np.empty(B)
@@ -164,8 +162,7 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
 
 
 def label_swap_experiment(objects: ObjectSet, methods, k: int, repeats: int, B: int,
-                          seed: int, metric: str | None = None,
-                          corrected: bool = False) -> SwapExperimentReport:
+                          seed: int, corrected: bool = False) -> SwapExperimentReport:
     """Contaminate labels by swapping k per group, then re-test, repeatedly.
 
     Per repeat, k objects drawn uniformly from each group exchange labels
@@ -185,7 +182,7 @@ def label_swap_experiment(objects: ObjectSet, methods, k: int, repeats: int, B: 
         raise InvalidArgumentError(
             f"k={k} must be between 0 and the smaller group size {min(idx_a.size, idx_b.size)}"
         )
-    dm = distance_matrix(objects, metric)
+    dm = distance_matrix(objects)
     p_values = {m.value: [] for m in methods}
     for rep in range(repeats):
         rng = child_rng(seed, SWAP_TAG, rep)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deepest import OptimizerConfig, chart_for, deepest_in_sample, deepest_out_of_sample
+from .deepest import OptimizerConfig, deepest_in_sample, deepest_out_of_sample
 from .depths import DepthMethod
 from .errors import InvalidArgumentError
 from .seeding import REPLICATE_TAG, child_rng
@@ -34,8 +34,7 @@ from .spaces import (
     ObjectSet,
     UnitVector,
     distance_matrix,
-    spd_distance,
-    sphere_distance,
+    query_distances,
 )
 
 
@@ -216,10 +215,8 @@ class ExperimentReport:
                 writer.writerow(row)
 
 
-def _center_error(space: str, estimate, center) -> float:
-    if space == "corr":
-        return spd_distance(estimate, center)
-    return sphere_distance(estimate, center)
+def _center_error(estimate, center) -> float:
+    return float(query_distances(estimate, ObjectSet((center,)))[0])
 
 
 def run_location_experiment(space: str, cfg, methods, estimator: str = "in-sample",
@@ -258,15 +255,14 @@ def run_location_experiment(space: str, cfg, methods, estimator: str = "in-sampl
                 res = deepest_in_sample(dm, method)
                 estimate = objects.items[res.index]
             else:
-                res = deepest_out_of_sample(objects, method, chart_for(objects),
-                                            tsh=tsh, cfg=optimizer, dm=dm)
+                res = deepest_out_of_sample(objects, method, tsh=tsh, cfg=optimizer, dm=dm)
                 estimate = res.object if res.object is not None else objects.items[res.index]
             seconds = time.perf_counter() - t0
-            errors[method.value].append(_center_error(space, estimate, center))
+            errors[method.value].append(_center_error(estimate, center))
             elapsed[method.value].append(seconds)
         if baseline:
             pick = int(rng.integers(0, cfg.n))
-            baseline_errors.append(_center_error(space, objects.items[pick], center))
+            baseline_errors.append(_center_error(objects.items[pick], center))
     config = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
     if estimator == "out-of-sample":
         config["tsh"] = tsh

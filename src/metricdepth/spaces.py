@@ -2,14 +2,18 @@
 
 Four object kinds are supported, each with exactly one metric:
 
-==========  =========================  ==========================
-kind        object                     metric (selector)
-==========  =========================  ==========================
+==========  =========================  ==============================
+kind        object                     metric (name in reports)
+==========  =========================  ==============================
 ``corr``    correlation matrix         affine-invariant SPD (``spd``)
 ``sphere``  unit vector                arc length (``sphere``)
 ``hist``    1-D histogram              order-2 Wasserstein (``wass``)
 ``eucl``    point in R^p               Euclidean (``eucl``)
-==========  =========================  ==========================
+==========  =========================  ==============================
+
+Each kind has one row evaluator, which maps a query object and a sequence
+of objects to their distances; query distances, distance matrices and the
+two-object distance functions all run through it.
 
 Histograms are interpreted as piecewise-uniform densities (mass spread
 uniformly within each bin), which makes their quantile functions piecewise
@@ -29,7 +33,6 @@ from .errors import InvalidArgumentError, NotPositiveDefiniteError
 EIGENVALUE_FLOOR = 1e-12
 
 METRIC_FOR_KIND = {"corr": "spd", "sphere": "sphere", "hist": "wass", "eucl": "eucl"}
-KIND_FOR_METRIC = {v: k for k, v in METRIC_FOR_KIND.items()}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -139,8 +142,9 @@ _KIND_FOR_TYPE = {
 class ObjectSet:
     """Homogeneous collection of objects from one metric space.
 
-    ``labels``, when present, attach one string per object (used by the
-    two-group inference routines).
+    Correlation matrices, unit vectors and points must share one dimension;
+    histograms may have different bin counts. ``labels``, when present,
+    attach one string per object (used by the two-group inference routines).
     """
 
     items: tuple
@@ -157,6 +161,10 @@ class ObjectSet:
             raise InvalidArgumentError(f"unsupported object type {type(bad).__name__}")
         if len(kinds) != 1:
             raise InvalidArgumentError(f"object set mixes kinds {sorted(kinds)}")
+        kind = kinds.pop()
+        dims = sorted({o.p for o in items}) if kind != "hist" else []
+        if len(dims) > 1:
+            raise InvalidArgumentError(f"object set mixes dimensions {dims}")
         labels = self.labels
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -164,7 +172,7 @@ class ObjectSet:
                 raise InvalidArgumentError("labels length must match number of objects")
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "kind", kinds.pop())
+        object.__setattr__(self, "kind", kind)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -178,26 +186,53 @@ class ObjectSet:
 # distances
 
 
-def _as_spd(a) -> np.ndarray:
-    m = np.asarray(getattr(a, "entries", a), dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got {m.shape}")
-    return 0.5 * (m + m.T)
+def _check_positive(w: np.ndarray) -> None:
+    if np.min(w) <= EIGENVALUE_FLOOR:
+        raise NotPositiveDefiniteError(f"matrix has eigenvalue {np.min(w)} <= {EIGENVALUE_FLOOR}")
 
 
-def _inv_sqrt_spd(a: np.ndarray) -> np.ndarray:
+def _spd_stack(items) -> np.ndarray:
+    m = np.array([getattr(o, "entries", o) for o in items], dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise InvalidArgumentError(f"expected square matrices, got shape {m.shape[1:]}")
+    # symmetrized to absorb round-off
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+def _spd_row(x, items) -> np.ndarray:
+    """Affine-invariant distances from ``x`` to each of ``items``: the query's
+    inverse square root is factored once, then one batched congruence and
+    one batched ``eigvalsh``."""
+    a = _spd_stack([x])[0]
+    b = _spd_stack(items)
+    if a.shape != b.shape[1:]:
+        raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape[1:]}")
     w, v = np.linalg.eigh(a)
-    if np.min(w) <= EIGENVALUE_FLOOR:
-        raise NotPositiveDefiniteError(f"matrix has eigenvalue {np.min(w)} <= {EIGENVALUE_FLOOR}")
-    return (v / np.sqrt(w)) @ v.T
+    _check_positive(w)
+    isqrt = (v / np.sqrt(w)) @ v.T
+    m = isqrt @ b @ isqrt
+    w = np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1)))
+    _check_positive(w)
+    return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
 
 
-def _spd_distance_given_isqrt(isqrt_a: np.ndarray, b: np.ndarray) -> float:
-    m = isqrt_a @ b @ isqrt_a
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if np.min(w) <= EIGENVALUE_FLOOR:
-        raise NotPositiveDefiniteError(f"matrix has eigenvalue {np.min(w)} <= {EIGENVALUE_FLOOR}")
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+def _euclidean_row(x, items) -> np.ndarray:
+    a = np.asarray(getattr(x, "coords", x), dtype=float)
+    b = np.array([getattr(o, "coords", o) for o in items], dtype=float)
+    if a.ndim != 1 or b.shape[1:] != a.shape:
+        raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape[1:]}")
+    d = a - b
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _sphere_row(x, items) -> np.ndarray:
+    half_chord = 0.5 * _euclidean_row(x, items)
+    return 2.0 * np.arcsin(np.minimum(half_chord, 1.0))
+
+
+def _wasserstein_row(x, items) -> np.ndarray:
+    # the quantile merge does not vectorize across pairs
+    return np.array([wasserstein2_distance(x, o) for o in items])
 
 
 def spd_distance(a, b) -> float:
@@ -208,11 +243,7 @@ def spd_distance(a, b) -> float:
     Accepts :class:`CorrelationMatrix` objects or raw arrays; only positive
     definiteness is required, not a unit diagonal.
     """
-    a = _as_spd(a)
-    b = _as_spd(b)
-    if a.shape != b.shape:
-        raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _spd_distance_given_isqrt(_inv_sqrt_spd(a), b)
+    return float(_spd_row(a, [b])[0])
 
 
 def sphere_distance(u, v) -> float:
@@ -222,12 +253,7 @@ def sphere_distance(u, v) -> float:
     product for exact unit vectors but keeps d(u, u) = 0 exact and stays
     well-conditioned near coincident points.
     """
-    uc = np.asarray(getattr(u, "coords", u), dtype=float)
-    vc = np.asarray(getattr(v, "coords", v), dtype=float)
-    if uc.shape != vc.shape:
-        raise InvalidArgumentError(f"dimension mismatch: {uc.shape} vs {vc.shape}")
-    half_chord = 0.5 * np.linalg.norm(uc - vc)
-    return float(2.0 * np.arcsin(min(1.0, half_chord)))
+    return float(_sphere_row(u, [v])[0])
 
 
 def _cumulative(h: Histogram) -> np.ndarray:
@@ -278,65 +304,36 @@ def wasserstein2_distance(h1: Histogram, h2: Histogram) -> float:
 
 def euclidean_distance(a, b) -> float:
     """Plain Euclidean norm of the difference."""
-    ac = np.asarray(getattr(a, "coords", a), dtype=float)
-    bc = np.asarray(getattr(b, "coords", b), dtype=float)
-    if ac.shape != bc.shape:
-        raise InvalidArgumentError(f"dimension mismatch: {ac.shape} vs {bc.shape}")
-    return float(np.linalg.norm(ac - bc))
+    return float(_euclidean_row(a, [b])[0])
 
 
-def _resolve_metric(objects: ObjectSet, metric: str | None) -> str:
-    expected = objects.metric
-    if metric is None:
-        return expected
-    if metric not in KIND_FOR_METRIC:
-        raise InvalidArgumentError(f"unknown metric {metric!r}; choose from {sorted(KIND_FOR_METRIC)}")
-    if metric != expected:
-        raise InvalidArgumentError(
-            f"metric {metric!r} does not match object kind {objects.kind!r} (expected {expected!r})"
-        )
-    return metric
+# one row evaluator per object kind: (query, objects) -> distances
+_ROW = {"corr": _spd_row, "sphere": _sphere_row, "hist": _wasserstein_row,
+        "eucl": _euclidean_row}
 
 
-def distance_matrix(objects: ObjectSet, metric: str | None = None) -> DistanceMatrix:
+def distance_matrix(objects: ObjectSet) -> DistanceMatrix:
     """Pairwise distance matrix of an object set.
 
-    Each unordered pair is evaluated once; the matrix is exactly symmetric
-    with an exactly zero diagonal. For correlation matrices the inverse
-    square roots are factored once per object.
+    Each unordered pair is evaluated once, as row i against the objects
+    after i; the matrix is exactly symmetric with an exactly zero diagonal.
     """
-    metric = _resolve_metric(objects, metric)
+    row = _ROW[objects.kind]
     items = objects.items
     n = len(items)
     out = np.zeros((n, n))
-    if metric == "spd":
-        mats = [_as_spd(o) for o in items]
-        isqrts = [_inv_sqrt_spd(m) for m in mats]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = _spd_distance_given_isqrt(isqrts[i], mats[j])
-    else:
-        dist = {"sphere": sphere_distance, "wass": wasserstein2_distance,
-                "eucl": euclidean_distance}[metric]
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = dist(items[i], items[j])
+    for i in range(n - 1):
+        out[i, i + 1:] = out[i + 1:, i] = row(items[i], items[i + 1:])
     return DistanceMatrix(out)
 
 
-def query_distances(x, sample: ObjectSet, metric: str | None = None) -> np.ndarray:
+def query_distances(x, sample: ObjectSet) -> np.ndarray:
     """Distances from one query object to every object of ``sample``."""
-    metric = _resolve_metric(sample, metric)
     if _KIND_FOR_TYPE.get(type(x)) != sample.kind:
         raise InvalidArgumentError(
             f"query of type {type(x).__name__} does not match sample kind {sample.kind!r}"
         )
-    if metric == "spd":
-        isqrt = _inv_sqrt_spd(_as_spd(x))
-        return np.array([_spd_distance_given_isqrt(isqrt, _as_spd(o)) for o in sample.items])
-    dist = {"sphere": sphere_distance, "wass": wasserstein2_distance,
-            "eucl": euclidean_distance}[metric]
-    return np.array([dist(x, o) for o in sample.items])
+    return _ROW[sample.kind](x, sample.items)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Tests for the command-line front-end, driven through ``main(argv)``."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import nonmetric_dm
-from metricdepth import cli
+from metricdepth import cli, deepest, depths
 from metricdepth.cli import main
 from metricdepth.core import write_distance_csv
 from metricdepth.seeding import child_rng
@@ -80,6 +84,54 @@ def test_threads_flag_removed(files):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["dist", "depth-in-csv", "deepest", "permtest", "swap-test"])
+def test_metric_flag_removed(name, files):
+    # the object kind fixes the metric; the flag that repeated it is gone
+    argv = _argv(COMMANDS[name], files, str(files["dir"] / "unused.out"))
+    metric = "wass" if name in ("permtest", "swap-test") else "spd"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--metric", metric])
+    assert exc.value.code == 2
+
+
+def test_stdout_report_matches_out_file(files, capsys):
+    argv = ["depth", "--dm", files["dm"], "--method", "MLD"]
+    out = str(files["dir"] / "depth.json")
+    assert main([*argv, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    with open(out) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_subsampled_triples_drawn_once(files, monkeypatch):
+    calls = []
+    original = depths._sample_triple_ranks
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(depths, "_sample_triple_ranks", counting)
+    depths._subsampled_triples.cache_clear()
+    out = str(files["dir"] / "sub.json")
+    argv = ["depth", "--in", files["corr"], "--method", "MOD3", "--subsample", "20",
+            "--seed", "3", "--out", out]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize is imported by the quasi-Newton search only; importing
+    # it costs most of a command's start-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, metricdepth.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("extra", [["--method", "MLD", "--seed", "1"], ["--method", "MOD3"]])
 def test_subsample_rejected_before_any_depth_work(extra, files, monkeypatch):
     # a non-MOD3 method, or a missing seed, is refused before the first
@@ -89,6 +141,19 @@ def test_subsample_rejected_before_any_depth_work(extra, files, monkeypatch):
 
     monkeypatch.setattr(cli, "mod3_depth_subsampled", fail)
     assert main(["depth", "--dm", files["dm"], "--subsample", "5", *extra]) == 2
+
+
+@pytest.mark.parametrize("infile, extra", [("hist", ["--seed", "1"]), ("corr", [])])
+def test_out_of_sample_rejected_before_any_distance_work(infile, extra, files, monkeypatch):
+    # a non-correlation input, or a missing seed, is refused before the
+    # distance matrix is computed
+    def fail(*args, **kwargs):
+        raise AssertionError("distance matrix computed before validation")
+
+    monkeypatch.setattr(cli, "distance_matrix", fail)
+    monkeypatch.setattr(deepest, "distance_matrix", fail)
+    argv = ["deepest", "--in", files[infile], "--method", "MLD", "--out-of-sample", *extra]
+    assert main(argv) == 2
 
 
 def test_non_metric_distances_exit_three(files):

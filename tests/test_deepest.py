@@ -9,7 +9,6 @@ from metricdepth.deepest import (
     OptimizerConfig,
     cholesky_decode,
     cholesky_encode,
-    correlation_chart,
     deepest_in_sample,
     deepest_out_of_sample,
     optimize_box,
@@ -110,11 +109,10 @@ class TestCholeskyChart:
 
     def test_decode_never_silently_invalid(self, rng):
         # random vectors either decode to a valid correlation matrix or raise
-        chart = correlation_chart(3)
         for _ in range(300):
-            v = rng.standard_normal(chart.q) * rng.choice([0.01, 1.0, 10.0])
+            v = rng.standard_normal(6) * rng.choice([0.01, 1.0, 10.0])
             try:
-                out = chart.decode(v)
+                out = cholesky_decode(v)
             except DegenerateDecodeError:
                 continue
             assert np.max(np.abs(np.diagonal(out.entries) - 1.0)) <= 1e-10
@@ -269,22 +267,19 @@ class TestOutOfSample:
     def test_depth_dominates_reconstructed_starts(self, rng):
         # postcondition: returned depth is at least the depth of every
         # reconstructed start
-        from metricdepth.deepest import chart_for, pca_fit as fit
-
         for trial in range(20):
             cfg = CorrSimConfig(p=3, n=15, eps=0.2, reps=1, seed=trial)
             objs, _ = gen_correlation_sample(cfg, child_rng(trial, 1))
             dm = distance_matrix(objs)
             opt = OptimizerConfig(max_evaluations=40)
             res = deepest_out_of_sample(objs, DepthMethod.MOD2, tsh=0.9, cfg=opt, dm=dm)
-            chart = chart_for(objs)
-            data = np.array([chart.encode(o) for o in objs.items])
-            model = fit(data, 0.9)
+            data = np.array([cholesky_encode(o) for o in objs.items])
+            model = pca_fit(data, 0.9)
             values = depth_values(dm, DepthMethod.MOD2)
             ranked = np.argsort(-values, kind="stable")[: opt.starts]
             for start in ranked:
                 try:
-                    obj = chart.decode(pca_decode(model, pca_encode(model, data[start])))
+                    obj = cholesky_decode(pca_decode(model, pca_encode(model, data[start])))
                 except DegenerateDecodeError:
                     continue
                 start_depth = depth_of_query(
@@ -295,6 +290,10 @@ class TestOutOfSample:
         from metricdepth.spaces import EuclideanPoint
 
         objs = ObjectSet(tuple(EuclideanPoint(rng.standard_normal(2)) for _ in range(5)))
+        with pytest.raises(InvalidArgumentError):
+            deepest_out_of_sample(objs, DepthMethod.MOD3)
+        # a 1 x 1 correlation matrix has no off-diagonal to search over
+        objs = ObjectSet(tuple([CorrelationMatrix([[1.0]])] * 5))
         with pytest.raises(InvalidArgumentError):
             deepest_out_of_sample(objs, DepthMethod.MOD3)
 

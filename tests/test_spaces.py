@@ -41,6 +41,18 @@ def random_histogram(rng, bins=6):
     return Histogram(edges, masses)
 
 
+def random_object(rng, kind):
+    if kind == "corr":
+        s = random_spd(rng, 3)
+        d = np.sqrt(np.diagonal(s))
+        return CorrelationMatrix(s / np.outer(d, d))
+    if kind == "sphere":
+        return UnitVector(random_unit(rng, 4))
+    if kind == "hist":
+        return random_histogram(rng)
+    return EuclideanPoint(rng.standard_normal(3))
+
+
 def quantile_oracle(h, t):
     """Brute-force quantile of the piecewise-uniform distribution."""
     c = np.concatenate([[0.0], np.cumsum(h.masses)])
@@ -178,6 +190,12 @@ class TestEuclideanDistance:
     def test_one_dimensional(self):
         assert euclidean_distance(EuclideanPoint([0.0]), EuclideanPoint([2.0])) == 2.0
 
+    def test_raw_input_must_be_a_vector(self):
+        with pytest.raises(InvalidArgumentError):
+            euclidean_distance(np.zeros((2, 2)), np.ones((2, 2)))
+        with pytest.raises(InvalidArgumentError):
+            sphere_distance(np.array(1.0), np.array(1.0))
+
 
 class TestObjectTypes:
     def test_correlation_invariants(self):
@@ -201,6 +219,14 @@ class TestObjectTypes:
     def test_object_set_rejects_mixed_kinds(self):
         with pytest.raises(InvalidArgumentError):
             ObjectSet((EuclideanPoint([0.0]), UnitVector([1.0])))
+
+    def test_object_set_rejects_mixed_dimensions(self):
+        with pytest.raises(InvalidArgumentError, match="dimensions"):
+            ObjectSet((CorrelationMatrix(np.eye(3)), CorrelationMatrix(np.eye(4))))
+        with pytest.raises(InvalidArgumentError, match="dimensions"):
+            ObjectSet((EuclideanPoint([0.0, 1.0]), EuclideanPoint([0.0])))
+        # histograms may differ in bin count
+        ObjectSet((Histogram([0.0, 1.0], [1.0]), Histogram([0.0, 1.0, 2.0], [0.5, 0.5])))
 
     def test_object_set_label_length(self):
         with pytest.raises(InvalidArgumentError):
@@ -227,17 +253,16 @@ class TestDistanceMatrixConstruction:
         off = distance_matrix(objs).values[np.triu_indices(4, 1)]
         assert np.allclose(np.sort(off), [np.pi / 2] * 4 + [np.pi] * 2, atol=1e-12)
 
-    def test_metric_selector_must_match_kind(self):
-        objs = ObjectSet((EuclideanPoint([0.0]), EuclideanPoint([1.0])))
-        with pytest.raises(InvalidArgumentError):
-            distance_matrix(objs, "sphere")
-
     def test_query_distances_matches_matrix_row(self, rng):
-        vecs = [UnitVector(random_unit(rng, 3)) for _ in range(6)]
-        objs = ObjectSet(tuple(vecs))
-        dm = distance_matrix(objs)
-        q = query_distances(vecs[2], objs)
-        assert np.allclose(q, dm.values[2], atol=1e-14)
+        # the matrix evaluates pair (i, j), j > i, as query i against object
+        # j, so that half of each row is the query row exactly
+        for kind in ("corr", "sphere", "hist", "eucl"):
+            objs = ObjectSet(tuple(random_object(rng, kind) for _ in range(7)))
+            dm = distance_matrix(objs).values
+            for i in range(len(objs)):
+                q = query_distances(objs.items[i], objs)
+                assert np.array_equal(q[i + 1:], dm[i, i + 1:]), (kind, i)
+                assert np.allclose(q, dm[i], rtol=0.0, atol=1e-12), (kind, i)
 
     def test_query_kind_mismatch(self):
         objs = ObjectSet((EuclideanPoint([0.0]), EuclideanPoint([1.0])))
@@ -250,17 +275,6 @@ class TestMetricAxiomFuzz:
 
     @pytest.mark.parametrize("space", ["corr", "sphere", "hist", "eucl"])
     def test_random_triples(self, space, rng):
-        def make():
-            if space == "corr":
-                s = random_spd(rng, 3)
-                d = np.sqrt(np.diagonal(s))
-                return CorrelationMatrix(s / np.outer(d, d))
-            if space == "sphere":
-                return UnitVector(random_unit(rng, 4))
-            if space == "hist":
-                return random_histogram(rng)
-            return EuclideanPoint(rng.standard_normal(3))
-
         dist = {
             "corr": spd_distance,
             "sphere": sphere_distance,
@@ -268,7 +282,7 @@ class TestMetricAxiomFuzz:
             "eucl": euclidean_distance,
         }[space]
         for _ in range(250):
-            x, y, z = make(), make(), make()
+            x, y, z = (random_object(rng, space) for _ in range(3))
             dxy, dyx = dist(x, y), dist(y, x)
             scale = max(1.0, dxy)
             assert dist(x, x) <= 1e-9
