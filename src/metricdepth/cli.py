@@ -25,7 +25,7 @@ import sys
 from . import __version__
 from .core import read_distance_csv, write_distance_csv
 from .deepest import OptimizerConfig, deepest_in_sample, deepest_out_of_sample
-from .depths import DepthMethod, depth_all_sample, mod3_depth_subsampled
+from .depths import DepthMethod, depth_all_sample, mod3_subsample_state
 from .errors import InvalidArgumentError, NumericFailureError
 from .inference import label_swap_experiment, permutation_test
 from .reports import dump_report, envelope
@@ -110,13 +110,10 @@ def cmd_depth(args) -> int:
         dm = distance_matrix(objects)
         config_input = {"in": args.infile, "metric": objects.metric}
     if args.subsample is not None:
-        values = [mod3_depth_subsampled(dm.values[i], dm, args.subsample, args.seed)
-                  for i in range(dm.n)]
-        payload = {"method": method.value, "values": values, "elapsed_seconds": None,
-                   "subsample": args.subsample}
-    else:
-        report = depth_all_sample(dm, method)
-        payload = report.to_dict(with_timing=args.timings)
+        dm = mod3_subsample_state(dm, args.subsample, args.seed)
+    payload = depth_all_sample(dm, method).to_dict(with_timing=args.timings)
+    if args.subsample is not None:
+        payload["subsample"] = args.subsample
     config = {**config_input, "method": method.value, "seed": args.seed}
     if args.format == "csv":
         target = open(args.out, "w") if args.out else sys.stdout
@@ -173,9 +170,6 @@ def _simulate(args, space: str) -> int:
     if args.csv:
         report.write_tidy_csv(args.csv)
     payload = report.to_dict(with_timing=args.timings)
-    if not args.timings:
-        for row in payload["per_method"].values():
-            row["mean_elapsed_seconds"] = None
     _emit(envelope(f"simulate-{space}", payload.pop("config"), payload), args.out)
     return 0
 

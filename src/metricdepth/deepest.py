@@ -36,6 +36,8 @@ from .spaces import CorrelationMatrix, ObjectSet, distance_matrix, query_distanc
 
 _NM_REFLECT, _NM_EXPAND, _NM_CONTRACT, _NM_SHRINK = 1.0, 2.0, 0.5, 0.5
 _NM_STEP_FRACTION = 0.10  # initial simplex step, as a fraction of box width
+_FTOL = 1e-8  # objective tolerance: simplex spread, or L-BFGS-B's relative decrease
+_FD_STEP = 1e-6  # relative central-difference step (quasi-Newton)
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,6 @@ class OptimizerConfig:
     algorithm: str = "simplex-box"
     half_width: float = 0.05
     max_evaluations: int | None = None  # None: 500 * dimension
-    function_tolerance: float = 1e-8
-    fd_step: float = 1e-6  # relative central-difference step (quasi-newton)
     starts: int = 5
 
     def __post_init__(self):
@@ -69,8 +69,6 @@ class OptimizerConfig:
             raise InvalidArgumentError("box half-width must be positive")
         if self.starts < 1:
             raise InvalidArgumentError("need at least one start")
-        if self.function_tolerance < 0 or self.fd_step <= 0:
-            raise InvalidArgumentError("tolerances must be positive")
         if self.max_evaluations is not None and self.max_evaluations < 1:
             raise InvalidArgumentError("max_evaluations must be positive")
 
@@ -232,7 +230,7 @@ def _check_box(start, lower, upper):
     return start, lower, upper
 
 
-def _nelder_mead_box(objective, start, lower, upper, ftol, max_evals, best: _Incumbent):
+def _nelder_mead_box(objective, start, lower, upper, max_evals, best: _Incumbent):
     width = upper - lower
     margin = 1e-12
 
@@ -268,7 +266,7 @@ def _nelder_mead_box(objective, start, lower, upper, ftol, max_evals, best: _Inc
             us = [us[t] for t in order]
             fs = [fs[t] for t in order]
             finite = [f for f in fs if np.isfinite(f)]
-            if len(finite) == len(fs) and max(fs) - min(fs) <= ftol:
+            if len(finite) == len(fs) and max(fs) - min(fs) <= _FTOL:
                 break
             centroid = np.mean(us[:-1], axis=0)
             reflected = centroid + _NM_REFLECT * (centroid - us[-1])
@@ -295,7 +293,7 @@ def _nelder_mead_box(objective, start, lower, upper, ftol, max_evals, best: _Inc
         pass
 
 
-def _lbfgsb_box(objective, start, lower, upper, ftol, fd_step, max_evals, best: _Incumbent):
+def _lbfgsb_box(objective, start, lower, upper, max_evals, best: _Incumbent):
     # imported here: scipy.optimize takes most of the package's import time
     from scipy.optimize import minimize
 
@@ -314,9 +312,9 @@ def _lbfgsb_box(objective, start, lower, upper, ftol, fd_step, max_evals, best: 
         bounds=list(zip(lower, upper)),
         options={
             "maxcor": 6,
-            "ftol": ftol,
+            "ftol": _FTOL,
             "maxfun": max(1, max_evals - best.evaluations),
-            "finite_diff_rel_step": fd_step,
+            "finite_diff_rel_step": _FD_STEP,
         },
     )
 
@@ -337,11 +335,9 @@ def optimize_box(objective, start, lower, upper, cfg: OptimizerConfig | None = N
         raise InvalidArgumentError(f"objective is not finite at the start: {f0}")
     best = _Incumbent(point=start.copy(), value=f0, evaluations=1)
     if cfg.algorithm == "simplex-box":
-        _nelder_mead_box(objective, start, lower, upper,
-                         cfg.function_tolerance, max_evals, best)
+        _nelder_mead_box(objective, start, lower, upper, max_evals, best)
     else:
-        _lbfgsb_box(objective, start, lower, upper,
-                    cfg.function_tolerance, cfg.fd_step, max_evals, best)
+        _lbfgsb_box(objective, start, lower, upper, max_evals, best)
     return best.point, best.value, best.evaluations
 
 

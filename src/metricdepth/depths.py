@@ -26,6 +26,10 @@ sample object (``depth_values``) runs the sample's own distance rows
 through the same evaluator, in blocks sized by ``_BLOCK_TARGET``, so both
 give bitwise identical values.
 
+Subsampled MOD3 (``mod3_subsample_state``) is a MOD3 state over ``m``
+triples drawn once, in place of all C(n, 3); the same evaluator scores one
+query or the whole sample against it.
+
 Full-sample evaluation (``depth_all_sample``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
 own index are kept, their kernels are well-defined (and typically zero).
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -45,16 +48,13 @@ import numpy as np
 
 from .core import DET2_TOL, KERNEL_RADICAND_TOL, as_distance_array
 from .errors import InsufficientSampleError, InvalidArgumentError, MetricViolationError
-from .seeding import SUBSAMPLE_TAG, check_seed, child_rng
+from .seeding import SUBSAMPLE_TAG, child_rng
 
 # Evaluation sizes its query blocks so that each bulk temporary holds about
-# this many elements (32 MB of float64). The bound is per temporary, not for
-# all of them together: the MOD3 evaluator keeps about a dozen live at once,
-# which is why a full MOD3 pass at n=140 peaks near 437 MB RSS.
-_BLOCK_TARGET = 4_000_000
-# Above this many triples the subsampled estimator unranks lazily instead of
-# materializing the exhaustive triple-index arrays.
-_MAX_MATERIALIZED_TRIPLES = 5_000_000
+# this many elements (256 KB of float64), which keeps the temporaries of a
+# block cache-sized. A block holds at least one query, so a temporary never
+# holds less than one row of per-tuple terms.
+_BLOCK_TARGET = 32768
 
 
 class DepthMethod(str, Enum):
@@ -118,7 +118,8 @@ class SampleState:
     ``values`` is the (n, n) distance array, so a state stands in for the
     distance matrix wherever one is accepted. ``index`` holds the sample
     tuples the method averages over: pairs i<j for MOD2, MLD and MSD; for
-    MOD3 the triples i<j<k followed by the flat positions of their pairs
+    MOD3 the triples i<j<k (all of them, or the ones drawn by
+    :func:`mod3_subsample_state`) followed by the flat positions of their pairs
     (i, j), (j, k), (i, k) in an (n, n) table; none for MHD. ``table``
     holds the sample-side numbers: squared distances (MOD3), squared pair
     distances (MOD2, MSD), pair distances (MLD), or the anchor-pair
@@ -285,8 +286,8 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
         # rebinding ``table`` frees the previous block's table only after the
         # next one is built; held at the top of the heap, it keeps glibc
         # malloc from handing the block's memory back to the system and
-        # faulting it in again (MOD3 at n=140: about 8k instead of 130k
-        # minor page faults per pass)
+        # faulting it in again (MOD3 at n=140: about 10k instead of 1.3M
+        # minor page faults per pass, and 2.2 instead of 6.0 s)
         table = terms(s, q[start:start + block])
         out[start:start + block] = reduce(table)
     return out
@@ -391,22 +392,6 @@ def mhd_pair_probabilities(dm) -> np.ndarray:
 # subsampled MOD3
 
 
-def _unrank_triple(rank: int, n: int, first_cum: list) -> tuple[int, int, int]:
-    """Triple at a lexicographic rank, without materializing the index table."""
-    i = bisect_right(first_cum, rank) - 1
-    rem = rank - first_cum[i]
-    u = n - 1 - i
-    # pairs (j', k') over a universe of size u, lex rank rem
-    # cumulative count before first element j' is j'*u - j'*(j'+1)/2
-    jp = int((2 * u - 1 - math.isqrt((2 * u - 1) ** 2 - 8 * rem)) // 2)
-    while jp * u - jp * (jp + 1) // 2 > rem:
-        jp -= 1
-    while (jp + 1) * u - (jp + 1) * (jp + 2) // 2 <= rem:
-        jp += 1
-    kp = rem - (jp * u - jp * (jp + 1) // 2) + jp + 1
-    return i, i + 1 + jp, i + 1 + kp
-
-
 def _sample_triple_ranks(total: int, m: int, rng: np.random.Generator) -> list:
     """Uniform m-subset of range(total) via Floyd's algorithm, sorted."""
     chosen: set = set()
@@ -416,45 +401,58 @@ def _sample_triple_ranks(total: int, m: int, rng: np.random.Generator) -> list:
     return sorted(chosen)
 
 
-@lru_cache(maxsize=4)
-def _subsampled_triples(n: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``m`` triples drawn for ``seed``, in rank order.
+def _unrank_triples(ranks, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triples i<j<k of range(n) at lexicographic ``ranks``."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    # rank of the first triple starting at i: C(n, 3) - C(n - i, 3)
+    t = n - np.arange(n - 2, dtype=np.int64)
+    first = math.comb(n, 3) - t * (t - 1) * (t - 2) // 6
+    i = np.searchsorted(first, ranks, side="right") - 1
+    rem = ranks - first[i]
+    # (j, k) is pair number ``rem`` of the pairs j'<k' of range(i + 1, n);
+    # over a universe of size u, x*u - x*(x+1)/2 pairs start below offset x
+    u = n - 1 - i
 
-    Cached, so scoring every object of a sample draws the triples once.
+    def before(x):
+        return x * u - x * (x + 1) // 2
+
+    b = 2 * u - 1
+    # a rounded root could be off by one either way; the integer fix-ups
+    # keep the result exact (none fired for any rank checked up to n = 2**21)
+    jp = ((b - np.sqrt(b * b - 8 * rem)) // 2).astype(np.int64)
+    jp -= before(jp) > rem
+    jp += before(jp + 1) <= rem
+    j = i + 1 + jp
+    return i, j, j + 1 + rem - before(jp)
+
+
+def mod3_subsample_state(dm, m: int, seed: int) -> SampleState:
+    """MOD3 :class:`SampleState` over ``m`` triples drawn uniformly without
+    replacement.
+
+    Deterministic given ``seed``. The triples are kept in lexicographic
+    order, so with ``m`` equal to C(n, 3) the state scores exactly as the
+    full MOD3 state.
     """
+    v = as_distance_array(dm)
+    n = v.shape[0]
+    _require(n, 3, "MOD3")
     total = math.comb(n, 3)
+    if not 1 <= m <= total:
+        raise InvalidArgumentError(f"triple count m={m} must be in [1, C({n},3)={total}]")
     ranks = _sample_triple_ranks(total, m, child_rng(seed, SUBSAMPLE_TAG))
-    if total <= _MAX_MATERIALIZED_TRIPLES:
-        sel = np.asarray(ranks, dtype=np.int64)
-        triples = tuple(t[sel] for t in _triple_indices(n))
-    else:
-        counts = [math.comb(n - 1 - t, 2) for t in range(n - 2)]
-        first_cum = [0]
-        for cnt in counts[:-1]:
-            first_cum.append(first_cum[-1] + cnt)
-        trip = np.array([_unrank_triple(r, n, first_cum) for r in ranks], dtype=np.int64)
-        triples = (trip[:, 0], trip[:, 1], trip[:, 2])
-    for t in triples:
-        t.flags.writeable = False
-    return triples
+    return _mod3_state(v, _unrank_triples(ranks, n))
 
 
 def mod3_depth_subsampled(q, dm, m: int, seed: int) -> float:
     """MOD3 estimate from ``m`` triples drawn uniformly without replacement.
 
     Deterministic given ``seed``; coincides with :func:`mod3_depth` exactly
-    when ``m`` equals the total number of triples.
+    when ``m`` equals the total number of triples. To score many queries
+    against one draw, pass :func:`mod3_subsample_state` to
+    :func:`depth_of_query` or :func:`depth_values`.
     """
-    v = as_distance_array(dm)
-    n = v.shape[0]
-    _require(n, 3, "MOD3")
-    q = _check_query(q, n)
-    total = math.comb(n, 3)
-    if not 1 <= m <= total:
-        raise InvalidArgumentError(f"triple count m={m} must be in [1, C({n},3)={total}]")
-    triples = _subsampled_triples(n, m, check_seed(seed))
-    # the exact evaluator over the drawn triples, in rank order
-    return float(_kernel_depth(_mod3_terms(_mod3_state(v, triples), q[None, :]))[0])
+    return depth_of_query(q, mod3_subsample_state(dm, m, seed), DepthMethod.MOD3)
 
 
 def euclidean_oja_depth(points, x) -> float:

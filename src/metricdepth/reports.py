@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 
-from .errors import InvalidArgumentError
-
 SCHEMA_VERSION = "1"
 
 
@@ -30,13 +28,3 @@ def dump_report(report: dict, path) -> None:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
-
-def load_report(path) -> dict:
-    with open(path) as fh:
-        report = json.load(fh)
-    version = report.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise InvalidArgumentError(
-            f"unsupported report schema version {version!r} (expected {SCHEMA_VERSION!r})"
-        )
-    return report

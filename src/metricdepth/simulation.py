@@ -37,6 +37,8 @@ from .spaces import (
     query_distances,
 )
 
+_SAMPLES_PER_HIST = 100  # Gaussian draws binned into each histogram
+
 
 @dataclass(frozen=True)
 class CorrSimConfig:
@@ -121,15 +123,14 @@ def gen_sphere_sample(cfg: SphereSimConfig, rng: np.random.Generator):
     return ObjectSet(tuple(items)), center
 
 
-def gen_histogram_groups(n1: int, n2: int, shift: float, bins: int, seed: int,
-                         samples_per_hist: int = 100) -> ObjectSet:
+def gen_histogram_groups(n1: int, n2: int, shift: float, bins: int, seed: int) -> ObjectSet:
     """Two labeled groups of histograms of binned Gaussian draws.
 
-    Group "A" histograms bin N(0, 1) samples, group "B" bins N(shift, 1);
+    Each histogram bins 100 draws: N(0, 1) in group "A", N(shift, 1) in "B";
     all histograms share equispaced edges over a range covering both.
     """
-    if n1 < 2 or n2 < 2 or bins < 1 or samples_per_hist < 1:
-        raise InvalidArgumentError("need n1, n2 >= 2, bins >= 1, samples_per_hist >= 1")
+    if n1 < 2 or n2 < 2 or bins < 1:
+        raise InvalidArgumentError("need n1, n2 >= 2, bins >= 1")
     lo = min(0.0, shift) - 4.0
     hi = max(0.0, shift) + 4.0
     edges = np.linspace(lo, hi, bins + 1)
@@ -138,7 +139,7 @@ def gen_histogram_groups(n1: int, n2: int, shift: float, bins: int, seed: int,
     labels = []
     for label, count, mean in (("A", n1, 0.0), ("B", n2, shift)):
         for _ in range(count):
-            draws = np.clip(rng.normal(mean, 1.0, samples_per_hist), lo, hi - 1e-9)
+            draws = np.clip(rng.normal(mean, 1.0, _SAMPLES_PER_HIST), lo, hi - 1e-9)
             counts, _ = np.histogram(draws, bins=edges)
             items.append(Histogram(edges, counts / counts.sum()))
             labels.append(label)

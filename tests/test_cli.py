@@ -1,5 +1,6 @@
 """Tests for the command-line front-end, driven through ``main(argv)``."""
 
+import json
 import os
 import subprocess
 import sys
@@ -113,7 +114,6 @@ def test_subsampled_triples_drawn_once(files, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(depths, "_sample_triple_ranks", counting)
-    depths._subsampled_triples.cache_clear()
     out = str(files["dir"] / "sub.json")
     argv = ["depth", "--in", files["corr"], "--method", "MOD3", "--subsample", "20",
             "--seed", "3", "--out", out]
@@ -139,7 +139,7 @@ def test_subsample_rejected_before_any_depth_work(extra, files, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("subsampled depth computed before validation")
 
-    monkeypatch.setattr(cli, "mod3_depth_subsampled", fail)
+    monkeypatch.setattr(cli, "mod3_subsample_state", fail)
     assert main(["depth", "--dm", files["dm"], "--subsample", "5", *extra]) == 2
 
 
@@ -158,3 +158,19 @@ def test_out_of_sample_rejected_before_any_distance_work(infile, extra, files, m
 
 def test_non_metric_distances_exit_three(files):
     assert main(["depth", "--dm", files["nonmetric"], "--method", "MOD3"]) == 3
+
+
+def test_subsampled_non_metric_distances_exit_three(files):
+    argv = ["depth", "--dm", files["nonmetric"], "--method", "MOD3", "--subsample", "4",
+            "--seed", "1"]
+    assert main(argv) == 3
+
+
+def test_subsample_timings_reported(files):
+    out = str(files["dir"] / "sub.json")
+    argv = _argv(COMMANDS["depth-subsample"], files, out)
+    assert main([*argv, "--timings"]) == 0
+    with open(out) as fh:
+        report = json.load(fh)
+    assert isinstance(report["elapsed_seconds"], float)
+    assert report["subsample"] == 20

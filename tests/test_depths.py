@@ -23,9 +23,11 @@ from metricdepth.depths import (
     mod2_depth,
     mod3_depth,
     mod3_depth_subsampled,
+    mod3_subsample_state,
     msd_depth,
+    _sample_triple_ranks,
     _triple_indices,
-    _unrank_triple,
+    _unrank_triples,
 )
 from metricdepth.errors import (
     InsufficientSampleError,
@@ -106,16 +108,27 @@ class TestMod3Subsampled:
             mod3_depth_subsampled([1, 1, 3], LINE_024, 2, seed=0)
 
     def test_unranking_matches_materialized_indices(self, rng):
-        n = 40
-        counts = [math.comb(n - 1 - t, 2) for t in range(n - 2)]
-        first_cum = [0]
-        for cnt in counts[:-1]:
-            first_cum.append(first_cum[-1] + cnt)
-        ti, tj, tk = _triple_indices(n)
-        for rank in rng.integers(0, math.comb(n, 3), size=500):
-            assert _unrank_triple(int(rank), n, first_cum) == (
-                ti[rank], tj[rank], tk[rank]
-            )
+        for n in (3, 4, 5, 40):
+            got = _unrank_triples(np.arange(math.comb(n, 3)), n)
+            for a, b in zip(got, _triple_indices(n)):
+                assert np.array_equal(a, b)
+        # C(320, 3) > 5M: too many triples to build the index table here
+        n = 320
+        ranks = _sample_triple_ranks(math.comb(n, 3), 2000, rng)
+        triples = list(zip(*_unrank_triples(ranks, n)))
+        assert all(0 <= i < j < k < n for i, j, k in triples)
+        assert all(s < t for s, t in zip(triples, triples[1:]))
+        assert [math.comb(n, 3) - math.comb(n - i, 3) + math.comb(n - 1 - i, 2)
+                - math.comb(n - j, 2) + k - j - 1 for i, j, k in triples] == ranks
+
+    def test_state_scores_sample_as_per_query(self, rng, monkeypatch):
+        dm = euclidean_dm(rng.standard_normal((20, 3)))
+        per = [mod3_depth_subsampled(row, dm, 50, seed=4) for row in dm.values]
+        # 50 triples per row: blocks of 1 row, of 4 rows, and one block
+        for target in (1, 200, depths._BLOCK_TARGET):
+            monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
+            state = mod3_subsample_state(dm, 50, seed=4)
+            assert np.array_equal(depth_values(state, DepthMethod.MOD3), per)
 
 
 class TestMod2:
