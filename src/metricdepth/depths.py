@@ -380,7 +380,9 @@ def mhd_pair_probabilities(dm) -> np.ndarray:
     """
     v = as_distance_array(dm)
     n = v.shape[0]
-    block = max(1, _BLOCK_TARGET // (n * n))
+    # the (block, n, n) temporaries are boolean, an eighth of a float64
+    # element each: the same byte budget holds eight times the elements
+    block = max(1, 8 * _BLOCK_TARGET // (n * n))
     acc = np.zeros((n, n))
     for s in range(0, n, block):
         part = v[s:s + block]

@@ -11,9 +11,13 @@ kind        object                     metric (name in reports)
 ``eucl``    point in R^p               Euclidean (``eucl``)
 ==========  =========================  ==============================
 
-Each kind has one row evaluator, which maps a query object and a sequence
-of objects to their distances; query distances, distance matrices and the
-two-object distance functions all run through it.
+Each kind has one row evaluator, which maps a query and a stack of objects
+to their distances; query distances, distance matrices and the two-object
+distance functions all run through it. The stack of a sample's matrices or
+vectors is built once per :class:`ObjectSet`. Histogram distances are read
+off one merged grid per call (the union of the cumulative breakpoints of
+all the histograms involved): each histogram's quantile function is
+evaluated on it once, and each row is then one vectorized reduction.
 
 Histograms are interpreted as piecewise-uniform densities (mass spread
 uniformly within each bin), which makes their quantile functions piecewise
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -181,6 +186,13 @@ class ObjectSet:
     def metric(self) -> str:
         return METRIC_FOR_KIND[self.kind]
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The objects' arrays stacked along a leading axis, read-only, built
+        on first use. Histograms have none: their quantile table takes in
+        the breakpoints of every histogram compared, the query's too."""
+        return _readonly(_TABLE[self.kind](self.items))
+
 
 # ---------------------------------------------------------------------------
 # distances
@@ -199,12 +211,14 @@ def _spd_stack(items) -> np.ndarray:
     return 0.5 * (m + m.transpose(0, 2, 1))
 
 
-def _spd_row(x, items) -> np.ndarray:
-    """Affine-invariant distances from ``x`` to each of ``items``: the query's
-    inverse square root is factored once, then one batched congruence and
-    one batched ``eigvalsh``."""
-    a = _spd_stack([x])[0]
-    b = _spd_stack(items)
+def _coord_stack(items) -> np.ndarray:
+    return np.array([getattr(o, "coords", o) for o in items], dtype=float)
+
+
+def _spd_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Affine-invariant distances from the matrix ``a`` to each matrix of the
+    stack ``b``: ``a``'s inverse square root is factored once, then one
+    batched congruence and one batched ``eigvalsh``."""
     if a.shape != b.shape[1:]:
         raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape[1:]}")
     w, v = np.linalg.eigh(a)
@@ -216,44 +230,16 @@ def _spd_row(x, items) -> np.ndarray:
     return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
 
 
-def _euclidean_row(x, items) -> np.ndarray:
-    a = np.asarray(getattr(x, "coords", x), dtype=float)
-    b = np.array([getattr(o, "coords", o) for o in items], dtype=float)
+def _euclidean_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 1 or b.shape[1:] != a.shape:
         raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape[1:]}")
     d = a - b
     return np.sqrt(np.vecdot(d, d))
 
 
-def _sphere_row(x, items) -> np.ndarray:
-    half_chord = 0.5 * _euclidean_row(x, items)
+def _sphere_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    half_chord = 0.5 * _euclidean_row(a, b)
     return 2.0 * np.arcsin(np.minimum(half_chord, 1.0))
-
-
-def _wasserstein_row(x, items) -> np.ndarray:
-    # the quantile merge does not vectorize across pairs
-    return np.array([wasserstein2_distance(x, o) for o in items])
-
-
-def spd_distance(a, b) -> float:
-    """Affine-invariant distance between positive definite matrices.
-
-    Computed as the Frobenius norm of log(a^{-1/2} b a^{-1/2}) via symmetric
-    eigendecompositions (inputs pre-symmetrized to absorb round-off).
-    Accepts :class:`CorrelationMatrix` objects or raw arrays; only positive
-    definiteness is required, not a unit diagonal.
-    """
-    return float(_spd_row(a, [b])[0])
-
-
-def sphere_distance(u, v) -> float:
-    """Arc length between unit vectors, in [0, pi].
-
-    Evaluated as 2*arcsin(chord/2), which agrees with arccos of the inner
-    product for exact unit vectors but keeps d(u, u) = 0 exact and stays
-    well-conditioned near coincident points.
-    """
-    return float(_sphere_row(u, [v])[0])
 
 
 def _cumulative(h: Histogram) -> np.ndarray:
@@ -268,7 +254,7 @@ def _cumulative(h: Histogram) -> np.ndarray:
 def _quantile_on_pieces(h: Histogram, c: np.ndarray, t: np.ndarray, mid: np.ndarray) -> np.ndarray:
     """Quantile values at probabilities ``t``, each read off the linear piece
     that contains the companion interior point ``mid`` (avoids zero-mass-bin
-    boundary ambiguity)."""
+    boundary ambiguity). Rows of ``t`` share one ``mid``."""
     j = np.searchsorted(c, mid, side="right") - 1
     # mid rounding to exactly 1 can select a trailing zero-mass bin
     positive = np.nonzero(np.diff(c) > 0)[0]
@@ -278,38 +264,112 @@ def _quantile_on_pieces(h: Histogram, c: np.ndarray, t: np.ndarray, mid: np.ndar
     return e[j] + (t - c[j]) * (e[j + 1] - e[j]) / width
 
 
+@dataclass(frozen=True)
+class _QuantileTable:
+    """Quantile functions of several histograms on one merged grid of
+    sub-intervals: their values at each sub-interval's start (``q0``) and
+    end (``q1``), one row per histogram, and the weights ``w`` (width / 3).
+    Indexing selects histograms and keeps the grid."""
+
+    q0: np.ndarray
+    q1: np.ndarray
+    w: np.ndarray
+
+    def __getitem__(self, rows) -> _QuantileTable:
+        return _QuantileTable(self.q0[rows], self.q1[rows], self.w)
+
+
+def _quantile_table(items) -> _QuantileTable:
+    """Quantile table of ``items`` on the union of their cumulative
+    breakpoints, on whose sub-intervals every quantile function is linear."""
+    if not all(isinstance(h, Histogram) for h in items):
+        raise InvalidArgumentError("Wasserstein distances need Histogram inputs")
+    cs = [_cumulative(h) for h in items]
+    ts = np.unique(np.concatenate(cs))
+    t0, t1 = ts[:-1], ts[1:]
+    mid = 0.5 * (t0 + t1)
+    ends = np.stack((t0, t1))
+    q = np.empty((len(items), 2, t0.size))
+    for k, (h, c) in enumerate(zip(items, cs)):
+        q[k] = _quantile_on_pieces(h, c, ends, mid)
+    return _QuantileTable(q[:, 0], q[:, 1], (t1 - t0) / 3.0)
+
+
+def _wasserstein_row(a: _QuantileTable, b: _QuantileTable) -> np.ndarray:
+    g0 = a.q0 - b.q0
+    g1 = a.q1 - b.q1
+    # exact integral of the squared linear interpolant on each sub-interval,
+    # w * (g0² + g0·g1 + g1²), built in place to hold three temporaries
+    cross = g0 * g1
+    g0 *= g0
+    g0 += cross
+    g1 *= g1
+    g0 += g1
+    g0 *= b.w
+    # summing along the last axis adds up every row alike whatever the row
+    # count, so a query row equals the matrix row bitwise (a BLAS
+    # matrix-vector product does not)
+    return np.sqrt(np.maximum(g0.sum(axis=1), 0.0))
+
+
+# per-object arrays of each kind, stacked along a leading axis; a histogram
+# table depends on all the histograms it holds, whose breakpoints make its grid
+_TABLE = {"corr": _spd_stack, "sphere": _coord_stack, "hist": _quantile_table,
+          "eucl": _coord_stack}
+# one row evaluator per kind: (query's table entry, objects' table) -> distances
+_ROW = {"corr": _spd_row, "sphere": _sphere_row, "hist": _wasserstein_row,
+        "eucl": _euclidean_row}
+
+
+def _query_row(kind: str, x, items, table=None) -> np.ndarray:
+    """Distances from ``x`` to each of ``items``, whose table is ``table``
+    when already built."""
+    if kind == "hist":
+        # the query's breakpoints join the merged grid
+        t = _quantile_table((x, *items))
+        return _wasserstein_row(t[0], t[1:])
+    if table is None:
+        table = _TABLE[kind](items)
+    return _ROW[kind](_TABLE[kind]((x,))[0], table)
+
+
+def spd_distance(a, b) -> float:
+    """Affine-invariant distance between positive definite matrices.
+
+    Computed as the Frobenius norm of log(a^{-1/2} b a^{-1/2}) via symmetric
+    eigendecompositions (inputs pre-symmetrized to absorb round-off).
+    Accepts :class:`CorrelationMatrix` objects or raw arrays; only positive
+    definiteness is required, not a unit diagonal.
+    """
+    return float(_query_row("corr", a, (b,))[0])
+
+
+def sphere_distance(u, v) -> float:
+    """Arc length between unit vectors, in [0, pi].
+
+    Evaluated as 2*arcsin(chord/2), which agrees with arccos of the inner
+    product for exact unit vectors but keeps d(u, u) = 0 exact and stays
+    well-conditioned near coincident points.
+    """
+    return float(_query_row("sphere", u, (v,))[0])
+
+
 def wasserstein2_distance(h1: Histogram, h2: Histogram) -> float:
     """Order-2 Wasserstein distance between piecewise-uniform histograms.
 
     Equals the L2 norm of the difference of the two quantile functions.
-    Both cumulative-probability breakpoint sets are merged; on each merged
-    sub-interval both quantile functions are linear, so the integral of the
-    squared difference is accumulated in closed form.
+    Like every histogram distance, it is read off one merged grid per call:
+    the union of the cumulative-probability breakpoints of all the
+    histograms involved (here two), on whose sub-intervals both quantile
+    functions are linear, so the integral of the squared difference is
+    accumulated in closed form.
     """
-    if not isinstance(h1, Histogram) or not isinstance(h2, Histogram):
-        raise InvalidArgumentError("wasserstein2_distance expects Histogram inputs")
-    c1 = _cumulative(h1)
-    c2 = _cumulative(h2)
-    ts = np.union1d(c1, c2)
-    t0, t1 = ts[:-1], ts[1:]
-    keep = t1 > t0
-    t0, t1 = t0[keep], t1[keep]
-    mid = 0.5 * (t0 + t1)
-    g0 = _quantile_on_pieces(h1, c1, t0, mid) - _quantile_on_pieces(h2, c2, t0, mid)
-    g1 = _quantile_on_pieces(h1, c1, t1, mid) - _quantile_on_pieces(h2, c2, t1, mid)
-    # exact integral of the squared linear interpolant on each sub-interval
-    total = np.sum((t1 - t0) * (g0 * g0 + g0 * g1 + g1 * g1) / 3.0)
-    return float(np.sqrt(max(total, 0.0)))
+    return float(_query_row("hist", h1, (h2,))[0])
 
 
 def euclidean_distance(a, b) -> float:
     """Plain Euclidean norm of the difference."""
-    return float(_euclidean_row(a, [b])[0])
-
-
-# one row evaluator per object kind: (query, objects) -> distances
-_ROW = {"corr": _spd_row, "sphere": _sphere_row, "hist": _wasserstein_row,
-        "eucl": _euclidean_row}
+    return float(_query_row("eucl", a, (b,))[0])
 
 
 def distance_matrix(objects: ObjectSet) -> DistanceMatrix:
@@ -318,12 +378,13 @@ def distance_matrix(objects: ObjectSet) -> DistanceMatrix:
     Each unordered pair is evaluated once, as row i against the objects
     after i; the matrix is exactly symmetric with an exactly zero diagonal.
     """
-    row = _ROW[objects.kind]
-    items = objects.items
-    n = len(items)
+    kind = objects.kind
+    row = _ROW[kind]
+    t = _quantile_table(objects.items) if kind == "hist" else objects._table
+    n = len(objects)
     out = np.zeros((n, n))
     for i in range(n - 1):
-        out[i, i + 1:] = out[i + 1:, i] = row(items[i], items[i + 1:])
+        out[i, i + 1:] = out[i + 1:, i] = row(t[i], t[i + 1:])
     return DistanceMatrix(out)
 
 
@@ -333,7 +394,8 @@ def query_distances(x, sample: ObjectSet) -> np.ndarray:
         raise InvalidArgumentError(
             f"query of type {type(x).__name__} does not match sample kind {sample.kind!r}"
         )
-    return _ROW[sample.kind](x, sample.items)
+    table = None if sample.kind == "hist" else sample._table
+    return _query_row(sample.kind, x, sample.items, table)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,35 @@ def test_stdout_report_matches_out_file(files, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def _write_histogram_csv(objects, path):
+    # label, then alternating edge and mass columns, ending with the last edge
+    with open(path, "w") as fh:
+        for h, label in zip(objects.items, objects.labels):
+            cols = [label]
+            for e, m in zip(h.edges[:-1], h.masses):
+                cols += [repr(float(e)), repr(float(m))]
+            fh.write(",".join([*cols, repr(float(h.edges[-1]))]) + "\n")
+
+
+@pytest.mark.parametrize("name", ["permtest", "swap-test"])
+def test_stdout_report_matches_out_file_on_histogram_csv(name, files, capsys):
+    csv = str(files["dir"] / "hist.csv")
+    _write_histogram_csv(gen_histogram_groups(6, 6, 1.0, 8, seed=7), csv)
+    argv = _argv(COMMANDS[name], {**files, "hist": csv}, OUT)
+    i = argv.index("--out")
+    del argv[i:i + 2]
+    out = str(files["dir"] / f"{name}.json")
+    assert main([*argv, "--out", out]) == 0
+    capsys.readouterr()
+    printed = []
+    for run in (1, 2):
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out.encode())
+    with open(out, "rb") as fh:
+        assert printed[0] == fh.read()
+    assert printed[1] == printed[0]
+
+
 def test_subsampled_triples_drawn_once(files, monkeypatch):
     calls = []
     original = depths._sample_triple_ranks

@@ -217,6 +217,16 @@ class TestMhd:
             assert found
             assert mhd_depth(q, dm) == pytest.approx(best, abs=0)
 
+    def test_pair_probabilities_independent_of_block_size(self, rng, monkeypatch):
+        # integer coordinates give tied distances; at n=12 the targets give
+        # blocks of 1 row, of 11 rows and one block of all 12
+        dm = euclidean_dm(rng.integers(0, 4, size=(12, 2)))
+        got = []
+        for target in (1, 200, depths._BLOCK_TARGET):
+            monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
+            got.append(depths.mhd_pair_probabilities(dm))
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
 
 class TestEuclideanOja:
     def test_plane_hand_example(self):

@@ -118,19 +118,18 @@ class TestPermutationTest:
 
     def test_distance_matrix_computed_once(self, monkeypatch):
         objs = gen_histogram_groups(5, 5, 0.0, 8, seed=10)
-        import metricdepth.spaces as spaces_module
+        import metricdepth.inference as inference_module
 
         calls = []
-        original = spaces_module.wasserstein2_distance
+        original = inference_module.distance_matrix
 
-        def counting(a, b):
+        def counting(objects):
             calls.append(1)
-            return original(a, b)
+            return original(objects)
 
-        monkeypatch.setattr(spaces_module, "wasserstein2_distance", counting)
+        monkeypatch.setattr(inference_module, "distance_matrix", counting)
         permutation_test(objs, DepthMethod.MLD, B=40, seed=11)
-        n = len(objs)
-        assert len(calls) == n * (n - 1) // 2
+        assert len(calls) == 1
 
     def test_unlabeled_set_rejected(self):
         items = tuple(EuclideanPoint([float(v)]) for v in range(6))

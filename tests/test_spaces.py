@@ -179,6 +179,106 @@ class TestWassersteinDistance:
         assert np.isfinite(d) and d > 0
 
 
+def w2_pair_reference(h1, h2):
+    """Per-pair closed form of the order-2 Wasserstein distance: the two
+    cumulative breakpoint sets merged, and on each merged sub-interval the
+    squared difference of the two linear quantile pieces integrated exactly."""
+
+    def cumulative(h):
+        c = np.concatenate(([0.0], np.cumsum(h.masses)))
+        c /= c[-1]
+        c[-1] = 1.0
+        return c
+
+    def on_pieces(h, c, t, mid):
+        j = np.searchsorted(c, mid, side="right") - 1
+        positive = np.nonzero(np.diff(c) > 0)[0]
+        j = np.clip(j, positive[0], positive[-1])
+        e = h.edges
+        return e[j] + (t - c[j]) * (e[j + 1] - e[j]) / (c[j + 1] - c[j])
+
+    c1, c2 = cumulative(h1), cumulative(h2)
+    ts = np.union1d(c1, c2)
+    t0, t1 = ts[:-1], ts[1:]
+    mid = 0.5 * (t0 + t1)
+    g0 = on_pieces(h1, c1, t0, mid) - on_pieces(h2, c2, t0, mid)
+    g1 = on_pieces(h1, c1, t1, mid) - on_pieces(h2, c2, t1, mid)
+    total = np.sum((t1 - t0) * (g0 * g0 + g0 * g1 + g1 * g1) / 3.0)
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def mixed_bin_histograms(rng, n=30):
+    return [random_histogram(rng, bins=int(rng.integers(1, 21))) for _ in range(n)]
+
+
+def zero_mass_histograms(rng, n=30):
+    items = []
+    for k in range(n):
+        bins = int(rng.integers(3, 12))
+        masses = rng.random(bins) * (rng.random(bins) > 0.3)
+        masses[0] *= k % 3 != 0  # leading empty bin
+        masses[-1] *= k % 2 != 0  # trailing empty bin
+        masses[bins // 2] += 0.1
+        edges = np.cumsum(np.abs(rng.normal(1.0, 0.4, bins + 1)))
+        items.append(Histogram(edges, masses / masses.sum()))
+    return items
+
+
+def disjoint_histograms(rng, n=30):
+    # histogram k lives on [10k, 10k + 8) at most
+    return [Histogram(np.linspace(10.0 * k, 10.0 * k + rng.uniform(1, 8), 6),
+                      rng.dirichlet(np.ones(5)))
+            for k in range(n)]
+
+
+def shared_breakpoint_histograms(rng, n=30):
+    # one mass vector for all, so every cumulative breakpoint is shared;
+    # object 5 repeats object 0
+    masses = rng.dirichlet(np.ones(7))
+    items = [Histogram(np.cumsum(np.abs(rng.normal(1.0, 0.4, 8))), masses) for _ in range(n)]
+    items[5] = items[0]
+    return items
+
+
+class TestWassersteinMergedGrid:
+    """Histogram distances come from one merged breakpoint grid per call."""
+
+    @pytest.mark.parametrize("make", [mixed_bin_histograms, zero_mass_histograms,
+                                      disjoint_histograms, shared_breakpoint_histograms])
+    def test_matrix_and_query_rows(self, make, rng):
+        items = make(rng)
+        objs = ObjectSet(tuple(items))
+        n = len(items)
+        with np.errstate(all="raise"):
+            dm = distance_matrix(objs).values
+            rows = [query_distances(h, objs) for h in items]
+        ref = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                ref[i, j] = ref[j, i] = w2_pair_reference(items[i], items[j])
+        assert np.all(np.abs(dm - ref) <= 1e-12 * ref)
+        assert np.all(np.diagonal(dm) == 0.0)
+        assert np.array_equal(dm, dm.T)
+        for i in range(n):
+            assert np.array_equal(rows[i], dm[i]), i
+
+    def test_query_outside_sample(self, rng):
+        # the query's own breakpoints join the grid
+        sample = ObjectSet(tuple(zero_mass_histograms(rng)))
+        for h in mixed_bin_histograms(rng, n=5):
+            ref = np.array([w2_pair_reference(h, o) for o in sample.items])
+            assert np.all(np.abs(query_distances(h, sample) - ref) <= 1e-12 * ref)
+
+    def test_pair_function_matches_reference(self, rng):
+        for h1, h2 in zip(mixed_bin_histograms(rng), zero_mass_histograms(rng)):
+            ref = w2_pair_reference(h1, h2)
+            assert abs(wasserstein2_distance(h1, h2) - ref) <= 1e-12 * ref
+
+    def test_non_histogram_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            wasserstein2_distance(Histogram([0.0, 1.0], [1.0]), EuclideanPoint([0.0]))
+
+
 class TestEuclideanDistance:
     def test_pythagorean(self):
         assert euclidean_distance(EuclideanPoint([0, 0]), EuclideanPoint([3, 4])) == 5.0
@@ -263,6 +363,15 @@ class TestDistanceMatrixConstruction:
                 q = query_distances(objs.items[i], objs)
                 assert np.array_equal(q[i + 1:], dm[i, i + 1:]), (kind, i)
                 assert np.allclose(q, dm[i], rtol=0.0, atol=1e-12), (kind, i)
+
+    def test_sample_stack_built_once(self, rng):
+        objs = ObjectSet(tuple(random_object(rng, "corr") for _ in range(5)))
+        dm = distance_matrix(objs).values
+        stack = objs._table
+        assert not stack.flags.writeable
+        for i in range(5):
+            assert np.array_equal(query_distances(objs.items[i], objs)[i + 1:], dm[i, i + 1:])
+        assert objs._table is stack
 
     def test_query_kind_mismatch(self):
         objs = ObjectSet((EuclideanPoint([0.0]), EuclideanPoint([1.0])))
