@@ -1,7 +1,29 @@
 """Deepest-object estimation.
 
 The in-sample estimator returns the sample object with maximal full-sample
-depth. The out-of-sample estimator lifts the search off the sample grid:
+depth, the lowest index on ties. For MOD3 it finds that object without
+computing every depth, by exact elimination:
+
+* Certificate: the sample must embed in a Euclidean space, checked by one
+  ``eigvalsh`` of the classical-MDS Gram (``depths.euclidean_certificate``,
+  relative tolerance ``depths.EMBEDDING_TOL`` = 1e-9). Every MOD3 kernel of
+  a sample object is then at least 2 d_i d_j d_k, so the object's mean
+  kernel is at least 2 e3(its distance row) / C(n, 3)
+  (``depths.mod3_lower_bounds``, all n in O(n^2)).
+* Elimination: objects are scored in increasing order of bound, each as a
+  1-row block of the unchanged MOD3 evaluator, until the next bound
+  exceeds the best mean kernel by more than the relative margin
+  ``_ELIMINATION_MARGIN`` = 1e-9 (compared as depths, so that depths equal
+  after rounding still tie). On histogram and Euclidean samples one to
+  three objects are scored instead of n.
+* Fallback: uncertified samples (correlation, sphere, non-metric input)
+  and subsampled MOD3 states over fewer than C(n, 3) triples take the full
+  pass, as do the other four methods.
+
+Each score is bitwise the full pass's, and a skipped object cannot reach
+the best depth, so the pick and its depth are those of the full pass.
+
+The out-of-sample estimator lifts the search off the sample grid:
 objects are mapped to Euclidean coordinates (correlation matrices via the
 Cholesky half-vectorization), reduced by PCA, and a box-constrained
 maximizer of the depth is run from the top in-sample starts. Two optimizers
@@ -25,7 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depths import DepthMethod, depth_of_query, depth_values, sample_state
+from .depths import (
+    DepthMethod,
+    depth_of_query,
+    depth_values,
+    euclidean_certificate,
+    mod3_lower_bounds,
+    sample_state,
+)
 from .errors import (
     DegenerateDecodeError,
     InsufficientSampleError,
@@ -38,6 +67,9 @@ _NM_REFLECT, _NM_EXPAND, _NM_CONTRACT, _NM_SHRINK = 1.0, 2.0, 0.5, 0.5
 _NM_STEP_FRACTION = 0.10  # initial simplex step, as a fraction of box width
 _FTOL = 1e-8  # objective tolerance: simplex spread, or L-BFGS-B's relative decrease
 _FD_STEP = 1e-6  # relative central-difference step (quasi-Newton)
+# relative margin of the in-sample MOD3 elimination: an object is skipped
+# only when its lower bound exceeds the best mean kernel by more than this
+_ELIMINATION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,10 +130,50 @@ class DeepestResult:
 
 
 def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
-    """Sample index maximizing the full-sample depth (lowest index on ties)."""
-    values = depth_values(dm, method)
-    i0 = int(np.argmax(values))
-    return DeepestResult(depth=float(values[i0]), source="in-sample", index=i0)
+    """Sample index maximizing the full-sample depth (lowest index on ties).
+
+    For MOD3 on a sample that passes :func:`euclidean_certificate` (Gram
+    eigenvalues no lower than -1e-9 times the largest), the argmax is found
+    by exact elimination: every object's depth is at most 1/(1 + its
+    :func:`mod3_lower_bounds` bound), objects are scored one by one in
+    increasing order of bound, and scoring stops once no unscored object
+    can reach the best depth found, with the bound relaxed by a relative
+    margin of 1e-9. Each score is a 1-row block of the MOD3 evaluator,
+    bitwise equal to that object's entry of ``depth_values``, so the result
+    is the full pass's. Otherwise (another method, an uncertified sample,
+    or a subsampled state over fewer than C(n, 3) triples) every depth is
+    computed.
+    """
+    method = DepthMethod(method)
+    state = sample_state(dm, method)
+    n = state.values.shape[0]
+    if (method is DepthMethod.MOD3 and state.index[0].size == math.comb(n, 3)
+            and euclidean_certificate(state.values)):
+        i0, depth = _mod3_argmax(state)
+    else:
+        values = depth_values(state, method)
+        i0 = int(np.argmax(values))
+        depth = float(values[i0])
+    return DeepestResult(depth=depth, source="in-sample", index=i0)
+
+
+def _mod3_argmax(state) -> tuple[int, float]:
+    """Index and depth of the deepest object of a certified MOD3 state."""
+    bound = mod3_lower_bounds(state.values)
+    # an object's depth is at most this; the margin covers the round-off by
+    # which a computed mean kernel can fall below its bound, as it does where
+    # the bound is tight (det B3 = 0 on one- and two-dimensional data)
+    ceiling = 1.0 / (1.0 + bound / (1.0 + _ELIMINATION_MARGIN))
+    best, best_depth = -1, -np.inf
+    # ceilings do not increase along this order, so the first one below the
+    # best depth ends the search (an equal one may still tie, and is scored)
+    for c in np.argsort(bound, kind="stable"):
+        if ceiling[c] < best_depth:
+            break
+        depth = depth_of_query(state.values[c], state, DepthMethod.MOD3)
+        if depth > best_depth or (depth == best_depth and c < best):
+            best, best_depth = int(c), depth
+    return best, best_depth
 
 
 # ---------------------------------------------------------------------------

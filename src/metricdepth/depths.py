@@ -30,6 +30,10 @@ Subsampled MOD3 (``mod3_subsample_state``) is a MOD3 state over ``m``
 triples drawn once, in place of all C(n, 3); the same evaluator scores one
 query or the whole sample against it.
 
+On samples that embed in a Euclidean space (``euclidean_certificate``),
+``mod3_lower_bounds`` bounds every sample object's MOD3 mean kernel from
+below in O(n^2) in all; the in-sample MOD3 argmax uses it to skip objects.
+
 Full-sample evaluation (``depth_all_sample``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
 own index are kept, their kernels are well-defined (and typically zero).
@@ -214,6 +218,59 @@ def _mod3_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
     if np.any(rad < -KERNEL_RADICAND_TOL * scale):
         raise MetricViolationError("kernel radicand below round-off tolerance; not a metric")
     return np.sqrt(np.maximum(rad, 0.0))
+
+
+# A MOD3 kernel sqrt(det B3 + 4 a_i a_j a_k) is at least 2 d_i d_j d_k
+# wherever det B3 >= 0. det B3 is the Gram determinant of three sample
+# points seen from the query, so it is nonnegative when the query and the
+# sample embed in a Euclidean space together; for a query drawn from the
+# sample, that is when the sample embeds.
+
+# relative tolerance of the embedding certificate: the smallest Gram
+# eigenvalue may fall this far below zero, relative to the largest
+EMBEDDING_TOL = 1e-9
+
+
+def euclidean_certificate(dm) -> bool:
+    """Whether the distances ``dm`` embed in a Euclidean space.
+
+    Classical MDS: a nonnegative, symmetric, zero-diagonal matrix D holds
+    Euclidean distances exactly when the Gram -1/2 J D^2 J (J the
+    centering matrix) is positive semidefinite. One ``eigvalsh`` checks
+    that, up to ``EMBEDDING_TOL`` relative to the largest eigenvalue.
+    Histogram (Wasserstein-2) and Euclidean samples pass; correlation
+    (affine-invariant) and sphere (geodesic) samples, and non-metric
+    matrices, generally fail.
+    """
+    v = as_distance_array(dm)
+    if not (np.all((v >= 0) & (v < np.inf)) and np.array_equal(v, v.T)
+            and not np.any(np.diagonal(v))):
+        return False
+    sq = v * v
+    mean = sq.mean(axis=1)
+    eig = np.linalg.eigvalsh(-0.5 * (sq - mean[:, None] - mean + mean.mean()))
+    return bool(eig[0] >= -EMBEDDING_TOL * eig[-1])
+
+
+def mod3_lower_bounds(dm) -> np.ndarray:
+    """2 e3(row) / C(n, 3) for every row of the (n, n) distances ``dm``.
+
+    e3, the third elementary symmetric polynomial of an object's distance
+    row, sums d_i d_j d_k over the triples i<j<k; so this is the mean of
+    2 d_i d_j d_k, a lower bound on the object's MOD3 mean kernel when
+    :func:`euclidean_certificate` holds. All n bounds come from the
+    recurrence e_k += x_j * e_(k-1) over the columns j, run as cumulative
+    sums in O(n^2); it adds only nonnegative terms, where the power-sum
+    identity for e3 would cancel.
+    """
+    v = as_distance_array(dm)
+    n = v.shape[0]
+    # e1 and e2 of each row's entries before column j
+    e1 = np.zeros_like(v)
+    np.cumsum(v[:, :-1], axis=1, out=e1[:, 1:])
+    e2 = np.zeros_like(v)
+    np.cumsum(v[:, :-1] * e1[:, :-1], axis=1, out=e2[:, 1:])
+    return 2.0 * (v * e2).sum(axis=1) / math.comb(n, 3)
 
 
 def _sqrt_det2(a_i, a_j, c_ij):

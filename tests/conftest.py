@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 from metricdepth.core import DistanceMatrix
+from metricdepth.seeding import child_rng
+from metricdepth.simulation import (
+    CorrSimConfig,
+    SphereSimConfig,
+    gen_correlation_sample,
+    gen_histogram_groups,
+    gen_sphere_sample,
+)
+from metricdepth.spaces import distance_matrix
 
 
 def euclidean_dm(points) -> DistanceMatrix:
@@ -28,6 +37,26 @@ def nonmetric_dm() -> DistanceMatrix:
     for (a, b), d in off.items():
         v[a, b] = v[b, a] = d
     return DistanceMatrix(v)
+
+
+def histogram_dm(n, seed):
+    """Wasserstein distances of n histograms from two shifted groups."""
+    groups = gen_histogram_groups(max(2, n - n // 2), max(2, n // 2), 1.0, 8, seed=seed)
+    return DistanceMatrix(distance_matrix(groups).values[:n, :n])
+
+
+def corr_dm(n, seed):
+    """Affine-invariant distances of n correlation matrices (p=3)."""
+    objects, _ = gen_correlation_sample(CorrSimConfig(p=3, n=n, eps=0.1, reps=1, seed=seed),
+                                        child_rng(seed, 1))
+    return distance_matrix(objects)
+
+
+def sphere_dm(n, seed):
+    """Geodesic distances of n points on the sphere in R^3."""
+    objects, _ = gen_sphere_sample(SphereSimConfig(p=3, n=n, eps=0.1, reps=1, seed=seed),
+                                   child_rng(seed, 1))
+    return distance_matrix(objects)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ COMMANDS = {
     "depth-subsample": ["depth", "--in", "corr", "--method", "MOD3", "--subsample", "20",
                         "--seed", "3", "--out", OUT],
     "deepest": ["deepest", "--in", "corr", "--method", "MSD", "--out", OUT],
+    "deepest-hist-mod3": ["deepest", "--in", "hist", "--method", "MOD3", "--out", OUT],
     "deepest-oos": ["deepest", "--in", "corr", "--method", "MLD", "--out-of-sample",
                     "--seed", "2", "--starts", "2", "--max-evals", "20", "--out", OUT],
     "simulate-corr": ["simulate-corr", "--p", "3", "--n", "8", "--eps", "0.1", "--reps", "2",
@@ -105,6 +107,23 @@ def test_stdout_report_matches_out_file(files, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+def _assert_stdout_matches_out_file(name, files, capsys):
+    # stdout equals the --out bytes, and a repeat run prints the same bytes
+    argv = _argv(COMMANDS[name], files, OUT)
+    i = argv.index("--out")
+    del argv[i:i + 2]
+    out = str(files["dir"] / f"{name}.json")
+    assert main([*argv, "--out", out]) == 0
+    capsys.readouterr()
+    printed = []
+    for run in (1, 2):
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out.encode())
+    with open(out, "rb") as fh:
+        assert printed[0] == fh.read()
+    assert printed[1] == printed[0]
+
+
 def _write_histogram_csv(objects, path):
     # label, then alternating edge and mass columns, ending with the last edge
     with open(path, "w") as fh:
@@ -119,19 +138,18 @@ def _write_histogram_csv(objects, path):
 def test_stdout_report_matches_out_file_on_histogram_csv(name, files, capsys):
     csv = str(files["dir"] / "hist.csv")
     _write_histogram_csv(gen_histogram_groups(6, 6, 1.0, 8, seed=7), csv)
-    argv = _argv(COMMANDS[name], {**files, "hist": csv}, OUT)
-    i = argv.index("--out")
-    del argv[i:i + 2]
-    out = str(files["dir"] / f"{name}.json")
-    assert main([*argv, "--out", out]) == 0
-    capsys.readouterr()
-    printed = []
-    for run in (1, 2):
-        assert main(argv) == 0
-        printed.append(capsys.readouterr().out.encode())
-    with open(out, "rb") as fh:
-        assert printed[0] == fh.read()
-    assert printed[1] == printed[0]
+    _assert_stdout_matches_out_file(name, {**files, "hist": csv}, capsys)
+
+
+@pytest.mark.parametrize("name", ["deepest-hist-mod3", "simulate-corr", "simulate-sphere"])
+def test_stdout_report_matches_out_file_on_fixtures(name, files, capsys, monkeypatch):
+    if name == "deepest-hist-mod3":
+        # histograms are certified, so MOD3 finds the argmax by elimination
+        def fail(*args, **kwargs):
+            raise AssertionError("full MOD3 pass on a certified sample")
+
+        monkeypatch.setattr(deepest, "depth_values", fail)
+    _assert_stdout_matches_out_file(name, files, capsys)
 
 
 def test_subsampled_triples_drawn_once(files, monkeypatch):
@@ -203,3 +221,17 @@ def test_subsample_timings_reported(files):
         report = json.load(fh)
     assert isinstance(report["elapsed_seconds"], float)
     assert report["subsample"] == 20
+
+
+def test_subsample_timings_include_the_draw(files, monkeypatch):
+    original = depths._sample_triple_ranks
+
+    def slow(*args):
+        time.sleep(0.25)
+        return original(*args)
+
+    monkeypatch.setattr(depths, "_sample_triple_ranks", slow)
+    out = str(files["dir"] / "sub.json")
+    assert main([*_argv(COMMANDS["depth-subsample"], files, out), "--timings"]) == 0
+    with open(out) as fh:
+        assert json.load(fh)["elapsed_seconds"] >= 0.25

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import euclidean_dm, line_dm
+from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
+from metricdepth import deepest
 from metricdepth.core import DistanceMatrix
 from metricdepth.deepest import (
     OptimizerConfig,
@@ -16,13 +17,21 @@ from metricdepth.deepest import (
     pca_encode,
     pca_fit,
 )
-from metricdepth.depths import DepthMethod, depth_of_query, depth_values
+from metricdepth.depths import (
+    DepthMethod,
+    depth_of_query,
+    depth_values,
+    euclidean_certificate,
+    mod3_subsample_state,
+)
 from metricdepth.errors import (
     DegenerateDecodeError,
     InsufficientSampleError,
     InvalidArgumentError,
+    MetricViolationError,
     NotPositiveDefiniteError,
 )
+from metricdepth.inference import statistic_from_dm
 from metricdepth.simulation import CorrSimConfig, gen_correlation_sample
 from metricdepth.seeding import child_rng
 from metricdepth.spaces import (
@@ -64,6 +73,112 @@ class TestDeepestInSample:
             for method in DepthMethod:
                 assert deepest_in_sample(dm, method).index == \
                     deepest_in_sample(scaled, method).index
+
+
+class TestMod3Elimination:
+    """The MOD3 in-sample argmax by elimination is the full pass's, bitwise."""
+
+    @pytest.fixture
+    def full_passes(self, monkeypatch):
+        # counts the full passes deepest_in_sample falls back to
+        calls = []
+
+        def counting(dm, method):
+            calls.append(method)
+            return depth_values(dm, method)
+
+        monkeypatch.setattr(deepest, "depth_values", counting)
+        return calls
+
+    @staticmethod
+    def assert_full_pass_pick(dm):
+        values = depth_values(dm, DepthMethod.MOD3)
+        res = deepest_in_sample(dm, DepthMethod.MOD3)
+        i0 = int(np.argmax(values))
+        assert res.index == i0
+        assert np.float64(res.depth).tobytes() == values[i0].tobytes()
+        return res
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 25, 40, 60])
+    def test_histograms(self, n, full_passes):
+        for seed in range(3):
+            self.assert_full_pass_pick(histogram_dm(n, seed))
+        assert full_passes == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_euclidean_points(self, dim, rng, full_passes):
+        # in one and two dimensions det B3 = 0, so the bound is tight and
+        # candidates differ from it only by round-off
+        for n in (3, 5, 10, 30, 50):
+            for _ in range(3):
+                self.assert_full_pass_pick(euclidean_dm(rng.standard_normal((n, dim))))
+        assert full_passes == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mirrored_points_tie_break_low(self, dim, rng, full_passes):
+        # mirror pairs have equal depths up to round-off, and bounds within
+        # round-off of each other
+        for n in (3, 5, 10, 30):
+            for _ in range(3):
+                pts = rng.standard_normal((n, dim))
+                self.assert_full_pass_pick(euclidean_dm(np.concatenate([pts, -pts])))
+        assert full_passes == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_duplicated_objects_tie_break_low(self, dim, rng, full_passes):
+        for n in (4, 10, 30):
+            for _ in range(5):
+                pts = rng.standard_normal((n, dim))
+                self.assert_full_pass_pick(euclidean_dm(pts[rng.integers(0, n // 2, n)]))
+        assert full_passes == []
+
+    def test_duplicate_of_the_deepest_object(self, full_passes):
+        res = self.assert_full_pass_pick(line_dm([0.0, 1.0, 1.0, 2.0]))
+        assert res.index == 1
+        res = self.assert_full_pass_pick(DistanceMatrix(np.zeros((5, 5))))
+        assert res.index == 0 and res.depth == 1.0
+        assert full_passes == []
+
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
+    def test_uncertified_samples_take_the_full_pass(self, make, full_passes):
+        for n, seed in [(20, 1), (30, 2), (40, 3)]:
+            dm = make(n, seed)
+            assert not euclidean_certificate(dm)
+            self.assert_full_pass_pick(dm)
+        assert full_passes == [DepthMethod.MOD3] * 3
+
+    def test_non_metric_input_still_raises(self):
+        with pytest.raises(MetricViolationError):
+            deepest_in_sample(nonmetric_dm(), DepthMethod.MOD3)
+        # a non-metric group inside a two-group statistic
+        v = np.full((7, 7), 10.0)
+        v[:4, :4] = nonmetric_dm().values
+        v[4:, 4:] = line_dm([0.0, 1.0, 3.0]).values
+        with pytest.raises(MetricViolationError):
+            statistic_from_dm(DistanceMatrix(v), np.array([0, 0, 0, 0, 1, 1, 1]),
+                              DepthMethod.MOD3)
+
+    def test_too_small_sample_still_raises(self):
+        with pytest.raises(InsufficientSampleError):
+            deepest_in_sample(line_dm([0.0, 1.0]), DepthMethod.MOD3)
+
+    def test_subsampled_state_scores_its_own_triples(self, full_passes):
+        dm = histogram_dm(12, 2)
+        full = deepest_in_sample(dm, DepthMethod.MOD3).index
+        picks = set()
+        for seed in range(6):
+            state = mod3_subsample_state(dm, 10, seed)
+            res = self.assert_full_pass_pick(state)
+            picks.add(res.index)
+        # the drawn triples, not the whole sample, decide the pick
+        assert picks != {full}
+        assert len(full_passes) == 6
+
+    def test_subsampled_state_over_every_triple(self, full_passes):
+        dm = histogram_dm(12, 2)
+        res = self.assert_full_pass_pick(mod3_subsample_state(dm, 220, 1))
+        assert res == deepest_in_sample(dm, DepthMethod.MOD3)
+        assert full_passes == []
 
 
 class TestCholeskyChart:

@@ -2,27 +2,30 @@
 Euclidean simplex-volume oracle."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import euclidean_dm, line_dm, nonmetric_dm
+from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
 from metricdepth.core import DistanceMatrix
-from metricdepth import depths
+from metricdepth import deepest, depths
 from metricdepth.depths import (
     DepthMethod,
     DepthReport,
     depth_all_sample,
     depth_of_query,
     depth_values,
+    euclidean_certificate,
     euclidean_oja_depth,
     mhd_depth,
     mld_depth,
     mod2_depth,
     mod3_depth,
     mod3_depth_subsampled,
+    mod3_lower_bounds,
     mod3_subsample_state,
     msd_depth,
     _sample_triple_ranks,
@@ -129,6 +132,46 @@ class TestMod3Subsampled:
             monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
             state = mod3_subsample_state(dm, 50, seed=4)
             assert np.array_equal(depth_values(state, DepthMethod.MOD3), per)
+
+
+class TestMod3LowerBound:
+    def test_matches_triple_sum(self, rng):
+        for n in (3, 4, 7, 12):
+            v = rng.uniform(0.0, 3.0, (n, n))
+            v = v + v.T
+            np.fill_diagonal(v, 0.0)
+            want = [2 * sum(v[c, i] * v[c, j] * v[c, k] for i, j, k in combinations(range(n), 3))
+                    / math.comb(n, 3) for c in range(n)]
+            assert mod3_lower_bounds(v) == pytest.approx(want, rel=1e-13)
+
+    def test_bounds_mean_kernel_on_certified_samples(self, rng):
+        samples = [histogram_dm(n, seed) for n, seed in [(3, 0), (8, 1), (25, 2), (40, 3)]]
+        samples += [euclidean_dm(rng.standard_normal((n, dim)))
+                    for n, dim in [(3, 1), (8, 2), (25, 3), (40, 1), (40, 2)]]
+        for dm in samples:
+            assert euclidean_certificate(dm)
+            state = depths.sample_state(dm, DepthMethod.MOD3)
+            mean = depths._mod3_terms(state, state.values).mean(axis=1)
+            assert np.all(mod3_lower_bounds(dm) <= mean * (1 + deepest._ELIMINATION_MARGIN))
+
+    def test_certificate_accepts_euclidean_kinds(self, rng):
+        for n, seed in [(4, 0), (25, 1), (60, 2)]:
+            assert euclidean_certificate(histogram_dm(n, seed))
+        for dim in (1, 2, 5):
+            assert euclidean_certificate(euclidean_dm(rng.standard_normal((30, dim))))
+        assert euclidean_certificate(DistanceMatrix(np.zeros((4, 4))))
+
+    def test_certificate_rejects_other_kinds(self):
+        for n, seed in [(20, 1), (40, 2)]:
+            assert not euclidean_certificate(corr_dm(n, seed))
+            assert not euclidean_certificate(sphere_dm(n, seed))
+        assert not euclidean_certificate(nonmetric_dm())
+
+    def test_certificate_rejects_malformed_arrays(self):
+        v = line_dm([0.0, 1.0, 3.0]).values
+        for bad in (-v, v + np.eye(3), np.triu(v), np.where(v == 3.0, np.inf, v),
+                    np.where(v == 3.0, np.nan, v)):
+            assert not euclidean_certificate(bad)
 
 
 class TestMod2:
