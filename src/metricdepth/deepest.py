@@ -144,11 +144,17 @@ def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     or a subsampled state over fewer than C(n, 3) triples) every depth is
     computed.
     """
+    return _deepest_in_sample(dm, method, certified=False)
+
+
+def _deepest_in_sample(dm, method: DepthMethod, certified: bool) -> DeepestResult:
+    """:func:`deepest_in_sample`, where ``certified`` says that the sample
+    is known to pass :func:`euclidean_certificate` without checking it again."""
     method = DepthMethod(method)
     state = sample_state(dm, method)
     n = state.values.shape[0]
     if (method is DepthMethod.MOD3 and state.index[0].size == math.comb(n, 3)
-            and euclidean_certificate(state.values)):
+            and (certified or euclidean_certificate(state.values))):
         i0, depth = _mod3_argmax(state)
     else:
         values = depth_values(state, method)

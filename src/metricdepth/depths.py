@@ -18,13 +18,18 @@ distances ``q`` and the sample's pairwise :class:`DistanceMatrix`:
   the sample itself.
 
 Each method has one evaluator, which maps a (rows, n) block of query
-distances to ``rows`` depths: it builds a table of per-tuple terms (one
-row per query) and reduces each row to a depth. It reads a
-:class:`SampleState` built once per sample, holding only what that method
-needs of the sample. Scoring one query is a 1-row block; scoring every
-sample object (``depth_values``) runs the sample's own distance rows
-through the same evaluator, in blocks sized by ``_BLOCK_TARGET``, so both
-give bitwise identical values.
+distances to ``rows`` depths. It reads a :class:`SampleState` built once
+per sample, holding only what that method needs of the sample. The work is
+cut into tiles: a block of query rows crossed with a range of the sample
+tuples. A tile builds the method's per-tuple terms (one row per query) and
+reduces each row to a partial: a sum (MOD3, MOD2, MSD), a count (MLD) or a
+minimum (MHD). The tuple ranges are the leaves of numpy's own
+pairwise-summation tree over a row, so the partials, joined back along
+that tree, are bitwise the reduction of the whole row. Scoring one query
+is a 1-row block; scoring every sample object (``depth_values``) runs the
+sample's own distance rows through the same tiles, so both give bitwise
+identical values. A call of two tiles or more runs them on one thread per
+core available to the process; a single tile runs on the calling thread.
 
 Subsampled MOD3 (``mod3_subsample_state``) is a MOD3 state over ``m``
 triples drawn once, in place of all C(n, 3); the same evaluator scores one
@@ -41,12 +46,15 @@ own index are kept, their kernels are well-defined (and typically zero).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import combinations, count
 
 import numpy as np
 
@@ -54,10 +62,11 @@ from .core import DET2_TOL, KERNEL_RADICAND_TOL, as_distance_array
 from .errors import InsufficientSampleError, InvalidArgumentError, MetricViolationError
 from .seeding import SUBSAMPLE_TAG, child_rng
 
-# Evaluation sizes its query blocks so that each bulk temporary holds about
-# this many elements (256 KB of float64), which keeps the temporaries of a
-# block cache-sized. A block holds at least one query, so a temporary never
-# holds less than one row of per-tuple terms.
+# Evaluation cuts its work into tiles whose bulk temporaries hold at most
+# this many elements (256 KB of float64), which keeps them cache-sized: a
+# row block holds as many query rows as fit, and a longer row is split along
+# its tuples. A temporary exceeds the target only when the target is below
+# 128, as one leaf of up to 128 elements (numpy's unrolled summation loop).
 _BLOCK_TARGET = 32768
 
 
@@ -124,10 +133,10 @@ class SampleState:
     tuples the method averages over: pairs i<j for MOD2, MLD and MSD; for
     MOD3 the triples i<j<k (all of them, or the ones drawn by
     :func:`mod3_subsample_state`) followed by the flat positions of their pairs
-    (i, j), (j, k), (i, k) in an (n, n) table; none for MHD. ``table``
-    holds the sample-side numbers: squared distances (MOD3), squared pair
-    distances (MOD2, MSD), pair distances (MLD), or the anchor-pair
-    probabilities (MHD).
+    (i, j), (j, k), (i, k) in an (n, n) table; for MHD the ordered anchor
+    pairs (a1, a2), a1 != a2. ``table`` holds the sample-side numbers:
+    squared distances (MOD3), squared pair distances (MOD2, MSD), pair
+    distances (MLD), or the anchor-pair probabilities (MHD).
     """
 
     method: DepthMethod
@@ -150,7 +159,9 @@ def sample_state(dm, method: DepthMethod) -> SampleState:
     if method is DepthMethod.MOD3:
         return _mod3_state(v, _triple_indices(v.shape[0]))
     if method is DepthMethod.MHD:
-        return SampleState(method, v, (), mhd_pair_probabilities(v))
+        # contiguous copies: ``take`` would copy strided index arrays on every call
+        index = tuple(np.ascontiguousarray(t) for t in np.nonzero(~np.eye(v.shape[0], dtype=bool)))
+        return SampleState(method, v, index, mhd_pair_probabilities(v)[index])
     index = np.triu_indices(v.shape[0], 1)
     d_ij = v[index]
     return SampleState(method, v, index, d_ij if method is DepthMethod.MLD else d_ij ** 2)
@@ -189,20 +200,28 @@ def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: a per-tuple table for a (rows, n) block of query distances,
-# then a reduction of each row of the table to that query's depth
+# evaluators: per-tuple terms of a (rows, n) block of query distances over a
+# range ``part`` of the sample tuples, then a reduction of each row of those
+# terms to a partial of that query's depth
 #
-# Gathers use ``take``, not fancy indexing, so every table is C-ordered:
-# ``mean(axis=1)`` then sums each row pairwise, exactly as it sums a 1-row
-# table, and depths do not depend on the block size.
+# Gathers use ``take``, not fancy indexing, so every table is C-ordered and
+# its rows are reduced one by one, as a 1-row table is.
 
 
-def _mod3_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """Kernel of every (query, triple)."""
+def _mod3_pairs(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """B-matrix off-diagonal entries of every query against every sample
+    pair, as a (rows, n * n) table."""
     a = q * q
-    i, j, k, ij, jk, ik = s.index
-    # B-matrix off-diagonal entries of every query against every sample pair
-    c = (0.5 * (a[:, :, None] + a[:, None, :] - s.table)).reshape(a.shape[0], -1)
+    return (0.5 * (a[:, :, None] + a[:, None, :] - s.table)).reshape(a.shape[0], -1)
+
+
+def _mod3_terms(s: SampleState, q: np.ndarray, part=slice(None), c=None) -> np.ndarray:
+    """Kernel of every (query, triple) in ``part`` of the triples; ``c`` is
+    the block's :func:`_mod3_pairs`, when already built."""
+    a = q * q
+    if c is None:
+        c = _mod3_pairs(s, q)
+    i, j, k, ij, jk, ik = (t[part] for t in s.index)
     c_ij, c_jk, c_ik = c.take(ij, axis=1), c.take(jk, axis=1), c.take(ik, axis=1)
     a_i, a_j, a_k = a.take(i, axis=1), a.take(j, axis=1), a.take(k, axis=1)
     # kernel radicand det(B3) + 4*prod
@@ -286,68 +305,180 @@ def _sqrt_det2(a_i, a_j, c_ij):
     return np.where(det > DET2_TOL * m * m, np.sqrt(np.maximum(det, 0.0)), 0.0)
 
 
-def _mod2_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """Kernel of every (query, pair)."""
+def _mod2_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
+    """Kernel of every (query, pair) in ``part`` of the pairs."""
     a = q * q
-    i, j = s.index
+    i, j = (t[part] for t in s.index)
     a_i, a_j = a.take(i, axis=1), a.take(j, axis=1)
-    return _sqrt_det2(a_i, a_j, 0.5 * (a_i + a_j - s.table))
+    return _sqrt_det2(a_i, a_j, 0.5 * (a_i + a_j - s.table[part]))
 
 
-def _mld_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """Whether each pair is farther apart than both are from the query."""
-    i, j = s.index
-    return s.table > np.maximum(q.take(i, axis=1), q.take(j, axis=1))
+def _mld_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
+    """Whether each pair in ``part`` is farther apart than both are from the
+    query."""
+    i, j = (t[part] for t in s.index)
+    return s.table[part] > np.maximum(q.take(i, axis=1), q.take(j, axis=1))
 
 
-def _msd_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """Clipped cosine-like ratio of every (query, pair)."""
-    i, j = s.index
+def _msd_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
+    """Clipped cosine-like ratio of every (query, pair) in ``part``."""
+    i, j = (t[part] for t in s.index)
     qi, qj = q.take(i, axis=1), q.take(j, axis=1)
     active = (qi != 0.0) & (qj != 0.0)
-    num = qi * qi + qj * qj - s.table
+    num = qi * qi + qj * qj - s.table[part]
     denom = np.where(active, qi * qj, 1.0)
     return np.where(active, np.clip(num / denom, -2.0, 2.0), 0.0)
 
 
-def _mhd_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """Probability of every qualifying ordered anchor pair."""
-    n = q.shape[1]
-    qual = (q[:, :, None] <= q[:, None, :]) & ~np.eye(n, dtype=bool)
-    # probabilities never exceed 1, so filling the pairs that do not qualify
-    # with 1 keeps the minimum, and gives depth 1 when none qualifies (n = 1)
-    return np.where(qual, s.table, 1.0).reshape(q.shape[0], -1)
+def _mhd_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
+    """Probability of every anchor pair in ``part`` that qualifies, 1 for the
+    others (which keeps the minimum: probabilities never exceed 1)."""
+    a1, a2 = (t[part] for t in s.index)
+    return np.where(q.take(a1, axis=1) <= q.take(a2, axis=1), s.table[part], 1.0)
 
 
-def _kernel_depth(t: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + t.mean(axis=1))
+def _no_shared_inputs(s: SampleState, q: np.ndarray) -> dict:
+    return {}
 
 
+def _kernel_depth(total, size):
+    return 1.0 / (1.0 + total / size)
+
+
+_SUM = partial(np.add.reduce, axis=1)
+
+# per method: the inputs that the tiles of one row block share, the terms of
+# a tile, the reduction of a tile's terms to one partial per row, the join
+# of two partials, and the depths from the partial of whole rows of ``size``
+# tuples
 _EVALUATE = {
-    DepthMethod.MOD3: (_mod3_terms, _kernel_depth),
-    DepthMethod.MOD2: (_mod2_terms, _kernel_depth),
-    DepthMethod.MLD: (_mld_terms, lambda t: np.count_nonzero(t, axis=1) / t.shape[1]),
-    DepthMethod.MSD: (_msd_terms, lambda t: 1.0 - 0.5 * t.mean(axis=1)),
-    DepthMethod.MHD: (_mhd_terms, lambda t: t.min(axis=1)),
+    DepthMethod.MOD3: (lambda s, q: {"c": _mod3_pairs(s, q)}, _mod3_terms, _SUM, np.add,
+                       _kernel_depth),
+    DepthMethod.MOD2: (_no_shared_inputs, _mod2_terms, _SUM, np.add, _kernel_depth),
+    DepthMethod.MLD: (_no_shared_inputs, _mld_terms, partial(np.count_nonzero, axis=1),
+                      np.add, lambda count, size: count / size),
+    DepthMethod.MSD: (_no_shared_inputs, _msd_terms, _SUM, np.add,
+                      lambda total, size: 1.0 - 0.5 * (total / size)),
+    # with no anchor pairs (n = 1) the depth is 1
+    DepthMethod.MHD: (_no_shared_inputs, _mhd_terms,
+                      partial(np.min, axis=1, initial=1.0), np.minimum,
+                      lambda low, size: low),
 }
 
 
-def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """Depths of the (rows, n) query distances ``q``, block by block."""
-    terms, reduce = _EVALUATE[s.method]
-    # elements per query row of the bulk temporaries: one per tuple
-    row_size = s.index[0].size if s.index else s.table.size
-    block = max(1, _BLOCK_TARGET // row_size)
-    out = np.empty(q.shape[0])
-    for start in range(0, q.shape[0], block):
-        # rebinding ``table`` frees the previous block's table only after the
-        # next one is built; held at the top of the heap, it keeps glibc
-        # malloc from handing the block's memory back to the system and
-        # faulting it in again (MOD3 at n=140: about 10k instead of 1.3M
-        # minor page faults per pass, and 2.2 instead of 6.0 s)
-        table = terms(s, q[start:start + block])
-        out[start:start + block] = reduce(table)
+# ---------------------------------------------------------------------------
+# tiles: a block of query rows crossed with a range of the sample tuples
+#
+# numpy sums a contiguous row pairwise: a run of more than _PAIRWISE_BLOCK
+# elements is split at _split(size) and the two halves' sums are added; a
+# shorter run is one unrolled loop. The tuple ranges of the tiles are the
+# nodes of that tree at which splitting stops, its leaves; their sums,
+# added back along the tree, are bitwise the sum of the whole row. Counts
+# and minima are exact in any order.
+
+_PAIRWISE_BLOCK = 128
+
+# threads that score the tiles of one call; numpy releases the GIL inside
+# ``take`` and its elementwise loops
+_WORKERS = len(os.sched_getaffinity(0))
+
+
+def _split(size: int) -> int:
+    half = size // 2
+    return half - half % 8
+
+
+def _is_leaf(size: int) -> bool:
+    return size <= max(_BLOCK_TARGET, _PAIRWISE_BLOCK)
+
+
+def _leaves(start: int, size: int) -> list:
+    """The (start, stop) tuple ranges of the leaves, in order."""
+    if _is_leaf(size):
+        return [(start, start + size)]
+    h = _split(size)
+    return _leaves(start, h) + _leaves(start + h, size - h)
+
+
+def _fold(size: int, partials, join):
+    """The partial of a whole node of ``size`` tuples, joined along the tree
+    from the iterator ``partials`` of its leaves' partials, in order."""
+    if _is_leaf(size):
+        return next(partials)
+    h = _split(size)
+    first = _fold(h, partials, join)
+    return join(first, _fold(size - h, partials, join))
+
+
+def _run(task, items, threads: bool = True) -> list:
+    """``[task(x) for x in items]``, on up to ``_WORKERS`` threads (the
+    caller's among them) when ``threads`` is set and there are at least two
+    items; otherwise on the calling thread alone."""
+    items = list(items)
+    workers = min(_WORKERS, len(items)) if threads else 1
+    if workers < 2:
+        return [task(x) for x in items]
+    out = [None] * len(items)
+    failures = []
+    claim = count()
+    lock = threading.Lock()
+
+    def work():
+        while not failures:
+            with lock:
+                i = next(claim)
+            if i >= len(items):
+                return
+            try:
+                out[i] = task(items[i])
+            except BaseException as exc:  # re-raised in the caller
+                failures.append(exc)
+
+    # numpy keeps ``np.errstate`` in a context variable: each thread runs in
+    # a copy of the caller's context, so the caller's settings apply
+    pool = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            for _ in range(workers - 1)]
+    for t in pool:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in pool:
+            t.join()
+    if failures:
+        raise failures[0]
     return out
+
+
+def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """Depths of the (rows, n) query distances ``q``, tile by tile."""
+    shared, terms, reduce, join, finish = _EVALUATE[s.method]
+    size = s.index[0].size
+    # a row block holds up to _BLOCK_TARGET terms, and at least one row
+    rows = max(1, _BLOCK_TARGET // max(size, 1))
+    if q.shape[0] <= rows and _is_leaf(size):
+        # a single tile, as every query of the out-of-sample search is, runs
+        # here: the general case's fixed cost would double a short call's
+        # (MLD at n=40: 24 against 11 us per query)
+        return finish(reduce(terms(s, q, **shared(s, q))), size)
+    leaves = _leaves(0, size)
+    starts = range(0, q.shape[0], rows)
+    # Every temporary of a tile holds at most _BLOCK_TARGET elements, so the
+    # memory one tile frees serves the next: a repeated full MOD3 pass at
+    # n=140 takes 0-1 minor page faults, against about 10k when a block held
+    # a whole row of 447,580 terms.
+
+    def block(start):
+        qb = q[start:start + rows]
+        inputs = shared(s, qb)
+        # a lone block shares its leaves out among the threads
+        partials = _run(lambda leaf: reduce(terms(s, qb, slice(*leaf), **inputs)), leaves,
+                        threads=len(starts) == 1)
+        return finish(_fold(size, iter(partials), join), size)
+
+    # several blocks: each thread takes whole blocks, so that a block's shared
+    # inputs are built once
+    return np.concatenate(_run(block, starts))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_distance_array
-from .deepest import deepest_in_sample
-from .depths import DepthMethod
+from .deepest import _deepest_in_sample
+from .depths import DepthMethod, euclidean_certificate
 from .errors import InsufficientSampleError, InvalidArgumentError
 from .seeding import PERMUTATION_TAG, SUBTEST_TAG, SWAP_TAG, child_rng, child_seed
 from .spaces import ObjectSet, distance_matrix
@@ -109,11 +109,17 @@ def statistic_from_dm(dm, labels, method: DepthMethod) -> float:
     if labels.size != v.shape[0]:
         raise InvalidArgumentError("labels length must match the distance matrix")
     _check_group_sizes(labels, names, method)
+    return _statistic(v, labels, names, method, certified=False)
+
+
+def _statistic(v, labels, names, method: DepthMethod, certified: bool) -> float:
+    """:func:`statistic_from_dm` of checked inputs; ``certified`` says that
+    the pooled sample passes ``euclidean_certificate``, and so every group."""
     picks = []
     for name in names:
         idx = np.nonzero(labels == name)[0]
         sub = v[np.ix_(idx, idx)]
-        picks.append(int(idx[deepest_in_sample(sub, method).index]))
+        picks.append(int(idx[_deepest_in_sample(sub, method, certified).index]))
     return float(v[picks[0], picks[1]])
 
 
@@ -149,12 +155,19 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     if dm is None:
         dm = distance_matrix(objects)
     v = as_distance_array(dm)
-    t_obs = statistic_from_dm(v, labels, method)
+    if v.shape[0] != len(labels):
+        raise InvalidArgumentError("labels length must match the distance matrix")
+    # A sum-zero vector restricted to a subset is still sum-zero: when the
+    # pooled squared distances are conditionally negative definite, so is
+    # every principal submatrix. One check of the pooled sample then covers
+    # the groups of every draw; only when it fails is each group checked.
+    certified = method is DepthMethod.MOD3 and euclidean_certificate(v)
+    t_obs = _statistic(v, labels, names, method, certified)
     t_perm = np.empty(B)
     n = len(labels)
     for b in range(B):
         rng = child_rng(seed, PERMUTATION_TAG, b)
-        t_perm[b] = statistic_from_dm(v, labels[rng.permutation(n)], method)
+        t_perm[b] = _statistic(v, labels[rng.permutation(n)], names, method, certified)
     hits = int(np.count_nonzero(t_obs <= t_perm))
     p = (1 + hits) / (1 + B) if corrected else hits / B
     return PermutationReport(t_observed=t_obs, t_permuted=t_perm, p_value=float(p),

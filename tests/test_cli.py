@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from conftest import nonmetric_dm
@@ -168,6 +169,17 @@ def test_subsampled_triples_drawn_once(files, monkeypatch):
     assert len(calls) == 1
 
 
+def test_import_leaves_concurrent_futures_out():
+    # the depth tiles run on ``threading``, which numpy imports anyway;
+    # concurrent.futures would add its import (and logging's) to every command
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, metricdepth; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_import_leaves_scipy_optimize_out():
     # scipy.optimize is imported by the quasi-Newton search only; importing
     # it costs most of a command's start-up
@@ -211,6 +223,46 @@ def test_subsampled_non_metric_distances_exit_three(files):
     argv = ["depth", "--dm", files["nonmetric"], "--method", "MOD3", "--subsample", "4",
             "--seed", "1"]
     assert main(argv) == 3
+
+
+def _write_equicorrelations(path, rhos):
+    # 3 x 3 correlation matrices with every off-diagonal entry rho, two groups
+    items = []
+    for i, rho in enumerate(rhos):
+        m = np.full((3, 3), rho)
+        np.fill_diagonal(m, 1.0)
+        items.append({"kind": "corr", "p": 3, "rows": m.tolist(), "label": "ab"[i % 2]})
+    with open(path, "w") as fh:
+        json.dump(items, fh)
+    return path
+
+
+NUMERIC_COMMANDS = {
+    "deepest": ["deepest", "--method", "MLD"],
+    "deepest-oos": ["deepest", "--method", "MLD", "--out-of-sample", "--seed", "1"],
+    "permtest": ["permtest", "--method", "MLD", "--B", "3", "--seed", "1"],
+    "swap-test": ["swap-test", "--methods", "MLD", "--k", "1", "--repeats", "1", "--B", "3",
+                  "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", list(NUMERIC_COMMANDS))
+def test_near_singular_correlations_exit_three(name, files):
+    # rho = -0.5 + 1e-12 has smallest eigenvalue 2e-12, above the loader's
+    # floor of 1e-12, along the top eigenvector of rho = 0.99; the pair's
+    # congruence then has an eigenvalue of 7e-13, and their distance fails
+    path = _write_equicorrelations(str(files["dir"] / "near-singular.json"),
+                                   [0.99, -0.5 + 1e-12, 0.2, 0.3])
+    assert main([*NUMERIC_COMMANDS[name], "--in", path]) == 3
+
+
+@pytest.mark.parametrize("name", list(NUMERIC_COMMANDS))
+def test_indefinite_correlations_rejected_by_the_loader(name, files):
+    # rho = -0.6 has eigenvalue -0.2: the loader refuses the matrix as
+    # invalid input, so these commands exit 2 before computing any distance
+    path = _write_equicorrelations(str(files["dir"] / "indefinite.json"),
+                                   [0.2, -0.6, 0.3, 0.4])
+    assert main([*NUMERIC_COMMANDS[name], "--in", path]) == 2
 
 
 def test_subsample_timings_reported(files):

@@ -2,6 +2,9 @@
 Euclidean simplex-volume oracle."""
 
 import math
+import sys
+import threading
+import time
 from itertools import combinations
 
 import numpy as np
@@ -351,6 +354,141 @@ class TestFullSample:
     def test_report_range_validated(self):
         with pytest.raises(InvalidArgumentError):
             DepthReport(DepthMethod.MOD3, np.array([1.5]), 0.0)
+
+
+# the whole-row reduction of each method, applied to one query's full row of
+# terms: what a tile's partials, joined along the summation tree, must equal
+_TERMS = {
+    DepthMethod.MOD3: (depths._mod3_terms, lambda t: 1.0 / (1.0 + t.mean(axis=1))),
+    DepthMethod.MOD2: (depths._mod2_terms, lambda t: 1.0 / (1.0 + t.mean(axis=1))),
+    DepthMethod.MLD: (depths._mld_terms, lambda t: np.count_nonzero(t, axis=1) / t.shape[1]),
+    DepthMethod.MSD: (depths._msd_terms, lambda t: 1.0 - 0.5 * t.mean(axis=1)),
+    DepthMethod.MHD: (depths._mhd_terms, lambda t: t.min(axis=1, initial=1.0)),
+}
+
+
+def _full_row_reference(dm, method):
+    state = depths.sample_state(dm, method)
+    terms, reduce = _TERMS[method]
+    return np.concatenate([reduce(terms(state, row[None, :])) for row in state.values])
+
+
+class TestTiles:
+    @pytest.mark.parametrize("size", [1, 7, 8, 128, 129, 300, 1001, 4060, 54740, 100003])
+    def test_leaf_sums_join_to_numpy_sum(self, size, rng, monkeypatch):
+        row = rng.standard_normal(size) * np.exp(4 * rng.standard_normal(size))
+        for target in (1, 200, 1500, depths._BLOCK_TARGET):
+            monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
+            leaves = depths._leaves(0, size)
+            assert leaves[0][0] == 0 and leaves[-1][1] == size
+            assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+            assert all(hi - lo <= max(target, 128) for lo, hi in leaves)
+            sums = iter([np.add.reduce(row[lo:hi]) for lo, hi in leaves])
+            assert depths._fold(size, sums, np.add) == np.add.reduce(row)
+
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    def test_matches_full_row_reference(self, method, monkeypatch):
+        # n=30 has 435 pairs, 870 anchor pairs and 4060 triples, none a
+        # multiple of 8: several leaves per row below the default target
+        dm = corr_dm(30, 5)
+        want = _full_row_reference(dm, method)
+        for target in (1, 200, 1500, depths._BLOCK_TARGET):
+            monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
+            assert np.array_equal(depth_values(dm, method), want)
+
+    def test_mod3_rows_longer_than_the_target(self):
+        # n=70 has 54740 triples per row, more than the default target
+        dm = corr_dm(70, 6)
+        assert len(depths._leaves(0, math.comb(70, 3))) > 1
+        assert np.array_equal(depth_values(dm, DepthMethod.MOD3),
+                              _full_row_reference(dm, DepthMethod.MOD3))
+
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    def test_one_and_two_workers_agree(self, method, monkeypatch):
+        dm = corr_dm(30, 7)
+        q = dm.values[3]
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(depths, "_WORKERS", workers)
+            # 1500 terms: several row blocks, or one row in several leaves
+            monkeypatch.setattr(depths, "_BLOCK_TARGET", 1500)
+            got.append((depth_values(dm, method), depth_of_query(q, dm, method)))
+        assert np.array_equal(got[0][0], got[1][0])
+        assert got[0][1] == got[1][1]
+
+    def test_violation_in_a_later_row_block_raises(self, monkeypatch):
+        # row 1 of nonmetric_dm() is the one whose kernels all pass: put it
+        # first, so that only the tiles of later row blocks fail
+        v = nonmetric_dm().values[np.ix_([1, 0, 2, 3], [1, 0, 2, 3])]
+        monkeypatch.setattr(depths, "_WORKERS", 2)
+        monkeypatch.setattr(depths, "_BLOCK_TARGET", 1)
+        depth_of_query(v[0], v, DepthMethod.MOD3)
+        with pytest.raises(MetricViolationError):
+            depth_values(v, DepthMethod.MOD3)
+
+    def test_violation_in_a_later_leaf_raises(self, monkeypatch):
+        # seventeen copies of point 1 of nonmetric_dm(): seen from point 0,
+        # only the triples (copy, 2, 3) fail, the last of each copy's triples
+        idx = [0] + [1] * 17 + [2, 3]
+        v = nonmetric_dm().values[np.ix_(idx, idx)]
+        monkeypatch.setattr(depths, "_WORKERS", 2)
+        monkeypatch.setattr(depths, "_BLOCK_TARGET", 1)
+        state = depths.sample_state(v, DepthMethod.MOD3)
+        first = depths._leaves(0, math.comb(20, 3))[0]
+        depths._mod3_terms(state, v[:1], slice(*first))
+        with pytest.raises(MetricViolationError):
+            depth_of_query(v[0], state, DepthMethod.MOD3)
+
+    def test_caller_errstate_applies_in_worker_threads(self, monkeypatch):
+        monkeypatch.setattr(depths, "_WORKERS", 2)
+        seen = []
+
+        def task(x):
+            time.sleep(0.02)
+            seen.append((threading.get_ident(), np.geterr()["over"]))
+            return x
+
+        with np.errstate(over="raise"):
+            assert depths._run(task, range(8)) == list(range(8))
+        assert len({ident for ident, _ in seen}) == 2
+        assert all(mode == "raise" for _, mode in seen)
+        # and end to end: squaring these distances overflows
+        dm = line_dm(1e160 * np.arange(12.0))
+        monkeypatch.setattr(depths, "_BLOCK_TARGET", 200)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            depth_values(dm, DepthMethod.MOD3)
+
+    def test_every_item_runs_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a claim lost or made twice shows as a wrong or repeated run
+        monkeypatch.setattr(depths, "_WORKERS", 8)
+        ran = []
+
+        def task(x):
+            ran.append(x)
+            return x * x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = depths._run(task, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [x * x for x in range(3000)]
+        assert sorted(ran) == list(range(3000))
+        assert threading.active_count() == 1
+
+    def test_single_tile_calls_start_no_thread(self, monkeypatch):
+        # one tile runs inline, as every query of the out-of-sample search does
+        def fail(self):
+            raise AssertionError("thread started for a single tile")
+
+        monkeypatch.setattr(depths, "_WORKERS", 2)
+        monkeypatch.setattr(threading.Thread, "start", fail)
+        dm = corr_dm(40, 8)
+        for method in DepthMethod:
+            depth_of_query(dm.values[0], dm, method)
+        depth_values(corr_dm(10, 8), DepthMethod.MOD3)
 
 
 class TestInvarianceProperties:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import metricdepth.deepest as deepest_module
+import metricdepth.inference as inference_module
 from metricdepth.depths import DepthMethod
 from metricdepth.errors import InsufficientSampleError, InvalidArgumentError
 from metricdepth.inference import (
@@ -11,8 +13,9 @@ from metricdepth.inference import (
     permutation_test,
     statistic_from_dm,
 )
-from metricdepth.simulation import gen_histogram_groups
-from metricdepth.spaces import EuclideanPoint, ObjectSet
+from metricdepth.seeding import PERMUTATION_TAG, child_rng
+from metricdepth.simulation import CorrSimConfig, gen_correlation_sample, gen_histogram_groups
+from metricdepth.spaces import EuclideanPoint, ObjectSet, distance_matrix
 
 
 def euclidean_groups(values_a, values_b):
@@ -130,6 +133,35 @@ class TestPermutationTest:
         monkeypatch.setattr(inference_module, "distance_matrix", counting)
         permutation_test(objs, DepthMethod.MLD, B=40, seed=11)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["hist", "corr"])
+    def test_pooled_certificate_checked_once(self, kind, monkeypatch):
+        # a certified pooled sample certifies every group of every draw;
+        # an uncertified one leaves each group to its own check
+        if kind == "hist":
+            objs = gen_histogram_groups(6, 6, 1.0, 8, seed=2)
+        else:
+            corr, _ = gen_correlation_sample(CorrSimConfig(p=3, n=12, eps=0.1, reps=1, seed=3),
+                                             child_rng(3, 1))
+            objs = ObjectSet(corr.items, ("A", "B") * 6)
+        calls = []
+        original = deepest_module.euclidean_certificate
+
+        def counting(dm):
+            calls.append(len(dm))
+            return original(dm)
+
+        monkeypatch.setattr(inference_module, "euclidean_certificate", counting)
+        monkeypatch.setattr(deepest_module, "euclidean_certificate", counting)
+        report = permutation_test(objs, DepthMethod.MOD3, B=10, seed=4)
+        assert calls == ([12] if kind == "hist" else [12] + [6] * 22)
+        # the statistics are those of group-by-group checks
+        dm = distance_matrix(objs)
+        labels = np.asarray(objs.labels)
+        want = [statistic_from_dm(dm, labels[child_rng(4, PERMUTATION_TAG, b).permutation(12)],
+                                  DepthMethod.MOD3) for b in range(10)]
+        assert report.t_observed == statistic_from_dm(dm, labels, DepthMethod.MOD3)
+        assert np.array_equal(report.t_permuted, want)
 
     def test_unlabeled_set_rejected(self):
         items = tuple(EuclideanPoint([float(v)]) for v in range(6))
