@@ -38,17 +38,40 @@ are available:
 
 Both report the best point ever evaluated, so the returned value never
 falls below the objective at the start.
+
+The search scores candidates in blocks: its objective takes a (k, r) array
+of PCA coordinates, decodes every row at once, measures the rows that
+decode with one stacked distance call, and scores them with one depth
+block; rows that do not decode score below the method's range. Each row's
+value is bitwise what scoring it alone gives. Two kinds of step hand the
+objective several independent points at once:
+
+* the Nelder-Mead initial simplex (r + 1 points) and each shrink step
+  (r points), cut at the evaluation budget;
+* each L-BFGS-B gradient, whose 2r central-difference points scipy passes
+  together to its ``workers`` map-like hook; scipy's own step rule, bound
+  handling and evaluation count are unchanged.
+
+The other steps stay sequential. Each Nelder-Mead reflect, expand or
+contract point depends on the values before it. Scoring such points ahead
+of time would spend evaluations on points the search may not take, and
+would save little: most of a candidate's cost, its distances (one
+``eigvalsh`` per sample object), is the same per row in a block as alone.
+L-BFGS-B's line-search points likewise come one at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .depths import (
     DepthMethod,
+    _check_query,
+    _depths,
     depth_of_query,
     depth_values,
     euclidean_certificate,
@@ -61,7 +84,14 @@ from .errors import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
 )
-from .spaces import CorrelationMatrix, ObjectSet, distance_matrix, query_distances
+from .spaces import (
+    _CORRELATION_CHECKS,
+    CorrelationMatrix,
+    ObjectSet,
+    _check_correlations,
+    _sample_rows,
+    distance_matrix,
+)
 
 _NM_REFLECT, _NM_EXPAND, _NM_CONTRACT, _NM_SHRINK = 1.0, 2.0, 0.5, 0.5
 _NM_STEP_FRACTION = 0.10  # initial simplex step, as a fraction of box width
@@ -186,6 +216,16 @@ def _mod3_argmax(state) -> tuple[int, float]:
 # correlation-matrix chart
 
 
+@lru_cache(maxsize=16)
+def _tril(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the lower triangle of a p x p matrix,
+    row-major."""
+    out = np.tril_indices(p)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def cholesky_encode(x) -> np.ndarray:
     """Row-major lower-triangular entries of the Cholesky factor of ``x``."""
     m = np.asarray(getattr(x, "entries", x), dtype=float)
@@ -193,7 +233,7 @@ def cholesky_encode(x) -> np.ndarray:
         low = np.linalg.cholesky(0.5 * (m + m.T))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"cannot factor matrix: {exc}") from exc
-    return low[np.tril_indices(m.shape[0])]
+    return low[_tril(m.shape[0])]
 
 
 def cholesky_decode(v) -> CorrelationMatrix:
@@ -211,19 +251,39 @@ def cholesky_decode(v) -> CorrelationMatrix:
     p = int((math.isqrt(8 * v.size + 1) - 1) // 2)
     if p * (p + 1) // 2 != v.size:
         raise InvalidArgumentError(f"length {v.size} is not a triangular number")
-    low = np.zeros((p, p))
-    low[np.tril_indices(p)] = v
-    s = low @ low.T
-    d = np.diagonal(s).copy()
-    if np.min(d) <= 1e-12:
-        raise DegenerateDecodeError(f"decoded matrix has diagonal entry {np.min(d)} <= 1e-12")
-    out = s / np.sqrt(np.outer(d, d))
-    out = 0.5 * (out + out.T)
-    np.fill_diagonal(out, 1.0)
-    try:
-        return CorrelationMatrix(out)
-    except (InvalidArgumentError, NotPositiveDefiniteError) as exc:
-        raise DegenerateDecodeError(f"decoded matrix is not a valid correlation: {exc}") from exc
+    matrices, reasons = _decode_rows(v[None], p)
+    if reasons[0] is not None:
+        raise DegenerateDecodeError(reasons[0])
+    return CorrelationMatrix(matrices[0])
+
+
+def _decode_rows(v: np.ndarray, p: int) -> tuple[np.ndarray, list]:
+    """:func:`cholesky_decode` of every row of the (k, p(p+1)/2) array ``v``.
+
+    Returns the checked entries of the rows that decode, stacked in order,
+    and per row None or the reason it does not decode.
+    """
+    k = v.shape[0]
+    low = np.zeros((k, p, p))
+    rows, cols = _tril(p)
+    low[:, rows, cols] = v
+    s = low @ low.transpose(0, 2, 1)
+    d = np.diagonal(s, axis1=1, axis2=2)
+    smallest = d.min(axis=1)
+    scaled = smallest > 1e-12
+    reasons = [None] * k
+    for t in np.flatnonzero(~scaled):
+        reasons[t] = f"decoded matrix has diagonal entry {smallest[t]} <= 1e-12"
+    d = d[scaled]
+    out = s[scaled] / np.sqrt(d[:, :, None] * d[:, None, :])
+    out = 0.5 * (out + out.transpose(0, 2, 1))
+    diag = np.arange(p)
+    out[:, diag, diag] = 1.0
+    out, failed = _check_correlations(out)
+    for t, f in zip(np.flatnonzero(scaled), failed):
+        if f >= 0:
+            reasons[t] = f"decoded matrix is not a valid correlation: {_CORRELATION_CHECKS[f][1]}"
+    return out[failed < 0], reasons
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +337,14 @@ def pca_decode(model: PcaModel, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (model.r,):
         raise InvalidArgumentError(f"expected length {model.r}, got {w.shape}")
-    return model.mean + model.components.T @ w
+    return _pca_decode_rows(model, w[None])[0]
+
+
+def _pca_decode_rows(model: PcaModel, w: np.ndarray) -> np.ndarray:
+    """:func:`pca_decode` of every row of the (k, r) array ``w``."""
+    # one matrix-vector product per row: a matrix product of the whole
+    # block would round differently
+    return model.mean + (model.components.T @ w[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +356,17 @@ class _Incumbent:
     point: np.ndarray
     value: float
     evaluations: int = 0
+
+    def score(self, block, xs: np.ndarray) -> np.ndarray:
+        """Values of the block objective at the rows of ``xs``. Each row
+        counts as one evaluation and, in order, becomes the incumbent when
+        its value is finite and above the incumbent's."""
+        values = block(xs)
+        for x, val in zip(xs, values):
+            self.evaluations += 1
+            if np.isfinite(val) and val > self.value:
+                self.point, self.value = x.copy(), float(val)
+        return values
 
 
 class _BudgetExhausted(Exception):
@@ -308,7 +386,7 @@ def _check_box(start, lower, upper):
     return start, lower, upper
 
 
-def _nelder_mead_box(objective, start, lower, upper, max_evals, best: _Incumbent):
+def _nelder_mead_box(block, start, lower, upper, max_evals, best: _Incumbent):
     width = upper - lower
     margin = 1e-12
 
@@ -319,15 +397,16 @@ def _nelder_mead_box(objective, start, lower, upper, max_evals, best: _Incumbent
     def to_box(u):
         return lower + width * (np.arctan(u) / np.pi + 0.5)
 
-    def evaluate(u):
-        if best.evaluations >= max_evals:
+    def evaluate(us):
+        """Negated objective at the points ``us`` (a list), as one block
+        cut at the budget; raises _BudgetExhausted after a cut block."""
+        room = max_evals - best.evaluations
+        if room <= 0:
             raise _BudgetExhausted
-        x = to_box(u)
-        val = float(objective(x))
-        best.evaluations += 1
-        if np.isfinite(val) and val > best.value:
-            best.point, best.value = x.copy(), val
-        return -val if np.isfinite(val) else np.inf  # minimize the negation
+        values = best.score(block, to_box(np.array(us[:room])))
+        if len(us) > room:
+            raise _BudgetExhausted
+        return [-float(v) if np.isfinite(v) else np.inf for v in values]  # minimize the negation
 
     r = start.size
     simplex = [start.copy()]
@@ -338,7 +417,7 @@ def _nelder_mead_box(objective, start, lower, upper, max_evals, best: _Incumbent
         simplex.append(vertex)
     us = [to_unconstrained(x) for x in simplex]
     try:
-        fs = [evaluate(u) for u in us]
+        fs = evaluate(us)
         while True:
             order = np.argsort(fs, kind="stable")
             us = [us[t] for t in order]
@@ -348,10 +427,10 @@ def _nelder_mead_box(objective, start, lower, upper, max_evals, best: _Incumbent
                 break
             centroid = np.mean(us[:-1], axis=0)
             reflected = centroid + _NM_REFLECT * (centroid - us[-1])
-            f_r = evaluate(reflected)
+            [f_r] = evaluate([reflected])
             if f_r < fs[0]:
                 expanded = centroid + _NM_EXPAND * (reflected - centroid)
-                f_e = evaluate(expanded)
+                [f_e] = evaluate([expanded])
                 us[-1], fs[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
             elif f_r < fs[-2]:
                 us[-1], fs[-1] = reflected, f_r
@@ -360,30 +439,32 @@ def _nelder_mead_box(objective, start, lower, upper, max_evals, best: _Incumbent
                     contracted = centroid + _NM_CONTRACT * (reflected - centroid)
                 else:
                     contracted = centroid - _NM_CONTRACT * (centroid - us[-1])
-                f_c = evaluate(contracted)
+                [f_c] = evaluate([contracted])
                 if f_c < min(f_r, fs[-1]):
                     us[-1], fs[-1] = contracted, f_c
                 else:
-                    for t in range(1, len(us)):
-                        us[t] = us[0] + _NM_SHRINK * (us[t] - us[0])
-                        fs[t] = evaluate(us[t])
+                    us[1:] = [us[0] + _NM_SHRINK * (u - us[0]) for u in us[1:]]
+                    fs[1:] = evaluate(us[1:])
     except _BudgetExhausted:
         pass
 
 
-def _lbfgsb_box(objective, start, lower, upper, max_evals, best: _Incumbent):
+def _lbfgsb_box(block, start, lower, upper, max_evals, best: _Incumbent):
     # imported here: scipy.optimize takes most of the package's import time
     from scipy.optimize import minimize
 
-    def negated(x):
-        val = float(objective(np.asarray(x, dtype=float)))
-        best.evaluations += 1
-        if np.isfinite(val) and val > best.value:
-            best.point, best.value = np.array(x, dtype=float), val
-        return -val
+    def negated(xs):
+        return -best.score(block, xs)
+
+    def gradient_points(fun, points):
+        # scipy's map-like hook receives all the finite-difference points of
+        # one gradient; ``fun`` only copies each point and casts it to the
+        # start's dtype before the objective, so they are scored here as one
+        # block, in scipy's order
+        return negated(np.array(list(points), dtype=float))
 
     minimize(
-        negated,
+        lambda x: float(negated(np.asarray(x, dtype=float)[None])[0]),
         start,
         method="L-BFGS-B",
         jac="3-point",
@@ -393,6 +474,7 @@ def _lbfgsb_box(objective, start, lower, upper, max_evals, best: _Incumbent):
             "ftol": _FTOL,
             "maxfun": max(1, max_evals - best.evaluations),
             "finite_diff_rel_step": _FD_STEP,
+            "workers": gradient_points,
         },
     )
 
@@ -405,17 +487,25 @@ def optimize_box(objective, start, lower, upper, cfg: OptimizerConfig | None = N
     the box. Non-finite objective values during the search are treated as
     worst-possible; a non-finite value at the start is an error.
     """
+    return _optimize_box(lambda xs: np.array([float(objective(x)) for x in xs]),
+                         start, lower, upper, cfg)
+
+
+def _optimize_box(block, start, lower, upper, cfg: OptimizerConfig | None = None):
+    """:func:`optimize_box` of a block objective, which maps a (k, r) array
+    of points to their k values (see the module notes for which steps make
+    blocks of more than one row)."""
     cfg = cfg or OptimizerConfig()
     start, lower, upper = _check_box(start, lower, upper)
     max_evals = cfg.max_evaluations or 500 * start.size
-    f0 = float(objective(start))
+    f0 = float(block(start[None])[0])
     if not np.isfinite(f0):
         raise InvalidArgumentError(f"objective is not finite at the start: {f0}")
     best = _Incumbent(point=start.copy(), value=f0, evaluations=1)
     if cfg.algorithm == "simplex-box":
-        _nelder_mead_box(objective, start, lower, upper, max_evals, best)
+        _nelder_mead_box(block, start, lower, upper, max_evals, best)
     else:
-        _lbfgsb_box(objective, start, lower, upper, max_evals, best)
+        _lbfgsb_box(block, start, lower, upper, max_evals, best)
     return best.point, best.value, best.evaluations
 
 
@@ -453,15 +543,18 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
     ranked = np.argsort(-values, kind="stable")
     starts = [int(t) for t in ranked[: min(cfg.starts, len(ranked))]]
     failure_score = method.value_range[0] - 1.0
+    p, n = objects.items[0].p, len(objects)
 
     def objective(w):
-        vec = pca_decode(model, w)
-        try:
-            obj = cholesky_decode(vec)
-        except (DegenerateDecodeError, NotPositiveDefiniteError, InvalidArgumentError):
-            return failure_score
-        q = query_distances(obj, objects)
-        return depth_of_query(q, state, method)
+        # decode every row, then measure and score the rows that decode
+        # together: one stacked distance call and one depth block
+        matrices, reasons = _decode_rows(_pca_decode_rows(model, w), p)
+        values = np.full(w.shape[0], failure_score)
+        decoded = np.array([reason is None for reason in reasons])
+        if decoded.any():
+            q = _check_query(_sample_rows(matrices, objects), n, rows=len(matrices))
+            values[decoded] = _depths(state, q)
+        return values
 
     best_run = None  # (value, rank, point, evals, sample_index)
     total_evals = 0
@@ -469,7 +562,7 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
         w0 = pca_encode(model, data[sample_index])
         lower = w0 - cfg.half_width
         upper = w0 + cfg.half_width
-        point, value, evals = optimize_box(objective, w0, lower, upper, cfg)
+        point, value, evals = _optimize_box(objective, w0, lower, upper, cfg)
         total_evals += evals
         if best_run is None or value > best_run[0]:
             best_run = (value, rank, point, evals, sample_index)

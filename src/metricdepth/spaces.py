@@ -11,13 +11,14 @@ kind        object                     metric (name in reports)
 ``eucl``    point in R^p               Euclidean (``eucl``)
 ==========  =========================  ==============================
 
-Each kind has one row evaluator, which maps a query and a stack of objects
-to their distances; query distances, distance matrices and the two-object
-distance functions all run through it. The stack of a sample's matrices or
-vectors is built once per :class:`ObjectSet`. Histogram distances are read
-off one merged grid per call (the union of the cumulative breakpoints of
-all the histograms involved): each histogram's quantile function is
-evaluated on it once, and each row is then one vectorized reduction.
+Each kind has one row evaluator, which maps a stack of queries and a stack
+of objects to their (queries, objects) distances; query distances, distance
+matrices and the two-object distance functions all run through it, with one
+query. The stack of a sample's matrices or vectors is built once per
+:class:`ObjectSet`. Histogram distances are read off one merged grid per
+matrix or query (the union of the cumulative breakpoints of all the histograms
+involved): each histogram's quantile function is evaluated on it once, and
+each row is then one vectorized reduction.
 
 Histograms are interpreted as piecewise-uniform densities (mass spread
 uniformly within each bin), which makes their quantile functions piecewise
@@ -55,20 +56,50 @@ class CorrelationMatrix:
         e = np.array(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise InvalidArgumentError(f"correlation matrix must be square, got {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise InvalidArgumentError("correlation matrix entries must be finite")
-        if np.max(np.abs(e - e.T)) > 1e-9:
-            raise InvalidArgumentError("correlation matrix must be symmetric")
-        e = 0.5 * (e + e.T)
-        if np.max(np.abs(np.diagonal(e) - 1.0)) > 1e-10:
-            raise InvalidArgumentError("correlation matrix diagonal must be 1 within 1e-10")
-        if np.min(np.linalg.eigvalsh(e)) <= EIGENVALUE_FLOOR:
-            raise NotPositiveDefiniteError("correlation matrix is not positive definite")
-        object.__setattr__(self, "entries", _readonly(e))
+        e, failed = _check_correlations(e[None])
+        if failed[0] >= 0:
+            error, message = _CORRELATION_CHECKS[failed[0]]
+            raise error(message)
+        object.__setattr__(self, "entries", _readonly(e[0]))
 
     @property
     def p(self) -> int:
         return self.entries.shape[0]
+
+
+# what a correlation matrix must satisfy, in the order checked: the error
+# raised by the first check that fails, and its message
+_CORRELATION_CHECKS = (
+    (InvalidArgumentError, "correlation matrix entries must be finite"),
+    (InvalidArgumentError, "correlation matrix must be symmetric"),
+    (InvalidArgumentError, "correlation matrix diagonal must be 1 within 1e-10"),
+    (NotPositiveDefiniteError, "correlation matrix is not positive definite"),
+)
+
+
+def _check_correlations(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_CORRELATION_CHECKS`` of a (k, p, p) stack of matrices, all
+    at once.
+
+    Returns the stack symmetrized (each matrix averaged with its transpose,
+    which absorbs round-off) and, per matrix, the index of its first failed
+    check, or -1 when it passes them all.
+    """
+    t = e.transpose(0, 2, 1)
+    failed = np.full(e.shape[0], -1)
+    # checks mark their failures last to first, each overwriting the marks
+    # of the checks after it, so a matrix keeps its first failure (the
+    # comparisons of non-finite entries are overwritten, and do not warn)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sym = 0.5 * (e + t)
+        failed[np.abs(np.diagonal(sym, axis1=1, axis2=2) - 1.0).max(axis=1) > 1e-10] = 2
+        failed[np.abs(e - t).max(axis=(1, 2)) > 1e-9] = 1
+    failed[~np.isfinite(e).all(axis=(1, 2))] = 0
+    # eigenvalues only of the matrices that pass the other checks
+    rest = np.flatnonzero(failed < 0)
+    if rest.size:
+        failed[rest[np.linalg.eigvalsh(sym[rest]).min(axis=1) <= EIGENVALUE_FLOOR]] = 3
+    return sym, failed
 
 
 @dataclass(frozen=True)
@@ -216,24 +247,25 @@ def _coord_stack(items) -> np.ndarray:
 
 
 def _spd_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine-invariant distances from the matrix ``a`` to each matrix of the
-    stack ``b``: ``a``'s inverse square root is factored once, then one
-    batched congruence and one batched ``eigvalsh``."""
-    if a.shape != b.shape[1:]:
-        raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape[1:]}")
+    """Affine-invariant distances from each matrix of the (k, p, p) stack
+    ``a`` to each matrix of the (n, p, p) stack ``b``, as (k, n): each of
+    ``a``'s inverse square roots is factored once, then one batched
+    congruence and one batched ``eigvalsh``."""
+    if a.ndim != 3 or a.shape[1:] != b.shape[1:]:
+        raise InvalidArgumentError(f"dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
     w, v = np.linalg.eigh(a)
     _check_positive(w)
-    isqrt = (v / np.sqrt(w)) @ v.T
+    isqrt = ((v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1))[:, None]
     m = isqrt @ b @ isqrt
-    w = np.linalg.eigvalsh(0.5 * (m + m.transpose(0, 2, 1)))
+    w = np.linalg.eigvalsh(0.5 * (m + m.swapaxes(-1, -2)))
     _check_positive(w)
-    return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+    return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
 
 
 def _euclidean_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 1 or b.shape[1:] != a.shape:
-        raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape[1:]}")
-    d = a - b
+    if a.ndim != 2 or b.shape[1:] != a.shape[1:]:
+        raise InvalidArgumentError(f"dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
+    d = a[:, None] - b
     return np.sqrt(np.vecdot(d, d))
 
 
@@ -296,8 +328,8 @@ def _quantile_table(items) -> _QuantileTable:
 
 
 def _wasserstein_row(a: _QuantileTable, b: _QuantileTable) -> np.ndarray:
-    g0 = a.q0 - b.q0
-    g1 = a.q1 - b.q1
+    g0 = a.q0[:, None] - b.q0
+    g1 = a.q1[:, None] - b.q1
     # exact integral of the squared linear interpolant on each sub-interval,
     # w * (g0² + g0·g1 + g1²), built in place to hold three temporaries
     cross = g0 * g1
@@ -309,28 +341,29 @@ def _wasserstein_row(a: _QuantileTable, b: _QuantileTable) -> np.ndarray:
     # summing along the last axis adds up every row alike whatever the row
     # count, so a query row equals the matrix row bitwise (a BLAS
     # matrix-vector product does not)
-    return np.sqrt(np.maximum(g0.sum(axis=1), 0.0))
+    return np.sqrt(np.maximum(g0.sum(axis=-1), 0.0))
 
 
 # per-object arrays of each kind, stacked along a leading axis; a histogram
 # table depends on all the histograms it holds, whose breakpoints make its grid
 _TABLE = {"corr": _spd_stack, "sphere": _coord_stack, "hist": _quantile_table,
           "eucl": _coord_stack}
-# one row evaluator per kind: (query's table entry, objects' table) -> distances
+# one row evaluator per kind: (queries' table, objects' table) -> (queries,
+# objects) distances
 _ROW = {"corr": _spd_row, "sphere": _sphere_row, "hist": _wasserstein_row,
         "eucl": _euclidean_row}
 
 
-def _query_row(kind: str, x, items, table=None) -> np.ndarray:
-    """Distances from ``x`` to each of ``items``, whose table is ``table``
-    when already built."""
+def _query_rows(kind: str, xs, items, table=None) -> np.ndarray:
+    """Distances from each of ``xs`` to each of ``items``, whose table is
+    ``table`` when already built, as (len(xs), len(items))."""
     if kind == "hist":
-        # the query's breakpoints join the merged grid
-        t = _quantile_table((x, *items))
-        return _wasserstein_row(t[0], t[1:])
+        # a query's breakpoints join the merged grid, so each query has its own
+        tables = (_quantile_table((x, *items)) for x in xs)
+        return np.concatenate([_wasserstein_row(t[:1], t[1:]) for t in tables])
     if table is None:
         table = _TABLE[kind](items)
-    return _ROW[kind](_TABLE[kind]((x,))[0], table)
+    return _ROW[kind](_TABLE[kind](xs), table)
 
 
 def spd_distance(a, b) -> float:
@@ -341,7 +374,7 @@ def spd_distance(a, b) -> float:
     Accepts :class:`CorrelationMatrix` objects or raw arrays; only positive
     definiteness is required, not a unit diagonal.
     """
-    return float(_query_row("corr", a, (b,))[0])
+    return float(_query_rows("corr", (a,), (b,))[0, 0])
 
 
 def sphere_distance(u, v) -> float:
@@ -351,7 +384,7 @@ def sphere_distance(u, v) -> float:
     product for exact unit vectors but keeps d(u, u) = 0 exact and stays
     well-conditioned near coincident points.
     """
-    return float(_query_row("sphere", u, (v,))[0])
+    return float(_query_rows("sphere", (u,), (v,))[0, 0])
 
 
 def wasserstein2_distance(h1: Histogram, h2: Histogram) -> float:
@@ -364,12 +397,12 @@ def wasserstein2_distance(h1: Histogram, h2: Histogram) -> float:
     functions are linear, so the integral of the squared difference is
     accumulated in closed form.
     """
-    return float(_query_row("hist", h1, (h2,))[0])
+    return float(_query_rows("hist", (h1,), (h2,))[0, 0])
 
 
 def euclidean_distance(a, b) -> float:
     """Plain Euclidean norm of the difference."""
-    return float(_query_row("eucl", a, (b,))[0])
+    return float(_query_rows("eucl", (a,), (b,))[0, 0])
 
 
 def distance_matrix(objects: ObjectSet) -> DistanceMatrix:
@@ -384,7 +417,7 @@ def distance_matrix(objects: ObjectSet) -> DistanceMatrix:
     n = len(objects)
     out = np.zeros((n, n))
     for i in range(n - 1):
-        out[i, i + 1:] = out[i + 1:, i] = row(t[i], t[i + 1:])
+        out[i, i + 1:] = out[i + 1:, i] = row(t[i:i + 1], t[i + 1:])[0]
     return DistanceMatrix(out)
 
 
@@ -394,8 +427,15 @@ def query_distances(x, sample: ObjectSet) -> np.ndarray:
         raise InvalidArgumentError(
             f"query of type {type(x).__name__} does not match sample kind {sample.kind!r}"
         )
+    return _sample_rows((x,), sample)[0]
+
+
+def _sample_rows(xs, sample: ObjectSet) -> np.ndarray:
+    """Distances from each of the queries ``xs`` to every object of
+    ``sample``, as (len(xs), len(sample)). The queries are objects of the
+    sample's kind, or for correlation matrices their checked entries."""
     table = None if sample.kind == "hist" else sample._table
-    return _query_row(sample.kind, x, sample.items, table)
+    return _query_rows(sample.kind, xs, sample.items, table)
 
 
 # ---------------------------------------------------------------------------

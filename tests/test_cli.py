@@ -238,6 +238,8 @@ def _write_equicorrelations(path, rhos):
 
 
 NUMERIC_COMMANDS = {
+    "dist": ["dist", "--out", OUT],
+    "depth-in": ["depth", "--method", "MLD"],
     "deepest": ["deepest", "--method", "MLD"],
     "deepest-oos": ["deepest", "--method", "MLD", "--out-of-sample", "--seed", "1"],
     "permtest": ["permtest", "--method", "MLD", "--B", "3", "--seed", "1"],
@@ -253,7 +255,8 @@ def test_near_singular_correlations_exit_three(name, files):
     # congruence then has an eigenvalue of 7e-13, and their distance fails
     path = _write_equicorrelations(str(files["dir"] / "near-singular.json"),
                                    [0.99, -0.5 + 1e-12, 0.2, 0.3])
-    assert main([*NUMERIC_COMMANDS[name], "--in", path]) == 3
+    argv = _argv(NUMERIC_COMMANDS[name], files, str(files["dir"] / "unused.out"))
+    assert main([*argv, "--in", path]) == 3
 
 
 @pytest.mark.parametrize("name", list(NUMERIC_COMMANDS))
@@ -262,7 +265,8 @@ def test_indefinite_correlations_rejected_by_the_loader(name, files):
     # invalid input, so these commands exit 2 before computing any distance
     path = _write_equicorrelations(str(files["dir"] / "indefinite.json"),
                                    [0.2, -0.6, 0.3, 0.4])
-    assert main([*NUMERIC_COMMANDS[name], "--in", path]) == 2
+    argv = _argv(NUMERIC_COMMANDS[name], files, str(files["dir"] / "unused.out"))
+    assert main([*argv, "--in", path]) == 2
 
 
 def test_subsample_timings_reported(files):

@@ -372,6 +372,146 @@ class TestOptimizeBox:
             OptimizerConfig(algorithm="gradient-descent")
 
 
+def _rosenbrock(x):
+    # written with products only, so a row of a block rounds as a scalar does
+    return -((1 - x[0]) * (1 - x[0]) + 100 * (x[1] - x[0] * x[0]) * (x[1] - x[0] * x[0])
+             + x[2] * x[2])
+
+
+def _noisy(xs):
+    # a rugged surface, on which the simplex contracts and shrinks
+    return np.sin(31.7 + 57.3 * np.sum(xs * xs, axis=1))
+
+
+BOX = (np.array([0.2, -0.1, 0.3]), np.full(3, -1.0), np.full(3, 1.0))
+
+
+class TestBlockEvaluation:
+    @staticmethod
+    def logged(block, sizes):
+        def run(xs):
+            sizes.append(len(xs))
+            return block(xs)
+        return run
+
+    @pytest.mark.parametrize("algorithm", ["simplex-box", "quasi-newton-box"])
+    @pytest.mark.parametrize("budget", [None, 3, 9, 40])
+    def test_scalar_and_block_objectives_agree(self, algorithm, budget):
+        cfg = OptimizerConfig(algorithm=algorithm, max_evaluations=budget)
+        start, lower, upper = np.array([-1.2, 1.0, 0.5]), np.full(3, -2.0), np.full(3, 2.0)
+        point, value, evals = optimize_box(_rosenbrock, start, lower, upper, cfg)
+        got = deepest._optimize_box(lambda xs: _rosenbrock(xs.T), start, lower, upper, cfg)
+        assert np.array_equal(point, got[0])
+        assert value == got[1] and evals == got[2]
+
+    def test_simplex_budget_cut_inside_the_initial_simplex(self):
+        sizes = []
+        cfg = OptimizerConfig(max_evaluations=3)
+        _, _, evals = deepest._optimize_box(self.logged(_noisy, sizes), *BOX, cfg)
+        # the start, then the first two of the four vertices
+        assert sizes == [1, 2]
+        assert evals == 3
+
+    def test_simplex_budget_cut_inside_a_shrink(self):
+        sizes = []
+        cfg = OptimizerConfig(max_evaluations=200)
+        deepest._optimize_box(self.logged(_noisy, sizes), *BOX, cfg)
+        # a shrink re-scores the three vertices other than the best as one block
+        shrink = sizes.index(3)
+        before = sum(sizes[:shrink])
+        for extra in (1, 2):
+            cut = []
+            cfg = OptimizerConfig(max_evaluations=before + extra)
+            _, _, evals = deepest._optimize_box(self.logged(_noisy, cut), *BOX, cfg)
+            assert cut == [*sizes[:shrink], extra]
+            assert evals == before + extra
+
+    def test_quasi_newton_gradient_points_come_as_one_block(self):
+        blocks = []
+
+        def block(xs):
+            blocks.append(xs.copy())
+            return _rosenbrock(xs.T)
+
+        cfg = OptimizerConfig(algorithm="quasi-newton-box")
+        _, _, evals = deepest._optimize_box(block, *BOX, cfg)
+        sizes = [len(xs) for xs in blocks]
+        # single points (the start and the line search) and gradients of
+        # 2r = 6 central-difference points
+        assert set(sizes) == {1, 6}
+        assert sizes.count(6) >= 3
+        assert sum(sizes) == evals
+        for xs in (xs for xs in blocks if len(xs) == 6):
+            # two points per coordinate, which differ in that coordinate only
+            for i in range(3):
+                a, b = xs[2 * i], xs[2 * i + 1]
+                assert a[i] != b[i]
+                assert np.array_equal(np.delete(a, i), np.delete(b, i))
+
+    @staticmethod
+    def search_objective(objs, method, dm, monkeypatch):
+        """The block objective that deepest_out_of_sample hands its
+        optimizer, at tsh = 1 (every direction the sample varies in)."""
+        captured = []
+
+        def capture(block, start, lower, upper, cfg=None):
+            captured.append(block)
+            return start, 0.0, 1
+
+        with monkeypatch.context() as patch:
+            patch.setattr(deepest, "_optimize_box", capture)
+            deepest_out_of_sample(objs, method, tsh=1.0, cfg=OptimizerConfig(starts=1), dm=dm)
+        return captured[0]
+
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    def test_block_objective_matches_the_per_row_path(self, method, monkeypatch, rng):
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=4, n=20, eps=0.1, reps=1, seed=3),
+                                         child_rng(3, 1))
+        dm = distance_matrix(objs)
+        failure = method.value_range[0] - 1.0
+        objective = self.search_objective(objs, method, dm, monkeypatch)
+        data = np.array([cholesky_encode(o) for o in objs.items])
+        model = pca_fit(data, 1.0)
+
+        def per_row(w):
+            # the objective scored one candidate at a time
+            try:
+                obj = cholesky_decode(pca_decode(model, w))
+            except DegenerateDecodeError:
+                return failure
+            return depth_of_query(query_distances(obj, objs), dm, method)
+
+        vecs = data[rng.integers(0, 20, 8)] + 0.05 * rng.standard_normal((8, data.shape[1]))
+        vecs[1, 1:] = 0.0  # rows 2-4 of the factor vanish
+        vecs[4, -4:] = [1.0, 0.0, 0.0, 0.0]  # row 4 along row 1: singular
+        vecs[6, -4:] = 0.0  # row 4 vanishes
+        w = (vecs - model.mean) @ model.components.T
+        want = np.array([per_row(x) for x in w])
+        assert np.count_nonzero(want == failure) == 3
+        assert objective(w).tobytes() == want.tobytes()
+        assert np.concatenate([objective(x[None]) for x in w]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_block_objective_checks_every_query_row(self, bad, monkeypatch):
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=3, n=12, eps=0.1, reps=1, seed=5),
+                                         child_rng(5, 1))
+        objective = self.search_objective(objs, DepthMethod.MLD, None, monkeypatch)
+        data = np.array([cholesky_encode(o) for o in objs.items])
+        model = pca_fit(data, 1.0)
+        w = (data[:4] - model.mean) @ model.components.T
+        objective(w)
+        measure = deepest._sample_rows
+
+        def spoiled(xs, sample):
+            q = measure(xs, sample)
+            q[-1, 2] = bad
+            return q
+
+        monkeypatch.setattr(deepest, "_sample_rows", spoiled)
+        with pytest.raises(InvalidArgumentError):
+            objective(w)
+
+
 class TestOutOfSample:
     def test_identical_sample_recovers_object(self):
         x0 = CorrelationMatrix(np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]))

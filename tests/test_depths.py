@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
-from metricdepth.core import DistanceMatrix
+from metricdepth.core import KERNEL_RADICAND_TOL, DistanceMatrix
 from metricdepth import deepest, depths
 from metricdepth.depths import (
     DepthMethod,
@@ -489,6 +489,53 @@ class TestTiles:
         for method in DepthMethod:
             depth_of_query(dm.values[0], dm, method)
         depth_values(corr_dm(10, 8), DepthMethod.MOD3)
+
+
+def _mod3_terms_expression(s, q, part=slice(None)):
+    """MOD3 kernels as one expression, whose evaluation order the in-place
+    ``_mod3_terms`` keeps."""
+    a = q * q
+    c = depths._mod3_pairs(s, q)
+    i, j, k, ij, jk, ik = (t[part] for t in s.index)
+    c_ij, c_jk, c_ik = c.take(ij, axis=1), c.take(jk, axis=1), c.take(ik, axis=1)
+    a_i, a_j, a_k = a.take(i, axis=1), a.take(j, axis=1), a.take(k, axis=1)
+    prod = a_i * a_j * a_k
+    rad = (
+        5.0 * prod
+        + 2.0 * c_ij * c_jk * c_ik
+        - a_i * c_jk * c_jk
+        - a_j * c_ik * c_ik
+        - a_k * c_ij * c_ij
+    )
+    scale = np.maximum(1.0, prod)
+    if np.any(rad < -KERNEL_RADICAND_TOL * scale):
+        raise MetricViolationError("kernel radicand below round-off tolerance; not a metric")
+    return np.sqrt(np.maximum(rad, 0.0))
+
+
+class TestMod3InPlaceTerms:
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm, histogram_dm,
+                                      lambda n, seed: euclidean_dm(
+                                          np.random.default_rng(seed).standard_normal((n, 3)))])
+    def test_equals_the_expression_bitwise(self, make):
+        state = depths.sample_state(make(25, 4), DepthMethod.MOD3)
+        v = state.values
+        # query rows off the sample: a convex mix of two of its rows
+        mixed = 0.75 * v[:8] + 0.25 * v[8:16]
+        for q in (v[3:4], v[:7], mixed[:1], mixed):
+            for part in (slice(None), slice(100, 1311)):
+                got = depths._mod3_terms(state, q, part)
+                want = _mod3_terms_expression(state, q, part)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_non_metric_row_raises(self):
+        state = depths.sample_state(nonmetric_dm(), DepthMethod.MOD3)
+        for q in (state.values, state.values[:1], state.values[2:3]):
+            with pytest.raises(MetricViolationError):
+                _mod3_terms_expression(state, q)
+            with pytest.raises(MetricViolationError):
+                depths._mod3_terms(state, q)
 
 
 class TestInvarianceProperties:

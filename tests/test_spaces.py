@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from metricdepth import spaces
 from metricdepth.errors import InvalidArgumentError, NotPositiveDefiniteError
 from metricdepth.spaces import (
     CorrelationMatrix,
@@ -316,6 +317,24 @@ class TestObjectTypes:
         with pytest.raises(InvalidArgumentError):
             Histogram([0, 1, 2], [-0.5, 1.5])
 
+    def test_correlation_checks_of_a_stack_match_the_constructor(self, rng):
+        good = random_object(rng, "corr").entries
+        stack = np.array([
+            good,
+            [[1.0, np.nan, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not finite
+            [[1.0, 0.3, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not symmetric
+            [[1.1, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],  # diagonal not 1
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # singular
+            [[np.inf, 2.0, 0.0], [0.2, 1.1, 0.0], [0.0, 0.0, -1.0]],  # fails all: first wins
+        ])
+        sym, failed = spaces._check_correlations(stack)
+        assert failed.tolist() == [-1, 0, 1, 2, 3, 0]
+        assert sym[0].tobytes() == CorrelationMatrix(good).entries.tobytes()
+        for e, f in zip(stack[1:], failed[1:]):
+            error, message = spaces._CORRELATION_CHECKS[f]
+            with pytest.raises(error, match=message):
+                CorrelationMatrix(e)
+
     def test_object_set_rejects_mixed_kinds(self):
         with pytest.raises(InvalidArgumentError):
             ObjectSet((EuclideanPoint([0.0]), UnitVector([1.0])))
@@ -372,6 +391,15 @@ class TestDistanceMatrixConstruction:
         for i in range(5):
             assert np.array_equal(query_distances(objs.items[i], objs)[i + 1:], dm[i, i + 1:])
         assert objs._table is stack
+
+    @pytest.mark.parametrize("kind", ["corr", "sphere", "hist", "eucl"])
+    def test_query_block_rows_equal_single_queries(self, kind, rng):
+        objs = ObjectSet(tuple(random_object(rng, kind) for _ in range(9)))
+        queries = [random_object(rng, kind) for _ in range(5)]
+        block = spaces._sample_rows(queries, objs)
+        assert block.shape == (5, 9)
+        for x, row in zip(queries, block):
+            assert row.tobytes() == query_distances(x, objs).tobytes()
 
     def test_query_kind_mismatch(self):
         objs = ObjectSet((EuclideanPoint([0.0]), EuclideanPoint([1.0])))
