@@ -12,11 +12,7 @@ __version__ = "0.1.0"
 from .core import (
     DistanceMatrix,
     MetricCheckReport,
-    b2_matrix,
-    b3_matrix,
     check_metric_axioms,
-    is_between,
-    oja3_kernel,
     read_distance_csv,
     write_distance_csv,
 )
@@ -36,14 +32,9 @@ from .deepest import (
 from .depths import (
     DepthMethod,
     DepthReport,
-    depth_all_sample,
-    euclidean_oja_depth,
-    mhd_depth,
-    mld_depth,
-    mod2_depth,
-    mod3_depth,
+    depth_of_query,
+    depth_values,
     mod3_depth_subsampled,
-    msd_depth,
 )
 from .errors import (
     DegenerateDecodeError,

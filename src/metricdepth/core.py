@@ -1,10 +1,8 @@
-"""Distance-matrix container and the squared-distance kernels.
+"""Distance-matrix container, its CSV I/O, and a metric-axiom check.
 
 Everything downstream consumes objects only through pairwise distances.
-This module holds the ``DistanceMatrix`` container, the Gram-like ``B``
-matrices built from squared distances, the order-3 kernel whose average
-drives the MOD3 depth, the betweenness predicate, and a triangle-inequality
-checker for untrusted matrices.
+This module holds the ``DistanceMatrix`` container, reading and writing it
+as CSV, and a triangle-inequality checker for untrusted matrices.
 
 All functions are pure; inputs are never mutated.
 """
@@ -15,19 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, MetricViolationError
-
-# Radicand clamp for the order-3 kernel, relative to max(1, prod of squared
-# query distances). Exact arithmetic keeps the radicand nonnegative; floating
-# point can undershoot by round-off, which is clamped. Larger undershoots mean
-# the distances cannot come from a metric.
-KERNEL_RADICAND_TOL = 1e-9
-
-# Two-sided clamp for the 2x2 determinant, relative to the squared largest
-# participating entry. Exact arithmetic gives det >= 0 with equality on
-# "aligned" triples; round-off scatters the exact zeros to ~1e-16 * scale,
-# so values below this threshold are treated as exact zeros.
-DET2_TOL = 1e-12
+from .errors import InvalidArgumentError
 
 
 class DistanceMatrix:
@@ -86,94 +72,6 @@ def write_distance_csv(path, dm) -> None:
     with open(path, "w") as fh:
         for row in v:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def is_between(d13: float, d12: float, d23: float, tol: float = 1e-9) -> bool:
-    """True when the triple attains equality in the triangle inequality.
-
-    Holds when d(x1,x3) = d(x1,x2) + d(x2,x3) within ``tol * max(1, d13)``,
-    i.e. when the middle object lies between the endpoints.
-    """
-    if d13 < 0 or d12 < 0 or d23 < 0:
-        raise InvalidArgumentError("distances must be nonnegative")
-    if tol < 0:
-        raise InvalidArgumentError("tol must be nonnegative")
-    return abs(d13 - (d12 + d23)) <= tol * max(1.0, d13)
-
-
-def _check_b_inputs(dx: np.ndarray, dpair: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    dx = np.asarray(dx, dtype=float)
-    dpair = np.asarray(dpair, dtype=float)
-    if dx.shape != (k,):
-        raise InvalidArgumentError(f"expected {k} query distances, got shape {dx.shape}")
-    if dpair.shape != (k, k):
-        raise InvalidArgumentError(f"expected {k}x{k} pairwise distances, got shape {dpair.shape}")
-    if np.min(dx) < 0 or np.min(dpair) < 0:
-        raise InvalidArgumentError("distances must be nonnegative")
-    scale = max(1.0, float(np.max(dpair))) if dpair.size else 1.0
-    if np.max(np.abs(dpair - dpair.T)) > 1e-9 * scale:
-        raise InvalidArgumentError("pairwise distances must be symmetric")
-    if np.max(np.abs(np.diagonal(dpair))) > 1e-12 * scale:
-        raise InvalidArgumentError("pairwise distances must have zero diagonal")
-    return dx, 0.5 * (dpair + dpair.T)
-
-
-def b3_matrix(dx, dpair) -> np.ndarray:
-    """3x3 matrix with entries (d(x,Xk)^2 + d(x,Xl)^2 - d(Xk,Xl)^2) / 2.
-
-    ``dx`` holds the three distances from a base object x to X1, X2, X3 and
-    ``dpair`` the pairwise distances among X1, X2, X3. In Euclidean space the
-    result is the Gram matrix of the differences Xk - x.
-    """
-    dx, dpair = _check_b_inputs(dx, dpair, 3)
-    a = dx * dx
-    b = 0.5 * (a[:, None] + a[None, :] - dpair * dpair)
-    np.fill_diagonal(b, a)
-    return b
-
-
-def b2_matrix(dx, d12: float) -> np.ndarray:
-    """2x2 analogue of :func:`b3_matrix` for a single sample pair."""
-    dx = np.asarray(dx, dtype=float)
-    if dx.shape != (2,):
-        raise InvalidArgumentError(f"expected 2 query distances, got shape {dx.shape}")
-    if np.min(dx) < 0 or d12 < 0:
-        raise InvalidArgumentError("distances must be nonnegative")
-    a = dx * dx
-    c = 0.5 * (a[0] + a[1] - d12 * d12)
-    return np.array([[a[0], c], [c, a[1]]])
-
-
-def det3_symmetric(a1, a2, a3, c12, c23, c13):
-    """Determinant of a symmetric 3x3 with diagonal a and off-diagonal c."""
-    return (
-        a1 * a2 * a3
-        + 2.0 * c12 * c23 * c13
-        - a1 * c23 * c23
-        - a2 * c13 * c13
-        - a3 * c12 * c12
-    )
-
-
-def oja3_kernel(dx, dpair) -> float:
-    """Order-3 kernel sqrt(det(B3) + 4 * prod of squared query distances).
-
-    The radicand is nonnegative for distances coming from a metric; values
-    in [-tol*scale, 0] are round-off and clamp to 0, anything lower raises
-    :class:`MetricViolationError`. Vanishes exactly when the base object
-    coincides with a sample object.
-    """
-    b = b3_matrix(dx, dpair)
-    a = np.diagonal(b)
-    prod = a[0] * a[1] * a[2]
-    rad = det3_symmetric(a[0], a[1], a[2], b[0, 1], b[1, 2], b[0, 2]) + 4.0 * prod
-    scale = max(1.0, prod)
-    if rad < -KERNEL_RADICAND_TOL * scale:
-        raise MetricViolationError(
-            f"kernel radicand {rad} below -{KERNEL_RADICAND_TOL} * {scale}; "
-            "input distances cannot come from a metric"
-        )
-    return float(np.sqrt(max(rad, 0.0)))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ are available:
   finite differences.
 
 Both report the best point ever evaluated, so the returned value never
-falls below the objective at the start.
+falls below the objective at the start. Both stop at the evaluation
+budget exactly: a block of points that does not fit is cut at it.
 
 The search scores candidates in blocks: its objective takes a (k, r) array
 of PCA coordinates, decodes every row at once, measures the rows that
@@ -47,10 +48,10 @@ value is bitwise what scoring it alone gives. Two kinds of step hand the
 objective several independent points at once:
 
 * the Nelder-Mead initial simplex (r + 1 points) and each shrink step
-  (r points), cut at the evaluation budget;
+  (r points);
 * each L-BFGS-B gradient, whose 2r central-difference points scipy passes
-  together to its ``workers`` map-like hook; scipy's own step rule, bound
-  handling and evaluation count are unchanged.
+  together to its ``workers`` map-like hook; scipy's own step rule and
+  bound handling are unchanged.
 
 The other steps stay sequential. Each Nelder-Mead reflect, expand or
 contract point depends on the values before it. Scoring such points ahead
@@ -63,6 +64,7 @@ L-BFGS-B's line-search points likewise come one at a time.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -351,26 +353,34 @@ def _pca_decode_rows(model: PcaModel, w: np.ndarray) -> np.ndarray:
 # box-constrained maximization
 
 
+class _BudgetExhausted(Exception):
+    pass
+
+
 @dataclass
 class _Incumbent:
     point: np.ndarray
     value: float
+    budget: int
     evaluations: int = 0
 
     def score(self, block, xs: np.ndarray) -> np.ndarray:
         """Values of the block objective at the rows of ``xs``. Each row
         counts as one evaluation and, in order, becomes the incumbent when
-        its value is finite and above the incumbent's."""
+        its value is finite and above the incumbent's. A block that does
+        not fit in the evaluation budget is cut at it: the rows that fit
+        are scored, then _BudgetExhausted is raised."""
+        room = self.budget - self.evaluations
+        if room < len(xs):
+            if room > 0:
+                self.score(block, xs[:room])
+            raise _BudgetExhausted
         values = block(xs)
         for x, val in zip(xs, values):
             self.evaluations += 1
             if np.isfinite(val) and val > self.value:
                 self.point, self.value = x.copy(), float(val)
         return values
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def _check_box(start, lower, upper):
@@ -386,7 +396,7 @@ def _check_box(start, lower, upper):
     return start, lower, upper
 
 
-def _nelder_mead_box(block, start, lower, upper, max_evals, best: _Incumbent):
+def _nelder_mead_box(block, start, lower, upper, best: _Incumbent):
     width = upper - lower
     margin = 1e-12
 
@@ -398,14 +408,8 @@ def _nelder_mead_box(block, start, lower, upper, max_evals, best: _Incumbent):
         return lower + width * (np.arctan(u) / np.pi + 0.5)
 
     def evaluate(us):
-        """Negated objective at the points ``us`` (a list), as one block
-        cut at the budget; raises _BudgetExhausted after a cut block."""
-        room = max_evals - best.evaluations
-        if room <= 0:
-            raise _BudgetExhausted
-        values = best.score(block, to_box(np.array(us[:room])))
-        if len(us) > room:
-            raise _BudgetExhausted
+        """Negated objective at the points ``us`` (a list), as one block."""
+        values = best.score(block, to_box(np.array(us)))
         return [-float(v) if np.isfinite(v) else np.inf for v in values]  # minimize the negation
 
     r = start.size
@@ -416,40 +420,37 @@ def _nelder_mead_box(block, start, lower, upper, max_evals, best: _Incumbent):
         vertex[axis] = vertex[axis] + step if vertex[axis] + step <= upper[axis] else vertex[axis] - step
         simplex.append(vertex)
     us = [to_unconstrained(x) for x in simplex]
-    try:
-        fs = evaluate(us)
-        while True:
-            order = np.argsort(fs, kind="stable")
-            us = [us[t] for t in order]
-            fs = [fs[t] for t in order]
-            finite = [f for f in fs if np.isfinite(f)]
-            if len(finite) == len(fs) and max(fs) - min(fs) <= _FTOL:
-                break
-            centroid = np.mean(us[:-1], axis=0)
-            reflected = centroid + _NM_REFLECT * (centroid - us[-1])
-            [f_r] = evaluate([reflected])
-            if f_r < fs[0]:
-                expanded = centroid + _NM_EXPAND * (reflected - centroid)
-                [f_e] = evaluate([expanded])
-                us[-1], fs[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
-            elif f_r < fs[-2]:
-                us[-1], fs[-1] = reflected, f_r
+    fs = evaluate(us)
+    while True:
+        order = np.argsort(fs, kind="stable")
+        us = [us[t] for t in order]
+        fs = [fs[t] for t in order]
+        finite = [f for f in fs if np.isfinite(f)]
+        if len(finite) == len(fs) and max(fs) - min(fs) <= _FTOL:
+            break
+        centroid = np.mean(us[:-1], axis=0)
+        reflected = centroid + _NM_REFLECT * (centroid - us[-1])
+        [f_r] = evaluate([reflected])
+        if f_r < fs[0]:
+            expanded = centroid + _NM_EXPAND * (reflected - centroid)
+            [f_e] = evaluate([expanded])
+            us[-1], fs[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
+        elif f_r < fs[-2]:
+            us[-1], fs[-1] = reflected, f_r
+        else:
+            if f_r < fs[-1]:
+                contracted = centroid + _NM_CONTRACT * (reflected - centroid)
             else:
-                if f_r < fs[-1]:
-                    contracted = centroid + _NM_CONTRACT * (reflected - centroid)
-                else:
-                    contracted = centroid - _NM_CONTRACT * (centroid - us[-1])
-                [f_c] = evaluate([contracted])
-                if f_c < min(f_r, fs[-1]):
-                    us[-1], fs[-1] = contracted, f_c
-                else:
-                    us[1:] = [us[0] + _NM_SHRINK * (u - us[0]) for u in us[1:]]
-                    fs[1:] = evaluate(us[1:])
-    except _BudgetExhausted:
-        pass
+                contracted = centroid - _NM_CONTRACT * (centroid - us[-1])
+            [f_c] = evaluate([contracted])
+            if f_c < min(f_r, fs[-1]):
+                us[-1], fs[-1] = contracted, f_c
+            else:
+                us[1:] = [us[0] + _NM_SHRINK * (u - us[0]) for u in us[1:]]
+                fs[1:] = evaluate(us[1:])
 
 
-def _lbfgsb_box(block, start, lower, upper, max_evals, best: _Incumbent):
+def _lbfgsb_box(block, start, lower, upper, best: _Incumbent):
     # imported here: scipy.optimize takes most of the package's import time
     from scipy.optimize import minimize
 
@@ -463,6 +464,10 @@ def _lbfgsb_box(block, start, lower, upper, max_evals, best: _Incumbent):
         # block, in scipy's order
         return negated(np.array(list(points), dtype=float))
 
+    # scipy checks its own ``maxfun`` only between iterations, so a line
+    # search or a gradient could run past it; the budget is kept by
+    # ``best.score`` instead, and ``maxfun`` only keeps scipy's default
+    # (15000) from ending a larger budget early
     minimize(
         lambda x: float(negated(np.asarray(x, dtype=float)[None])[0]),
         start,
@@ -472,7 +477,7 @@ def _lbfgsb_box(block, start, lower, upper, max_evals, best: _Incumbent):
         options={
             "maxcor": 6,
             "ftol": _FTOL,
-            "maxfun": max(1, max_evals - best.evaluations),
+            "maxfun": best.budget,
             "finite_diff_rel_step": _FD_STEP,
             "workers": gradient_points,
         },
@@ -484,8 +489,10 @@ def optimize_box(objective, start, lower, upper, cfg: OptimizerConfig | None = N
 
     Returns ``(argmax, value, evaluations)`` for the best point evaluated,
     which never scores below ``objective(start)`` and always lies inside
-    the box. Non-finite objective values during the search are treated as
-    worst-possible; a non-finite value at the start is an error.
+    the box. ``objective`` is called at most ``cfg.max_evaluations`` times
+    (by default 500 per coordinate). Non-finite objective values during
+    the search are treated as worst-possible; a non-finite value at the
+    start is an error.
     """
     return _optimize_box(lambda xs: np.array([float(objective(x)) for x in xs]),
                          start, lower, upper, cfg)
@@ -501,11 +508,10 @@ def _optimize_box(block, start, lower, upper, cfg: OptimizerConfig | None = None
     f0 = float(block(start[None])[0])
     if not np.isfinite(f0):
         raise InvalidArgumentError(f"objective is not finite at the start: {f0}")
-    best = _Incumbent(point=start.copy(), value=f0, evaluations=1)
-    if cfg.algorithm == "simplex-box":
-        _nelder_mead_box(block, start, lower, upper, max_evals, best)
-    else:
-        _lbfgsb_box(block, start, lower, upper, max_evals, best)
+    best = _Incumbent(point=start.copy(), value=f0, budget=max_evals, evaluations=1)
+    search = _nelder_mead_box if cfg.algorithm == "simplex-box" else _lbfgsb_box
+    with suppress(_BudgetExhausted):
+        search(block, start, lower, upper, best)
     return best.point, best.value, best.evaluations
 
 

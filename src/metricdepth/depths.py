@@ -39,9 +39,10 @@ On samples that embed in a Euclidean space (``euclidean_certificate``),
 ``mod3_lower_bounds`` bounds every sample object's MOD3 mean kernel from
 below in O(n^2) in all; the in-sample MOD3 argmax uses it to skip objects.
 
-Full-sample evaluation (``depth_all_sample``) scores every sample object
+Full-sample evaluation (``depth_values``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
 own index are kept, their kernels are well-defined (and typically zero).
+One query is scored by ``depth_of_query(q, dm, method)``.
 """
 
 from __future__ import annotations
@@ -50,15 +51,14 @@ import contextvars
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import combinations, count
+from itertools import count
 
 import numpy as np
 
-from .core import DET2_TOL, KERNEL_RADICAND_TOL, as_distance_array
+from .core import as_distance_array
 from .errors import InsufficientSampleError, InvalidArgumentError, MetricViolationError
 from .seeding import SUBSAMPLE_TAG, child_rng
 
@@ -212,6 +212,13 @@ def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # its rows are reduced one by one, as a 1-row table is.
 
 
+# Radicand clamp for the MOD3 kernel, relative to max(1, prod of squared
+# query distances). Exact arithmetic keeps the radicand nonnegative; floating
+# point can undershoot by round-off, which is clamped. Larger undershoots mean
+# the distances cannot come from a metric.
+KERNEL_RADICAND_TOL = 1e-9
+
+
 def _mod3_pairs(s: SampleState, q: np.ndarray) -> np.ndarray:
     """B-matrix off-diagonal entries of every query against every sample
     pair, as a (rows, n * n) table."""
@@ -308,6 +315,13 @@ def mod3_lower_bounds(dm) -> np.ndarray:
     return 2.0 * (v * e2).sum(axis=1) / math.comb(n, 3)
 
 
+# Two-sided clamp for the 2x2 determinant, relative to the squared largest
+# participating entry. Exact arithmetic gives det >= 0 with equality on
+# "aligned" triples; round-off scatters the exact zeros to ~1e-16 * scale,
+# so values below this threshold are treated as exact zeros.
+DET2_TOL = 1e-12
+
+
 def _sqrt_det2(a_i, a_j, c_ij):
     """sqrt of the 2x2 determinant with exact-zero snapping.
 
@@ -337,7 +351,9 @@ def _mld_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
 
 
 def _msd_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
-    """Clipped cosine-like ratio of every (query, pair) in ``part``."""
+    """Cosine-like ratio of every (query, pair) in ``part``, 0 where either
+    query distance is 0. Exact arithmetic keeps it in [-2, 2]; the clip
+    catches round-off on near-coincident objects."""
     i, j = (t[part] for t in s.index)
     qi, qj = q.take(i, axis=1), q.take(j, axis=1)
     active = (qi != 0.0) & (qj != 0.0)
@@ -521,60 +537,6 @@ def depth_of_query(q, dm, method: DepthMethod) -> float:
     return float(_depths(state, q[None, :])[0])
 
 
-def depth_all_sample(dm, method: DepthMethod) -> DepthReport:
-    """Full-sample :class:`DepthReport` with wall-time of the evaluation."""
-    method = DepthMethod(method)
-    start = time.perf_counter()
-    values = depth_values(dm, method)
-    elapsed = time.perf_counter() - start
-    return DepthReport(method, values, elapsed)
-
-
-def mod3_depth(q, dm) -> float:
-    """Order-3 kernel depth of one query object, in [0, 1].
-
-    Averages the kernel over all C(n, 3) unordered sample triples; exact
-    and deterministic. O(n^3) per query.
-    """
-    return depth_of_query(q, dm, DepthMethod.MOD3)
-
-
-def mod2_depth(q, dm) -> float:
-    """Order-2 kernel depth of one query object, in [0, 1].
-
-    Identically 1 for one-dimensional Euclidean data; see the module notes.
-    O(n^2) per query.
-    """
-    return depth_of_query(q, dm, DepthMethod.MOD2)
-
-
-def mld_depth(q, dm) -> float:
-    """Lens-style depth: fraction of sample pairs strictly farther from each
-    other than both are from the query. O(n^2) per query."""
-    return depth_of_query(q, dm, DepthMethod.MLD)
-
-
-def msd_depth(q, dm) -> float:
-    """Spatial-style depth in [0, 2] from squared-distance cosines.
-
-    Pairs where either query distance is exactly zero contribute zero.
-    The cosine-like ratio is mathematically confined to [-2, 2]; floating
-    point can poke out for near-coincident objects, so it is clipped.
-    """
-    return depth_of_query(q, dm, DepthMethod.MSD)
-
-
-def mhd_depth(q, dm) -> float:
-    """Half-space-style depth of one query object, in [0, 1].
-
-    Minimizes, over ordered anchor pairs (a1, a2) of sample objects with
-    a1 != a2 and the query at least as close to a1 as to a2, the empirical
-    probability that a sample point is at least as close to a1 as to a2.
-    With a single-object sample no pair qualifies and the depth is 1.
-    """
-    return depth_of_query(q, dm, DepthMethod.MHD)
-
-
 def mhd_pair_probabilities(dm) -> np.ndarray:
     """Empirical closer-to-a1-than-a2 probabilities for all anchor pairs.
 
@@ -653,31 +615,10 @@ def mod3_subsample_state(dm, m: int, seed: int) -> SampleState:
 def mod3_depth_subsampled(q, dm, m: int, seed: int) -> float:
     """MOD3 estimate from ``m`` triples drawn uniformly without replacement.
 
-    Deterministic given ``seed``; coincides with :func:`mod3_depth` exactly
-    when ``m`` equals the total number of triples. To score many queries
-    against one draw, pass :func:`mod3_subsample_state` to
-    :func:`depth_of_query` or :func:`depth_values`.
+    Deterministic given ``seed``; coincides with the full MOD3 depth,
+    ``depth_of_query(q, dm, DepthMethod.MOD3)``, exactly when ``m`` equals
+    the total number of triples. To score many queries against one draw,
+    pass :func:`mod3_subsample_state` to :func:`depth_of_query` or
+    :func:`depth_values`.
     """
     return depth_of_query(q, mod3_subsample_state(dm, m, seed), DepthMethod.MOD3)
-
-
-def euclidean_oja_depth(points, x) -> float:
-    """Simplex-volume depth of ``x`` w.r.t. points in R^p.
-
-    1/(1 + mean over C(n, p) index tuples of |det[X_1 - x | ... | X_p - x]|).
-    Serves as the independent Euclidean oracle for the kernel depths; the
-    determinant convention carries no 1/p! simplex factor.
-    """
-    pts = np.asarray([getattr(o, "coords", o) for o in points], dtype=float)
-    xc = np.asarray(getattr(x, "coords", x), dtype=float)
-    if pts.ndim != 2:
-        raise InvalidArgumentError("points must form an (n, p) array")
-    n, p = pts.shape
-    if xc.shape != (p,):
-        raise InvalidArgumentError(f"query must have dimension {p}, got {xc.shape}")
-    if n < p:
-        raise InsufficientSampleError(f"need at least p={p} points, got {n}")
-    idx = np.array(list(combinations(range(n), p)), dtype=np.int64)
-    diffs = pts[idx] - xc  # (C, p, p); rows are X_sel - x
-    dets = np.abs(np.linalg.det(diffs))
-    return float(1.0 / (1.0 + dets.mean()))

@@ -344,10 +344,10 @@ def _wasserstein_row(a: _QuantileTable, b: _QuantileTable) -> np.ndarray:
     return np.sqrt(np.maximum(g0.sum(axis=-1), 0.0))
 
 
-# per-object arrays of each kind, stacked along a leading axis; a histogram
-# table depends on all the histograms it holds, whose breakpoints make its grid
-_TABLE = {"corr": _spd_stack, "sphere": _coord_stack, "hist": _quantile_table,
-          "eucl": _coord_stack}
+# per-object arrays of each kind, stacked along a leading axis; histograms
+# have none, since a quantile table depends on every histogram compared
+# (their breakpoints make its grid), and is built per call
+_TABLE = {"corr": _spd_stack, "sphere": _coord_stack, "eucl": _coord_stack}
 # one row evaluator per kind: (queries' table, objects' table) -> (queries,
 # objects) distances
 _ROW = {"corr": _spd_row, "sphere": _sphere_row, "hist": _wasserstein_row,

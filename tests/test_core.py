@@ -1,110 +1,136 @@
-"""Tests for the distance container and squared-distance kernels."""
+"""Tests for the distance container and its checks, and for the paper's
+identities of the squared-distance kernels, checked on the kernels that the
+depth evaluators compute (``_mod3_pairs``, ``_mod3_terms``, ``_mod2_terms``)."""
 
 import numpy as np
 import pytest
 
 from conftest import euclidean_dm, line_dm
+from metricdepth import depths
 from metricdepth.core import (
     DistanceMatrix,
-    b2_matrix,
-    b3_matrix,
     check_metric_axioms,
-    det3_symmetric,
-    is_between,
-    oja3_kernel,
     read_distance_csv,
     write_distance_csv,
 )
+from metricdepth.depths import KERNEL_RADICAND_TOL, DepthMethod, depth_of_query
 from metricdepth.errors import InvalidArgumentError, MetricViolationError
+from metricdepth.spaces import UnitVector, sphere_distance
+
+LINE_024_PAIRS = np.array([[0, 2, 4], [2, 0, 2], [4, 2, 0]], dtype=float)
+
+
+def b3_matrix(dx, dpair) -> np.ndarray:
+    """B3 of a query at distances ``dx`` from three sample objects
+    ``dpair`` apart, as the MOD3 evaluator builds it."""
+    state = depths.sample_state(np.asarray(dpair, dtype=float), DepthMethod.MOD3)
+    return depths._mod3_pairs(state, np.asarray(dx, dtype=float)[None]).reshape(3, 3)
+
+
+def mod3_kernel(dx, dpair) -> float:
+    """The MOD3 evaluator's kernel of one query against one sample triple."""
+    state = depths.sample_state(np.asarray(dpair, dtype=float), DepthMethod.MOD3)
+    return float(depths._mod3_terms(state, np.asarray(dx, dtype=float)[None])[0, 0])
+
+
+def mod2_kernel(d1, d2, d12) -> float:
+    """The MOD2 evaluator's kernel sqrt(det B2) of a query at distances
+    ``d1``, ``d2`` from a sample pair ``d12`` apart."""
+    state = depths.sample_state(np.array([[0.0, d12], [d12, 0.0]]), DepthMethod.MOD2)
+    return float(depths._mod2_terms(state, np.array([[d1, d2]], dtype=float))[0, 0])
+
+
+def euclidean_triples(rng, count, dim):
+    """``count`` random queries, each with its own three points in R^dim:
+    the points, the queries, their (count, 3) distances and (count, 3, 3)
+    pair distances."""
+    pts = rng.standard_normal((count, 3, dim))
+    x = rng.standard_normal((count, dim))
+    dx = np.linalg.norm(pts - x[:, None], axis=2)
+    dpair = np.linalg.norm(pts[:, :, None] - pts[:, None, :], axis=3)
+    return pts, x, dx, dpair
 
 
 class TestIsBetween:
+    """Betweenness, equality in the triangle inequality, is where the MOD2
+    kernel vanishes: det B2 = 0 exactly when d12 = d1 + d2 or
+    d12 = |d1 - d2|, that is when one of the three objects lies between the
+    other two."""
+
     def test_collinear_points_on_line(self):
-        assert is_between(2, 1, 1, 1e-9)
+        assert mod2_kernel(1.0, 1.0, 2.0) == 0.0
 
     def test_equilateral_configuration(self):
-        assert not is_between(1, 1, 1, 1e-9)
+        assert mod2_kernel(1.0, 1.0, 1.0) == pytest.approx(np.sqrt(0.75), rel=1e-15)
 
     def test_antipodal_circle_midpoint(self):
-        # antipodal points on the unit circle with an arc midpoint:
-        # arc-length oracle gives d13 = pi, d12 = d23 = pi/2
-        assert is_between(np.pi, np.pi / 2, np.pi / 2, 1e-9)
+        # antipodal points on the unit circle with an arc midpoint, under the
+        # package's arc length: d12 = pi, d1 = d2 = pi/2
+        a, b, mid = UnitVector([1.0, 0.0]), UnitVector([-1.0, 0.0]), UnitVector([0.0, 1.0])
+        d12 = sphere_distance(a, b)
+        assert d12 == pytest.approx(np.pi, rel=1e-15)
+        assert mod2_kernel(sphere_distance(mid, a), sphere_distance(mid, b), d12) == 0.0
 
     def test_negative_distance_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            is_between(-1, 1, 1, 1e-9)
+            depth_of_query([-1.0, 1.0], line_dm([0.0, 2.0]), DepthMethod.MOD2)
 
     def test_relative_tolerance_scales_with_d13(self):
-        assert is_between(2e6, 1e6, 1e6 + 1e-4, 1e-9)
-        assert not is_between(2.0, 1.0, 1.0 + 1e-4, 1e-9)
+        # the exact-zero snapping is relative: a near-between triple snaps to
+        # zero, and a clearly off-line one does not, at every scale
+        for scale in (1e-6, 1.0, 1e6):
+            assert mod2_kernel(scale, scale * (1 + 1e-14), 2 * scale) == 0.0
+            assert mod2_kernel(scale, scale * (1 + 1e-4), 2 * scale) > 0.0
 
 
 class TestBMatrices:
     def test_hand_computed_line_example(self):
         # x = 1 against {0, 2, 4} on the line
-        dpair = np.array([[0, 2, 4], [2, 0, 2], [4, 2, 0]], dtype=float)
-        b = b3_matrix([1, 1, 3], dpair)
-        assert np.allclose(b, [[1, -1, -3], [-1, 1, 3], [-3, 3, 9]], atol=0)
+        b = b3_matrix([1, 1, 3], LINE_024_PAIRS)
+        assert np.array_equal(b, [[1, -1, -3], [-1, 1, 3], [-3, 3, 9]])
 
     def test_base_coincides_with_sample_point(self):
-        dpair = np.array([[0, 2, 4], [2, 0, 2], [4, 2, 0]], dtype=float)
-        b = b3_matrix([0, 2, 4], dpair)
+        b = b3_matrix([0, 2, 4], LINE_024_PAIRS)
         assert b[0, 0] == 0.0
 
     def test_equals_gram_matrix_in_r3(self, rng):
-        for _ in range(50):
-            pts = rng.standard_normal((3, 3))
-            x = rng.standard_normal(3)
-            dx = np.linalg.norm(pts - x, axis=1)
-            dpair = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        for pts, x, dx, dpair in zip(*euclidean_triples(rng, 50, 3)):
             b = b3_matrix(dx, dpair)
             gram = (pts - x) @ (pts - x).T
             assert np.max(np.abs(b - gram)) < 1e-10 * max(1.0, np.abs(gram).max())
 
     def test_symmetric_nonnegative_diagonal(self, rng):
-        for _ in range(100):
-            pts = rng.standard_normal((3, 4))
-            x = rng.standard_normal(4)
-            dx = np.linalg.norm(pts - x, axis=1)
-            dpair = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        for _, _, dx, dpair in zip(*euclidean_triples(rng, 100, 4)):
             b = b3_matrix(dx, dpair)
             assert np.array_equal(b, b.T)
-            assert np.min(np.diagonal(b)) >= 0.0
+            assert np.array_equal(np.diagonal(b), dx * dx)
 
     def test_b2_hand_example(self):
-        # x = (0,1) against {(0,0), (1,0)}: Gram of (0,-1), (1,-1)
-        b = b2_matrix([1.0, np.sqrt(2.0)], 1.0)
-        assert np.allclose(b, [[1, 1], [1, 2]], atol=1e-12)
-        assert abs(np.linalg.det(b) - 1.0) < 1e-12
+        # x = (0,1) against {(0,0), (1,0)}: Gram of (0,-1), (1,-1), det 1
+        assert mod2_kernel(1.0, np.sqrt(2.0), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_b2_zero_diagonal_when_query_on_point(self):
-        b = b2_matrix([0.0, 2.0], 2.0)
-        assert b[0, 0] == 0.0
-        assert b[1, 1] == 4.0
+        assert mod2_kernel(0.0, 2.0, 2.0) == 0.0
 
     def test_b2_determinant_vanishes_on_line(self, rng):
         for _ in range(100):
             pts = rng.standard_normal(2)
             x = rng.standard_normal()
-            b = b2_matrix(np.abs(pts - x), abs(pts[0] - pts[1]))
-            scale = max(1.0, np.abs(b).max() ** 2)
-            assert abs(np.linalg.det(b)) < 1e-12 * scale
+            assert mod2_kernel(*np.abs(pts - x), abs(pts[0] - pts[1])) == 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            b3_matrix([1, 1], np.zeros((3, 3)))
+            depth_of_query([1, 1], LINE_024_PAIRS, DepthMethod.MOD3)
         with pytest.raises(InvalidArgumentError):
-            b3_matrix([1, 1, 1], np.zeros((2, 2)))
+            depth_of_query([1, 1, 1], line_dm([0.0, 1.0, 2.0, 3.0]), DepthMethod.MOD3)
 
 
 class TestOja3Kernel:
     def test_line_example_equals_six(self):
-        dpair = np.array([[0, 2, 4], [2, 0, 2], [4, 2, 0]], dtype=float)
-        assert oja3_kernel([1, 1, 3], dpair) == pytest.approx(6.0, abs=1e-12)
+        assert mod3_kernel([1, 1, 3], LINE_024_PAIRS) == pytest.approx(6.0, abs=1e-12)
 
     def test_zero_when_base_on_sample_point(self):
-        dpair = np.array([[0, 2, 4], [2, 0, 2], [4, 2, 0]], dtype=float)
-        assert oja3_kernel([0, 2, 4], dpair) == 0.0
+        assert mod3_kernel([0, 2, 4], LINE_024_PAIRS) == 0.0
 
     def test_unit_circle_equality_configuration(self):
         # base and three points at 0, 90, 270, 180 degrees under arc length:
@@ -115,7 +141,7 @@ class TestOja3Kernel:
             [np.pi, 0.0, np.pi / 2],
             [np.pi / 2, np.pi / 2, 0.0],
         ])
-        assert oja3_kernel(dx, dpair) < 1e-6
+        assert mod3_kernel(dx, dpair) < 1e-6
 
     def test_line_identity_two_prod(self, rng):
         # on the line the kernel equals twice the product of the distances
@@ -126,7 +152,7 @@ class TestOja3Kernel:
             dpair = np.abs(pts[:, None] - pts[None, :])
             expected = 2.0 * dx.prod()
             scale = max(1.0, dx.max() ** 3)
-            assert abs(oja3_kernel(dx, dpair) - expected) <= 1e-10 * scale
+            assert abs(mod3_kernel(dx, dpair) - expected) <= 1e-10 * scale
 
     def test_metric_violation_raises(self):
         # distances with a grossly broken triangle inequality drive the
@@ -134,29 +160,68 @@ class TestOja3Kernel:
         dx = np.array([1.0, 1.0, 1.0])
         dpair = np.array([[0, 10, 10], [10, 0, 10], [10, 10, 0]], dtype=float)
         with pytest.raises(MetricViolationError):
-            oja3_kernel(dx, dpair)
+            mod3_kernel(dx, dpair)
+
+
+class TestRadicandClamp:
+    """A MOD3 radicand below zero by round-off, inside
+    -KERNEL_RADICAND_TOL * max(1, prod), clamps to a zero kernel; one
+    below that raises. Both are built by moving one pair distance of a
+    configuration whose radicand is exactly zero."""
+
+    @pytest.mark.parametrize("fraction, clamps", [(0.9, True), (1.1, False)])
+    def test_query_on_a_sample_point(self, fraction, clamps):
+        # x = 0 against {0, 2, 4} on the line: prod = 0, so the tolerance is
+        # KERNEL_RADICAND_TOL itself. With d(X1, X2) moved to d, the radicand
+        # is -16 c^2 with c = (4 - d^2) / 2
+        c = np.sqrt(fraction * KERNEL_RADICAND_TOL / 16)
+        d = np.sqrt(4 + 2 * c)
+        dpair = [[0, d, 4], [d, 0, 2], [4, 2, 0]]
+        if clamps:
+            assert mod3_kernel([0, 2, 4], dpair) == 0.0
+        else:
+            with pytest.raises(MetricViolationError):
+                mod3_kernel([0, 2, 4], dpair)
+
+    @pytest.mark.parametrize("fraction, clamps", [(0.9, True), (1.1, False)])
+    def test_unit_circle_configuration(self, fraction, clamps):
+        # base and three points at 0, 90, 270, 180 degrees under arc length:
+        # prod = pi^6 / 16 > 1, so the tolerance is relative. Lengthening
+        # d(X1, X2) = pi by delta lowers the radicand by pi^5 delta, to first
+        # order
+        prod = np.pi ** 6 / 16
+        d = np.pi + fraction * KERNEL_RADICAND_TOL * prod / np.pi ** 5
+        dx = [np.pi / 2, np.pi / 2, np.pi]
+        dpair = [[0, d, np.pi / 2], [d, 0, np.pi / 2], [np.pi / 2, np.pi / 2, 0]]
+        if clamps:
+            assert mod3_kernel(dx, dpair) == 0.0
+        else:
+            with pytest.raises(MetricViolationError):
+                mod3_kernel(dx, dpair)
 
 
 class TestTheoremBounds:
     def test_det2_lower_bound_euclidean_fuzz(self, rng):
-        for _ in range(1000):
-            pts = rng.standard_normal((2, 3))
-            x = rng.standard_normal(3)
-            dx = np.linalg.norm(pts - x, axis=1)
-            b = b2_matrix(dx, float(np.linalg.norm(pts[0] - pts[1])))
-            scale = max(1.0, np.abs(b).max() ** 2)
-            assert np.linalg.det(b) >= -1e-9 * scale
+        # det B2 is the squared area spanned by X1 - x and X2 - x, so the
+        # MOD2 kernel is that area (a clamped negative det would show as 0)
+        for pts, x, dx, dpair in zip(*euclidean_triples(rng, 1000, 3)):
+            area = np.linalg.norm(np.cross(pts[0] - x, pts[1] - x))
+            scale = max(1.0, dx[:2].max() ** 2)
+            assert abs(mod2_kernel(dx[0], dx[1], dpair[0, 1]) - area) <= 1e-6 * scale
 
     def test_radicand_lower_bound_euclidean_fuzz(self, rng):
-        for _ in range(1000):
-            pts = rng.standard_normal((3, 2))
-            x = rng.standard_normal(2)
-            dx = np.linalg.norm(pts - x, axis=1)
-            dpair = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-            b = b3_matrix(dx, dpair)
-            a = np.diagonal(b)
-            rad = det3_symmetric(a[0], a[1], a[2], b[0, 1], b[1, 2], b[0, 2]) + 4 * a.prod()
-            assert rad >= -1e-9 * max(1.0, a.prod())
+        # det B3 >= 0 on Euclidean data, so the kernel is at least
+        # 2 d_i d_j d_k: the bound the in-sample MOD3 elimination rests on
+        # (tight for dim <= 2, where det B3 = 0)
+        for dim in (1, 2, 3, 5):
+            pts = rng.standard_normal((12, dim))
+            queries = np.vstack([pts, rng.standard_normal((30, dim))])
+            q = np.linalg.norm(queries[:, None] - pts, axis=2)
+            state = depths.sample_state(euclidean_dm(pts), DepthMethod.MOD3)
+            i, j, k = state.index[:3]
+            bound = 2.0 * q[:, i] * q[:, j] * q[:, k]
+            kernels = depths._mod3_terms(state, q)
+            assert np.all(kernels >= bound - 1e-9 * np.maximum(1.0, bound))
 
 
 class TestDistanceMatrix:

@@ -1,6 +1,7 @@
-"""Tests for the five sample depths, the subsampled estimator, and the
-Euclidean simplex-volume oracle."""
+"""Tests for the five sample depths and the subsampled estimator, against
+the reference depths of ``reference.py``."""
 
+import json
 import math
 import sys
 import threading
@@ -13,24 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
-from metricdepth.core import KERNEL_RADICAND_TOL, DistanceMatrix
+from metricdepth.cli import main
+from metricdepth.core import DistanceMatrix, write_distance_csv
 from metricdepth import deepest, depths
 from metricdepth.depths import (
+    KERNEL_RADICAND_TOL,
     DepthMethod,
     DepthReport,
-    depth_all_sample,
     depth_of_query,
     depth_values,
     euclidean_certificate,
-    euclidean_oja_depth,
-    mhd_depth,
-    mld_depth,
-    mod2_depth,
-    mod3_depth,
     mod3_depth_subsampled,
     mod3_lower_bounds,
     mod3_subsample_state,
-    msd_depth,
     _sample_triple_ranks,
     _triple_indices,
     _unrank_triples,
@@ -40,27 +36,30 @@ from metricdepth.errors import (
     InvalidArgumentError,
     MetricViolationError,
 )
+from reference import euclidean_oja_depth, mod3_depth_brute_force
 
 LINE_024 = line_dm([0.0, 2.0, 4.0])
 
 
 class TestMod3:
     def test_line_center_query(self):
-        assert mod3_depth([2, 0, 2], LINE_024) == 1.0
+        assert depth_of_query([2, 0, 2], LINE_024, DepthMethod.MOD3) == 1.0
 
     def test_line_offcenter_query(self):
-        assert mod3_depth([1, 1, 3], LINE_024) == pytest.approx(1 / 7, abs=1e-12)
+        assert depth_of_query([1, 1, 3], LINE_024, DepthMethod.MOD3) == pytest.approx(
+            1 / 7, abs=1e-12)
 
     def test_line_far_query(self):
-        assert mod3_depth([10, 8, 6], LINE_024) == pytest.approx(1 / 961, abs=1e-12)
+        assert depth_of_query([10, 8, 6], LINE_024, DepthMethod.MOD3) == pytest.approx(
+            1 / 961, abs=1e-12)
 
     def test_minimum_sample_size(self):
         with pytest.raises(InsufficientSampleError):
-            mod3_depth([1, 1], line_dm([0.0, 1.0]))
+            depth_of_query([1, 1], line_dm([0.0, 1.0]), DepthMethod.MOD3)
 
     def test_query_length_checked(self):
         with pytest.raises(InvalidArgumentError):
-            mod3_depth([1, 1], LINE_024)
+            depth_of_query([1, 1], LINE_024, DepthMethod.MOD3)
 
     def test_line_reduces_to_product_kernel(self, rng):
         # on the line the kernel is 2 * prod |X_i - x|, so MOD3 has a
@@ -75,7 +74,17 @@ class TestMod3:
                 for i in range(6) for j in range(i + 1, 6) for k in range(j + 1, 6)
             ]
             expected = 1 / (1 + np.mean(kernels))
-            assert mod3_depth(q, dm) == pytest.approx(expected, rel=1e-10)
+            assert depth_of_query(q, dm, DepthMethod.MOD3) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
+    def test_matches_triple_by_triple_oracle(self, make):
+        # the first 10 objects are the sample; every object, the last four
+        # off the sample, is a query
+        v = make(14, 3).values
+        dm = DistanceMatrix(v[:10, :10])
+        for q in v[:, :10]:
+            assert depth_of_query(q, dm, DepthMethod.MOD3) == pytest.approx(
+                mod3_depth_brute_force(q, dm), rel=1e-12)
 
 
 class TestMod3Subsampled:
@@ -84,19 +93,19 @@ class TestMod3Subsampled:
         dm = line_dm(pts)
         q = np.abs(pts - 0.1)
         total = math.comb(8, 3)
-        assert mod3_depth_subsampled(q, dm, total, seed=5) == mod3_depth(q, dm)
+        exact = depth_of_query(q, dm, DepthMethod.MOD3)
+        assert mod3_depth_subsampled(q, dm, total, seed=5) == exact
 
     def test_single_triple_sample(self):
-        assert mod3_depth_subsampled([1, 1, 3], LINE_024, 1, seed=0) == mod3_depth(
-            [1, 1, 3], LINE_024
-        )
+        assert mod3_depth_subsampled([1, 1, 3], LINE_024, 1, seed=0) == depth_of_query(
+            [1, 1, 3], LINE_024, DepthMethod.MOD3)
 
     def test_close_to_exact_for_median_point(self, rng):
         pts = rng.standard_normal(50)
         dm = line_dm(pts)
         median = np.median(pts)
         q = np.abs(pts - median)
-        exact = mod3_depth(q, dm)
+        exact = depth_of_query(q, dm, DepthMethod.MOD3)
         approx = mod3_depth_subsampled(q, dm, 2000, seed=11)
         assert abs(approx - exact) < 0.05
 
@@ -182,68 +191,69 @@ class TestMod2:
         for _ in range(20):
             pts = rng.standard_normal(5) * rng.choice([0.01, 1.0, 100.0])
             x = rng.standard_normal()
-            assert mod2_depth(np.abs(pts - x), line_dm(pts)) == 1.0
+            assert depth_of_query(np.abs(pts - x), line_dm(pts), DepthMethod.MOD2) == 1.0
 
     def test_single_pair_plane_example(self):
         dm = euclidean_dm([[0.0, 0.0], [1.0, 0.0]])
-        assert mod2_depth([1.0, np.sqrt(2.0)], dm) == pytest.approx(0.5, abs=1e-12)
+        assert depth_of_query([1.0, np.sqrt(2.0)], dm, DepthMethod.MOD2) == pytest.approx(
+            0.5, abs=1e-12)
 
     def test_all_coincident(self):
         dm = DistanceMatrix(np.zeros((4, 4)))
-        assert mod2_depth(np.zeros(4), dm) == 1.0
+        assert depth_of_query(np.zeros(4), dm, DepthMethod.MOD2) == 1.0
 
     def test_minimum_sample(self):
         with pytest.raises(InsufficientSampleError):
-            mod2_depth([0.0], DistanceMatrix(np.zeros((1, 1))))
+            depth_of_query([0.0], DistanceMatrix(np.zeros((1, 1))), DepthMethod.MOD2)
 
 
 class TestMld:
     def test_center_of_three(self):
         dm = line_dm([0.0, 1.0, 2.0])
-        assert mld_depth([1, 0, 1], dm) == pytest.approx(1 / 3)
+        assert depth_of_query([1, 0, 1], dm, DepthMethod.MLD) == pytest.approx(1 / 3)
 
     def test_endpoint_of_three(self):
         dm = line_dm([0.0, 1.0, 2.0])
-        assert mld_depth([0, 1, 2], dm) == 0.0
+        assert depth_of_query([0, 1, 2], dm, DepthMethod.MLD) == 0.0
 
     def test_far_query_is_zero(self, rng):
         pts = rng.standard_normal(10)
         dm = line_dm(pts)
         q = np.abs(pts - 1e6)
-        assert mld_depth(q, dm) == 0.0
+        assert depth_of_query(q, dm, DepthMethod.MLD) == 0.0
 
     def test_ties_count_against_depth(self):
         # strict inequality: equilateral distances give zero depth
         dm = DistanceMatrix([[0, 1], [1, 0]])
-        assert mld_depth([1.0, 1.0], dm) == 0.0
+        assert depth_of_query([1.0, 1.0], dm, DepthMethod.MLD) == 0.0
 
 
 class TestMsd:
     def test_between_two_points(self):
         dm = line_dm([0.0, 2.0])
-        assert msd_depth([1.0, 1.0], dm) == 2.0
+        assert depth_of_query([1.0, 1.0], dm, DepthMethod.MSD) == 2.0
 
     def test_outside_two_points(self):
         dm = line_dm([0.0, 2.0])
-        assert msd_depth([5.0, 3.0], dm) == 0.0
+        assert depth_of_query([5.0, 3.0], dm, DepthMethod.MSD) == 0.0
 
     def test_zero_distance_indicator(self):
         dm = line_dm([0.0, 2.0])
-        assert msd_depth([0.0, 2.0], dm) == 1.0
+        assert depth_of_query([0.0, 2.0], dm, DepthMethod.MSD) == 1.0
 
 
 class TestMhd:
     def test_center_of_three(self):
         dm = line_dm([0.0, 1.0, 2.0])
-        assert mhd_depth([1, 0, 1], dm) == pytest.approx(2 / 3)
+        assert depth_of_query([1, 0, 1], dm, DepthMethod.MHD) == pytest.approx(2 / 3)
 
     def test_single_object_sample(self):
         dm = DistanceMatrix(np.zeros((1, 1)))
-        assert mhd_depth([0.0], dm) == 1.0
+        assert depth_of_query([0.0], dm, DepthMethod.MHD) == 1.0
 
     def test_far_query(self):
         dm = line_dm([0.0, 1.0, 2.0])
-        assert mhd_depth([10, 9, 8], dm) == pytest.approx(1 / 3)
+        assert depth_of_query([10, 9, 8], dm, DepthMethod.MHD) == pytest.approx(1 / 3)
 
     def test_brute_force_oracle(self, rng):
         # enumerate all ordered anchor pairs directly
@@ -261,7 +271,7 @@ class TestMhd:
                         found = True
                         best = min(best, np.mean(v[:, a1] <= v[:, a2]))
             assert found
-            assert mhd_depth(q, dm) == pytest.approx(best, abs=0)
+            assert depth_of_query(q, dm, DepthMethod.MHD) == pytest.approx(best, abs=0)
 
     def test_pair_probabilities_independent_of_block_size(self, rng, monkeypatch):
         # integer coordinates give tied distances; at n=12 the targets give
@@ -295,33 +305,30 @@ class TestEuclideanOja:
             pts = rng.standard_normal((n, 2))
             x = rng.standard_normal(2)
             q = np.linalg.norm(pts - x, axis=1)
-            assert mod2_depth(q, euclidean_dm(pts)) == pytest.approx(
+            assert depth_of_query(q, euclidean_dm(pts), DepthMethod.MOD2) == pytest.approx(
                 euclidean_oja_depth(pts, x), abs=1e-10
             )
 
     def test_r3_detb3_is_squared_simplex_det(self, rng):
-        # in R^3: det B3 >= 0 and sqrt(det B3) equals |det A|, so the
-        # order-3 depth differs from the classical depth only by the
-        # correction term under the square root
-        from metricdepth.core import b3_matrix
-
+        # in R^3: det B3 >= 0 and sqrt(det B3) equals |det A|, so the MOD3
+        # kernel sqrt(det B3 + 4 prod) differs from the classical simplex
+        # volume only by the correction term under the square root
         for _ in range(100):
             pts = rng.standard_normal((3, 3))
             x = rng.standard_normal(3)
-            dx = np.linalg.norm(pts - x, axis=1)
-            dpair = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-            det_b3 = np.linalg.det(b3_matrix(dx, dpair))
+            q = np.linalg.norm(pts - x, axis=1)[None]
+            state = depths.sample_state(euclidean_dm(pts), DepthMethod.MOD3)
+            det_b3 = np.linalg.det(depths._mod3_pairs(state, q).reshape(3, 3))
             det_a = abs(np.linalg.det((pts - x).T))
             assert det_b3 >= -1e-10
-            assert np.sqrt(max(det_b3, 0.0)) == pytest.approx(
-                det_a, rel=1e-7, abs=1e-9
-            )
+            assert np.sqrt(max(det_b3, 0.0)) == pytest.approx(det_a, rel=1e-7, abs=1e-9)
+            assert depths._mod3_terms(state, q)[0, 0] == pytest.approx(
+                np.sqrt(det_a ** 2 + 4 * np.prod(q * q)), rel=1e-9)
 
 
 class TestFullSample:
     def test_line_024_mod3_all_ones(self):
-        report = depth_all_sample(LINE_024, DepthMethod.MOD3)
-        assert np.array_equal(report.values, [1.0, 1.0, 1.0])
+        assert np.array_equal(depth_values(LINE_024, DepthMethod.MOD3), [1.0, 1.0, 1.0])
 
     def test_line_mod2_all_ones(self, rng):
         dm = line_dm(rng.standard_normal(12))
@@ -346,10 +353,16 @@ class TestFullSample:
         with pytest.raises(MetricViolationError):
             depth_of_query(dm.values[0], dm, DepthMethod.MOD3)
 
-    def test_report_carries_timing(self):
-        report = depth_all_sample(LINE_024, DepthMethod.MLD)
-        assert report.elapsed_seconds >= 0.0
-        assert report.method is DepthMethod.MLD
+    def test_report_carries_timing(self, tmp_path):
+        # the full-sample report of ``metricdepth depth``
+        write_distance_csv(tmp_path / "dm.csv", LINE_024)
+        out = tmp_path / "report.json"
+        assert main(["depth", "--dm", str(tmp_path / "dm.csv"), "--method", "MLD",
+                     "--timings", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["elapsed_seconds"] >= 0.0
+        assert report["method"] == "MLD"
+        assert report["values"] == list(depth_values(LINE_024, DepthMethod.MLD))
 
     def test_report_range_validated(self):
         with pytest.raises(InvalidArgumentError):
@@ -570,9 +583,9 @@ class TestInvarianceProperties:
         pts = rng.standard_normal(40)
         dm = line_dm(pts)
         grid = np.max(pts) + np.linspace(0.5, 30.0, 25)
-        mod3_vals = [mod3_depth(np.abs(pts - x), dm) for x in grid]
-        mld_vals = [mld_depth(np.abs(pts - x), dm) for x in grid]
-        msd_vals = [msd_depth(np.abs(pts - x), dm) for x in grid]
+        mod3_vals = [depth_of_query(np.abs(pts - x), dm, DepthMethod.MOD3) for x in grid]
+        mld_vals = [depth_of_query(np.abs(pts - x), dm, DepthMethod.MLD) for x in grid]
+        msd_vals = [depth_of_query(np.abs(pts - x), dm, DepthMethod.MSD) for x in grid]
         assert all(a >= b for a, b in zip(mod3_vals, mod3_vals[1:]))
         assert all(a >= b for a, b in zip(mld_vals, mld_vals[1:]))
         # far outside the hull the spatial depth approaches its minimum
