@@ -26,8 +26,8 @@ the best depth, so the pick and its depth are those of the full pass.
 The out-of-sample estimator lifts the search off the sample grid:
 objects are mapped to Euclidean coordinates (correlation matrices via the
 Cholesky half-vectorization), reduced by PCA, and a box-constrained
-maximizer of the depth is run from the top in-sample starts. Two optimizers
-are available:
+maximizer of the depth, :func:`optimize_box`, is run from the top in-sample
+starts. Two optimizers are available:
 
 * ``simplex-box`` -- derivative-free Nelder-Mead run in an unconstrained
   space obtained by a per-coordinate scaled arctan/tan box transform
@@ -40,9 +40,10 @@ Both report the best point ever evaluated, so the returned value never
 falls below the objective at the start. Both stop at the evaluation
 budget exactly: a block of points that does not fit is cut at it.
 
-The search scores candidates in blocks: its objective takes a (k, r) array
-of PCA coordinates, decodes every row at once, measures the rows that
-decode with one stacked distance call, and scores them with one depth
+The search scores candidates in blocks: :func:`optimize_box` takes a block
+objective, which maps a (k, r) array of points to their k values. The depth
+objective decodes every row of PCA coordinates at once, measures the rows
+that decode with one stacked distance call, and scores them with one depth
 block; rows that do not decode score below the method's range. Each row's
 value is bitwise what scoring it alone gives. Two kinds of step hand the
 objective several independent points at once:
@@ -87,10 +88,9 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .spaces import (
-    _CORRELATION_CHECKS,
     CorrelationMatrix,
     ObjectSet,
-    _check_correlations,
+    _positive_definite,
     _sample_rows,
     distance_matrix,
 )
@@ -263,7 +263,9 @@ def _decode_rows(v: np.ndarray, p: int) -> tuple[np.ndarray, list]:
     """:func:`cholesky_decode` of every row of the (k, p(p+1)/2) array ``v``.
 
     Returns the checked entries of the rows that decode, stacked in order,
-    and per row None or the reason it does not decode.
+    and per row None or the reason it does not decode. A decoded matrix is
+    symmetric with a unit diagonal, so it can fail only two checks of
+    :class:`CorrelationMatrix`: finite entries, and positive definiteness.
     """
     k = v.shape[0]
     low = np.zeros((k, p, p))
@@ -281,15 +283,23 @@ def _decode_rows(v: np.ndarray, p: int) -> tuple[np.ndarray, list]:
     out = 0.5 * (out + out.transpose(0, 2, 1))
     diag = np.arange(p)
     out[:, diag, diag] = 1.0
-    out, failed = _check_correlations(out)
-    for t, f in zip(np.flatnonzero(scaled), failed):
-        if f >= 0:
-            reasons[t] = f"decoded matrix is not a valid correlation: {_CORRELATION_CHECKS[f][1]}"
-    return out[failed < 0], reasons
+    finite = np.isfinite(out).all(axis=(1, 2))
+    # a non-finite matrix is tested as zero, which is not positive definite
+    valid = _positive_definite(np.where(finite[:, None, None], out, 0.0))
+    for t, f, ok in zip(np.flatnonzero(scaled), finite, valid):
+        if not ok:
+            failed = "is not positive definite" if f else "entries must be finite"
+            reasons[t] = f"decoded matrix is not a valid correlation: correlation matrix {failed}"
+    return out[valid], reasons
 
 
 # ---------------------------------------------------------------------------
 # PCA reduction
+
+
+def _check_tsh(tsh: float) -> None:
+    if not 0.0 < tsh <= 1.0:
+        raise InvalidArgumentError(f"tsh must be in (0, 1], got {tsh}")
 
 
 def pca_fit(data, tsh: float) -> PcaModel:
@@ -306,8 +316,7 @@ def pca_fit(data, tsh: float) -> PcaModel:
     n, q = x.shape
     if n < 2:
         raise InsufficientSampleError(f"PCA needs at least 2 rows, got {n}")
-    if not 0.0 < tsh <= 1.0:
-        raise InvalidArgumentError(f"tsh must be in (0, 1], got {tsh}")
+    _check_tsh(tsh)
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
@@ -484,24 +493,17 @@ def _lbfgsb_box(block, start, lower, upper, best: _Incumbent):
     )
 
 
-def optimize_box(objective, start, lower, upper, cfg: OptimizerConfig | None = None):
-    """Maximize ``objective`` over the box [lower, upper] from ``start``.
+def optimize_box(block, start, lower, upper, cfg: OptimizerConfig | None = None):
+    """Maximize ``block`` over the box [lower, upper] from ``start``.
 
-    Returns ``(argmax, value, evaluations)`` for the best point evaluated,
-    which never scores below ``objective(start)`` and always lies inside
-    the box. ``objective`` is called at most ``cfg.max_evaluations`` times
-    (by default 500 per coordinate). Non-finite objective values during
-    the search are treated as worst-possible; a non-finite value at the
-    start is an error.
+    ``block`` is a block objective: it maps a (k, r) array of points to
+    their k values (the module notes say which steps pass k > 1). Returns
+    ``(argmax, value, evaluations)`` for the best point scored, which never
+    scores below ``start`` and always lies inside the box. At most
+    ``cfg.max_evaluations`` points are scored (by default 500 per
+    coordinate). Non-finite values are treated as worst-possible during the
+    search, and are an error at the start.
     """
-    return _optimize_box(lambda xs: np.array([float(objective(x)) for x in xs]),
-                         start, lower, upper, cfg)
-
-
-def _optimize_box(block, start, lower, upper, cfg: OptimizerConfig | None = None):
-    """:func:`optimize_box` of a block objective, which maps a (k, r) array
-    of points to their k values (see the module notes for which steps make
-    blocks of more than one row)."""
     cfg = cfg or OptimizerConfig()
     start, lower, upper = _check_box(start, lower, upper)
     max_evals = cfg.max_evaluations or 500 * start.size
@@ -539,10 +541,10 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
         raise InvalidArgumentError(
             "out-of-sample estimation supports correlation matrices with p >= 2 only"
         )
-    if dm is None:
-        dm = distance_matrix(objects)
     data = np.array([cholesky_encode(o) for o in objects.items])
     model = pca_fit(data, tsh)
+    if dm is None:
+        dm = distance_matrix(objects)
     # the sample-side work of the depth is shared by every evaluation
     state = sample_state(dm, method)
     values = depth_values(state, method)
@@ -568,7 +570,7 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
         w0 = pca_encode(model, data[sample_index])
         lower = w0 - cfg.half_width
         upper = w0 + cfg.half_width
-        point, value, evals = _optimize_box(objective, w0, lower, upper, cfg)
+        point, value, evals = optimize_box(objective, w0, lower, upper, cfg)
         total_evals += evals
         if best_run is None or value > best_run[0]:
             best_run = (value, rank, point, evals, sample_index)

@@ -563,8 +563,9 @@ def mhd_pair_probabilities(dm) -> np.ndarray:
 def _sample_triple_ranks(total: int, m: int, rng: np.random.Generator) -> list:
     """Uniform m-subset of range(total) via Floyd's algorithm, sorted."""
     chosen: set = set()
-    for t in range(total - m, total):
-        r = int(rng.integers(0, t + 1))
+    # one call draws r_t uniform on [0, t] for every t, the same numbers as
+    # one call per t
+    for t, r in enumerate(rng.integers(0, np.arange(total - m, total) + 1).tolist(), total - m):
         chosen.add(t if r in chosen else r)
     return sorted(chosen)
 

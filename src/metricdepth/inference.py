@@ -93,13 +93,14 @@ def _two_groups(labels) -> tuple[np.ndarray, list]:
     return labels, names
 
 
-def _check_group_sizes(labels, names, method: DepthMethod) -> None:
-    for name in names:
-        size = int(np.count_nonzero(labels == name))
-        if size < method.min_sample:
-            raise InsufficientSampleError(
-                f"group {name!r} has {size} objects; {method.value} needs {method.min_sample}"
-            )
+def _check_group_sizes(labels, names, *methods: DepthMethod) -> None:
+    for method in methods:
+        for name in names:
+            size = int(np.count_nonzero(labels == name))
+            if size < method.min_sample:
+                raise InsufficientSampleError(
+                    f"group {name!r} has {size} objects; {method.value} needs {method.min_sample}"
+                )
 
 
 def statistic_from_dm(dm, labels, method: DepthMethod) -> float:
@@ -195,6 +196,11 @@ def label_swap_experiment(objects: ObjectSet, methods, k: int, repeats: int, B: 
         raise InvalidArgumentError(
             f"k={k} must be between 0 and the smaller group size {min(idx_a.size, idx_b.size)}"
         )
+    # what permutation_test refuses, refused before the distance matrix
+    # (swaps keep the group sizes)
+    if B < 1:
+        raise InvalidArgumentError("need at least one permutation")
+    _check_group_sizes(labels, names, *methods)
     dm = distance_matrix(objects)
     p_values = {m.value: [] for m in methods}
     for rep in range(repeats):

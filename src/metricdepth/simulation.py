@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deepest import OptimizerConfig, deepest_in_sample, deepest_out_of_sample
+from .deepest import OptimizerConfig, _check_tsh, deepest_in_sample, deepest_out_of_sample
 from .depths import DepthMethod
 from .errors import InvalidArgumentError
 from .seeding import REPLICATE_TAG, child_rng
@@ -237,6 +237,8 @@ def run_location_experiment(space: str, cfg, methods, estimator: str = "in-sampl
         raise InvalidArgumentError("estimator must be 'in-sample' or 'out-of-sample'")
     if estimator == "out-of-sample" and space != "corr":
         raise InvalidArgumentError("out-of-sample estimation supports the correlation space only")
+    if estimator == "out-of-sample":
+        _check_tsh(tsh)
     methods = [DepthMethod(m) for m in methods]
     names = [m.value for m in methods]
     errors = {m: [] for m in names}

@@ -56,50 +56,28 @@ class CorrelationMatrix:
         e = np.array(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise InvalidArgumentError(f"correlation matrix must be square, got {e.shape}")
-        e, failed = _check_correlations(e[None])
-        if failed[0] >= 0:
-            error, message = _CORRELATION_CHECKS[failed[0]]
-            raise error(message)
-        object.__setattr__(self, "entries", _readonly(e[0]))
+        if not np.all(np.isfinite(e)):
+            raise InvalidArgumentError("correlation matrix entries must be finite")
+        if np.max(np.abs(e - e.T)) > 1e-9:
+            raise InvalidArgumentError("correlation matrix must be symmetric")
+        e = 0.5 * (e + e.T)
+        if np.max(np.abs(np.diagonal(e) - 1.0)) > 1e-10:
+            raise InvalidArgumentError("correlation matrix diagonal must be 1 within 1e-10")
+        if not _positive_definite(e):
+            raise NotPositiveDefiniteError("correlation matrix is not positive definite")
+        object.__setattr__(self, "entries", _readonly(e))
 
     @property
     def p(self) -> int:
         return self.entries.shape[0]
 
 
-# what a correlation matrix must satisfy, in the order checked: the error
-# raised by the first check that fails, and its message
-_CORRELATION_CHECKS = (
-    (InvalidArgumentError, "correlation matrix entries must be finite"),
-    (InvalidArgumentError, "correlation matrix must be symmetric"),
-    (InvalidArgumentError, "correlation matrix diagonal must be 1 within 1e-10"),
-    (NotPositiveDefiniteError, "correlation matrix is not positive definite"),
-)
-
-
-def _check_correlations(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_CORRELATION_CHECKS`` of a (k, p, p) stack of matrices, all
-    at once.
-
-    Returns the stack symmetrized (each matrix averaged with its transpose,
-    which absorbs round-off) and, per matrix, the index of its first failed
-    check, or -1 when it passes them all.
-    """
-    t = e.transpose(0, 2, 1)
-    failed = np.full(e.shape[0], -1)
-    # checks mark their failures last to first, each overwriting the marks
-    # of the checks after it, so a matrix keeps its first failure (the
-    # comparisons of non-finite entries are overwritten, and do not warn)
-    with np.errstate(invalid="ignore", over="ignore"):
-        sym = 0.5 * (e + t)
-        failed[np.abs(np.diagonal(sym, axis1=1, axis2=2) - 1.0).max(axis=1) > 1e-10] = 2
-        failed[np.abs(e - t).max(axis=(1, 2)) > 1e-9] = 1
-    failed[~np.isfinite(e).all(axis=(1, 2))] = 0
-    # eigenvalues only of the matrices that pass the other checks
-    rest = np.flatnonzero(failed < 0)
-    if rest.size:
-        failed[rest[np.linalg.eigvalsh(sym[rest]).min(axis=1) <= EIGENVALUE_FLOOR]] = 3
-    return sym, failed
+def _positive_definite(m: np.ndarray) -> np.ndarray:
+    """Whether each symmetric matrix of ``m`` has every eigenvalue above
+    ``EIGENVALUE_FLOOR``, by the ``eigh`` that ``_spd_row`` factors a query with."""
+    # eigh gives a matrix the same eigenvalues alone as in a stack, so a
+    # matrix accepted here is accepted as a query there
+    return np.linalg.eigh(m)[0].min(axis=-1) > EIGENVALUE_FLOOR
 
 
 @dataclass(frozen=True)

@@ -46,3 +46,14 @@ def mod3_depth_brute_force(q, dm) -> float:
     b = 0.5 * (a[:, :, None] + a[:, None, :] - v[idx[:, :, None], idx[:, None, :]] ** 2)
     rad = np.linalg.det(b) + 4.0 * a.prod(axis=1)
     return float(1.0 / (1.0 + np.sqrt(np.maximum(rad, 0.0)).mean()))
+
+
+def floyd_sample(total: int, m: int, rng: np.random.Generator) -> list:
+    """Uniform m-subset of range(total) by Floyd's algorithm, sorted: for
+    t = total - m, ..., total - 1, draw r uniform on [0, t] with one scalar
+    call, and take r, or t when r is already taken."""
+    chosen = set()
+    for t in range(total - m, total):
+        r = int(rng.integers(0, t + 1))
+        chosen.add(t if r in chosen else r)
+    return sorted(chosen)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import nonmetric_dm
-from metricdepth import cli, deepest, depths
+from metricdepth import cli, deepest, depths, inference, simulation
 from metricdepth.cli import main
 from metricdepth.core import write_distance_csv
 from metricdepth.seeding import child_rng
@@ -213,6 +213,25 @@ def test_out_of_sample_rejected_before_any_distance_work(infile, extra, files, m
     monkeypatch.setattr(deepest, "distance_matrix", fail)
     argv = ["deepest", "--in", files[infile], "--method", "MLD", "--out-of-sample", *extra]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["swap-test", "--in", "hist", "--methods", "MLD", "--k", "1", "--B", "0", "--seed", "1"],
+    ["deepest", "--in", "corr", "--method", "MLD", "--out-of-sample", "--seed", "1",
+     "--tsh", "1.5"],
+    ["simulate-corr", "--p", "3", "--n", "8", "--eps", "0.1", "--reps", "1", "--methods", "MLD",
+     "--seed", "1", "--out-of-sample", "--tsh", "0"],
+], ids=["swap-test-B0", "deepest-oos-tsh", "simulate-corr-oos-tsh"])
+def test_bad_arguments_rejected_before_any_distance_work(argv, files, monkeypatch):
+    # no permutations, or a PCA threshold outside (0, 1], is refused before
+    # a replicate is drawn or a distance matrix computed
+    def fail(*args, **kwargs):
+        raise AssertionError("distance work before validation")
+
+    for module in (cli, deepest, inference, simulation):
+        monkeypatch.setattr(module, "distance_matrix", fail)
+    monkeypatch.setattr(simulation, "gen_correlation_sample", fail)
+    assert main(_argv(argv, files, None)) == 2
 
 
 def test_non_metric_distances_exit_three(files):

@@ -1,10 +1,12 @@
 """Tests for deepest-object estimation: charts, PCA, optimizers, pipeline."""
 
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
 from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
-from metricdepth import deepest
+from metricdepth import deepest, depths
 from metricdepth.core import DistanceMatrix
 from metricdepth.deepest import (
     OptimizerConfig,
@@ -18,11 +20,14 @@ from metricdepth.deepest import (
     pca_fit,
 )
 from metricdepth.depths import (
+    EMBEDDING_TOL,
     DepthMethod,
     depth_of_query,
     depth_values,
     euclidean_certificate,
+    mod3_lower_bounds,
     mod3_subsample_state,
+    sample_state,
 )
 from metricdepth.errors import (
     DegenerateDecodeError,
@@ -146,6 +151,40 @@ class TestMod3Elimination:
             assert not euclidean_certificate(dm)
             self.assert_full_pass_pick(dm)
         assert full_passes == [DepthMethod.MOD3] * 3
+
+    @staticmethod
+    def gram_eigenvalues(v):
+        # the classical-MDS Gram that euclidean_certificate decomposes
+        sq = v * v
+        mean = sq.mean(axis=1)
+        return np.linalg.eigvalsh(-0.5 * (sq - mean[:, None] - mean + mean.mean()))
+
+    def test_certificate_tolerance_edge(self, full_passes):
+        # 1-D samples of 12 points with two near-tied central points, whose
+        # distances are perturbed by a relative 1e-10 to 3e-9: each Gram has
+        # a negative eigenvalue within the certificate's tolerance, so det B3
+        # can fall below zero and a mean kernel below its bound, but by less
+        # than the elimination margin (about 2e-15 here, against 1e-9)
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            half = np.sort(rng.uniform(0.5, 3.0, 5))
+            x = np.concatenate([-half[::-1], [-1e-3, 1e-3 + 1e-9], half])
+            noise = np.triu(rng.uniform(-1.0, 1.0, (12, 12)), 1)
+            noise += noise.T
+            v = np.abs(x[:, None] - x)
+            # scale the perturbation to put the Gram at 0.9 of the tolerance
+            eig = self.gram_eigenvalues(v * (1 + 1e-9 * noise))
+            eps = 1e-9 * 0.9 * EMBEDDING_TOL / (-eig[0] / eig[-1])
+            assert 1e-10 <= eps <= 3e-9
+            dm = DistanceMatrix(v * (1 + eps * noise))
+            eig = self.gram_eigenvalues(dm.values)
+            assert -EMBEDDING_TOL * eig[-1] <= eig[0] < 0
+            assert euclidean_certificate(dm)
+            state = sample_state(dm, DepthMethod.MOD3)
+            mean = depths._mod3_terms(state, state.values).mean(axis=1)
+            assert np.all(mod3_lower_bounds(dm) <= mean * (1 + deepest._ELIMINATION_MARGIN))
+            self.assert_full_pass_pick(dm)
+        assert full_passes == []
 
     def test_non_metric_input_still_raises(self):
         with pytest.raises(MetricViolationError):
@@ -294,13 +333,18 @@ class TestPca:
             pca_fit(np.zeros((1, 3)), 0.9)
 
 
+def _block(objective):
+    """A scalar objective as the block objective optimize_box takes."""
+    return lambda xs: np.array([objective(x) for x in xs])
+
+
 class TestOptimizeBox:
     @pytest.mark.parametrize("algorithm", ["simplex-box", "quasi-newton-box"])
     def test_quadratic_interior_maximum(self, algorithm):
         center = np.array([0.3, -0.2])
         cfg = OptimizerConfig(algorithm=algorithm)
         point, value, evals = optimize_box(
-            lambda x: -np.sum((x - center) ** 2),
+            _block(lambda x: -np.sum((x - center) ** 2)),
             np.zeros(2), -np.ones(2), np.ones(2), cfg,
         )
         assert np.max(np.abs(point - center)) < 1e-4
@@ -310,7 +354,7 @@ class TestOptimizeBox:
     def test_rosenbrock(self, algorithm):
         cfg = OptimizerConfig(algorithm=algorithm)
         point, value, _ = optimize_box(
-            lambda x: -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2),
+            _block(lambda x: -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)),
             np.array([-1.2, 1.0]), np.array([-2.0, -2.0]), np.array([2.0, 2.0]), cfg,
         )
         assert np.max(np.abs(point - 1.0)) < 1e-2
@@ -320,7 +364,7 @@ class TestOptimizeBox:
         center = np.array([2.0, 0.1])
         cfg = OptimizerConfig(algorithm=algorithm)
         point, _, _ = optimize_box(
-            lambda x: -np.sum((x - center) ** 2),
+            _block(lambda x: -np.sum((x - center) ** 2)),
             np.zeros(2), -np.ones(2), np.ones(2), cfg,
         )
         assert np.max(np.abs(point - [1.0, 0.1])) < 1e-4
@@ -340,7 +384,7 @@ class TestOptimizeBox:
 
             start = rng.uniform(-0.5, 0.5, 3)
             point, value, _ = optimize_box(
-                objective, start, start - 1.0, start + 1.0, cfg)
+                _block(objective), start, start - 1.0, start + 1.0, cfg)
             assert value >= objective(start)
             assert np.all(point >= start - 1.0) and np.all(point <= start + 1.0)
 
@@ -356,16 +400,18 @@ class TestOptimizeBox:
                 return -np.sum(x * x)
 
             cfg = OptimizerConfig(algorithm=algorithm, max_evaluations=budget)
-            _, _, evals = optimize_box(objective, np.full(4, 0.5), np.zeros(4), np.ones(4), cfg)
+            _, _, evals = optimize_box(_block(objective), np.full(4, 0.5), np.zeros(4),
+                                       np.ones(4), cfg)
             assert evals == len(calls) <= budget
 
     def test_start_outside_bounds_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            optimize_box(lambda x: 0.0, np.array([2.0]), np.array([0.0]), np.array([1.0]))
+            optimize_box(_block(lambda x: 0.0), np.array([2.0]), np.array([0.0]),
+                         np.array([1.0]))
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            optimize_box(lambda x: float("nan"), np.array([0.5]),
+            optimize_box(_block(lambda x: float("nan")), np.array([0.5]),
                          np.array([0.0]), np.array([1.0]))
 
     def test_unknown_algorithm_rejected(self):
@@ -400,15 +446,15 @@ class TestBlockEvaluation:
     def test_scalar_and_block_objectives_agree(self, algorithm, budget):
         cfg = OptimizerConfig(algorithm=algorithm, max_evaluations=budget)
         start, lower, upper = np.array([-1.2, 1.0, 0.5]), np.full(3, -2.0), np.full(3, 2.0)
-        point, value, evals = optimize_box(_rosenbrock, start, lower, upper, cfg)
-        got = deepest._optimize_box(lambda xs: _rosenbrock(xs.T), start, lower, upper, cfg)
+        point, value, evals = optimize_box(_block(_rosenbrock), start, lower, upper, cfg)
+        got = optimize_box(lambda xs: _rosenbrock(xs.T), start, lower, upper, cfg)
         assert np.array_equal(point, got[0])
         assert value == got[1] and evals == got[2]
 
     def test_simplex_budget_cut_inside_the_initial_simplex(self):
         sizes = []
         cfg = OptimizerConfig(max_evaluations=3)
-        _, _, evals = deepest._optimize_box(self.logged(_noisy, sizes), *BOX, cfg)
+        _, _, evals = optimize_box(self.logged(_noisy, sizes), *BOX, cfg)
         # the start, then the first two of the four vertices
         assert sizes == [1, 2]
         assert evals == 3
@@ -416,14 +462,14 @@ class TestBlockEvaluation:
     def test_simplex_budget_cut_inside_a_shrink(self):
         sizes = []
         cfg = OptimizerConfig(max_evaluations=200)
-        deepest._optimize_box(self.logged(_noisy, sizes), *BOX, cfg)
+        optimize_box(self.logged(_noisy, sizes), *BOX, cfg)
         # a shrink re-scores the three vertices other than the best as one block
         shrink = sizes.index(3)
         before = sum(sizes[:shrink])
         for extra in (1, 2):
             cut = []
             cfg = OptimizerConfig(max_evaluations=before + extra)
-            _, _, evals = deepest._optimize_box(self.logged(_noisy, cut), *BOX, cfg)
+            _, _, evals = optimize_box(self.logged(_noisy, cut), *BOX, cfg)
             assert cut == [*sizes[:shrink], extra]
             assert evals == before + extra
 
@@ -435,7 +481,7 @@ class TestBlockEvaluation:
             return _rosenbrock(xs.T)
 
         cfg = OptimizerConfig(algorithm="quasi-newton-box")
-        _, _, evals = deepest._optimize_box(block, *BOX, cfg)
+        _, _, evals = optimize_box(block, *BOX, cfg)
         sizes = [len(xs) for xs in blocks]
         # single points (the start and the line search) and gradients of
         # 2r = 6 central-difference points
@@ -460,7 +506,7 @@ class TestBlockEvaluation:
             return start, 0.0, 1
 
         with monkeypatch.context() as patch:
-            patch.setattr(deepest, "_optimize_box", capture)
+            patch.setattr(deepest, "optimize_box", capture)
             deepest_out_of_sample(objs, method, tsh=1.0, cfg=OptimizerConfig(starts=1), dm=dm)
         return captured[0]
 
@@ -513,6 +559,94 @@ class TestBlockEvaluation:
             objective(w)
 
 
+# smallest eigenvalue 1.00003e-12 by eigvalsh, 9.99999e-13 by eigh: the two
+# LAPACK routines fall on either side of the 1e-12 floor
+CRAFTED_MATRIX = [[1.0, 0.8916399411754229, 0.1098573859361863],
+                  [0.8916399411754229, 1.0, 0.5479581285910134],
+                  [0.1098573859361863, 0.5479581285910134, 1.0]]
+# packed Cholesky entries that decode to a matrix as close to the floor
+CRAFTED_VECTOR = [1.0, 0.8916399411754229, 0.4527451990918163, 0.1098573859361863,
+                  0.9939473601484309, 3.0386314035429796e-06]
+
+
+def near_floor_scan(count):
+    """C(t) = (1 - t) C0 + t I at 41 values of t within 2e-3 of 1e-12, for
+    ``count`` singular 3 x 3 correlation matrices C0 of rank 2."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        x = rng.standard_normal((3, 2))
+        c0 = x @ x.T
+        d = np.sqrt(np.diagonal(c0))
+        c0 /= np.outer(d, d)
+        for t in 1e-12 * (1 + np.linspace(-2e-3, 2e-3, 41)):
+            yield (1 - t) * c0 + t * np.eye(3)
+
+
+class TestPositiveDefiniteFloor:
+    """A matrix that passes the positive-definiteness test of
+    CorrelationMatrix or of the chart decode also passes the one of the
+    distance evaluator."""
+
+    SAMPLE = ObjectSet((CorrelationMatrix(np.eye(3)),
+                        CorrelationMatrix([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])))
+
+    def assert_accepted_alike(self, entries):
+        try:
+            x = CorrelationMatrix(entries)
+        except NotPositiveDefiniteError:
+            # refused as a query by the distance evaluator too
+            with pytest.raises(NotPositiveDefiniteError):
+                spd_distance(np.asarray(entries), np.eye(3))
+            return False
+        assert np.all(np.isfinite(query_distances(x, self.SAMPLE)))
+        assert spd_distance(x, np.eye(3)) > 0.0
+        distance_matrix(ObjectSet((x, *self.SAMPLE.items)))
+        return True
+
+    def assert_decoded_alike(self, v):
+        matrices, reasons = deepest._decode_rows(np.asarray(v)[None], 3)
+        if reasons[0] is not None:
+            assert reasons[0] == ("decoded matrix is not a valid correlation: "
+                                  "correlation matrix is not positive definite")
+            with pytest.raises(DegenerateDecodeError, match="not positive definite"):
+                cholesky_decode(v)
+            return False
+        assert np.all(np.isfinite(deepest._sample_rows(matrices, self.SAMPLE)))
+        assert np.array_equal(cholesky_decode(v).entries, matrices[0])
+        return True
+
+    def test_crafted_inputs(self):
+        self.assert_accepted_alike(CRAFTED_MATRIX)
+        self.assert_decoded_alike(CRAFTED_VECTOR)
+
+    def test_scan_near_the_floor(self):
+        accepted, decoded = [], []
+        for c in near_floor_scan(20):
+            accepted.append(self.assert_accepted_alike(c))
+            with suppress(NotPositiveDefiniteError):
+                decoded.append(self.assert_decoded_alike(cholesky_encode(c)))
+        # the scan straddles the floor
+        assert 0 < sum(accepted) < len(accepted)
+        assert 0 < sum(decoded) < len(decoded)
+
+    def test_block_objective_scores_every_row(self, monkeypatch):
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=3, n=12, eps=0.1, reps=1, seed=5),
+                                         child_rng(5, 1))
+        method = DepthMethod.MLD
+        objective = TestBlockEvaluation.search_objective(objs, method, None, monkeypatch)
+        data = np.array([cholesky_encode(o) for o in objs.items])
+        model = pca_fit(data, 1.0)
+        vecs = [CRAFTED_VECTOR]
+        for c in near_floor_scan(20):
+            with suppress(NotPositiveDefiniteError):
+                vecs.append(cholesky_encode(c))
+        w = (np.array(vecs) - model.mean) @ model.components.T
+        low, high = method.value_range
+        for block in (w, *w[:, None]):
+            values = objective(block)
+            assert np.all((values == low - 1.0) | ((low <= values) & (values <= high)))
+
+
 class TestOutOfSample:
     def test_identical_sample_recovers_object(self):
         x0 = CorrelationMatrix(np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]))
@@ -552,6 +686,36 @@ class TestOutOfSample:
         objs = ObjectSet(tuple([CorrelationMatrix([[1.0]])] * 5))
         with pytest.raises(InvalidArgumentError):
             deepest_out_of_sample(objs, DepthMethod.MOD3)
+
+    @pytest.mark.parametrize("tsh", [0.0, 1.5])
+    def test_tsh_checked_before_any_distance_work(self, tsh, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("distance matrix computed before validation")
+
+        monkeypatch.setattr(deepest, "distance_matrix", fail)
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=3, n=10, eps=0.1, reps=1, seed=4),
+                                         child_rng(4, 1))
+        with pytest.raises(InvalidArgumentError, match="tsh"):
+            deepest_out_of_sample(objs, DepthMethod.MLD, tsh=tsh)
+
+    def test_optimize_box_called_once_per_start(self, monkeypatch):
+        # the search runs through the public optimize_box, which the
+        # benchmark tracer wraps by name
+        calls = []
+        original = deepest.optimize_box
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(deepest, "optimize_box", counting)
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=3, n=10, eps=0.1, reps=1, seed=4),
+                                         child_rng(4, 1))
+        for starts in (1, 3):
+            calls.clear()
+            cfg = OptimizerConfig(max_evaluations=10, starts=starts)
+            deepest_out_of_sample(objs, DepthMethod.MLD, cfg=cfg)
+            assert len(calls) == starts
 
     def test_deterministic(self, rng):
         cfg = CorrSimConfig(p=3, n=10, eps=0.1, reps=1, seed=4)

@@ -36,7 +36,7 @@ from metricdepth.errors import (
     InvalidArgumentError,
     MetricViolationError,
 )
-from reference import euclidean_oja_depth, mod3_depth_brute_force
+from reference import euclidean_oja_depth, floyd_sample, mod3_depth_brute_force
 
 LINE_024 = line_dm([0.0, 2.0, 4.0])
 
@@ -135,6 +135,13 @@ class TestMod3Subsampled:
         assert all(s < t for s, t in zip(triples, triples[1:]))
         assert [math.comb(n, 3) - math.comb(n - i, 3) + math.comb(n - 1 - i, 2)
                 - math.comb(n - j, 2) + k - j - 1 for i, j, k in triples] == ranks
+
+    @pytest.mark.parametrize("total, m", [(34220, 20000), (4060, 20), (4060, 4060),
+                                          (10**6, 5000), (1, 1)])
+    def test_draw_matches_the_scalar_floyd_loop(self, total, m):
+        for seed in range(3):
+            got = _sample_triple_ranks(total, m, np.random.default_rng(seed))
+            assert got == floyd_sample(total, m, np.random.default_rng(seed))
 
     def test_state_scores_sample_as_per_query(self, rng, monkeypatch):
         dm = euclidean_dm(rng.standard_normal((20, 3)))

@@ -212,6 +212,19 @@ class TestLabelSwap:
         with pytest.raises(InvalidArgumentError):
             label_swap_experiment(objs, ["MLD"], k=6, repeats=1, B=5, seed=18)
 
+    @pytest.mark.parametrize("n, B, error", [(5, 0, InvalidArgumentError),
+                                             (5, -3, InvalidArgumentError),
+                                             (2, 5, InsufficientSampleError)])
+    def test_rejected_before_any_distance_work(self, n, B, error, monkeypatch):
+        # no permutations, or a group too small for MOD3 (three objects)
+        def fail(*args, **kwargs):
+            raise AssertionError("distance matrix computed before validation")
+
+        monkeypatch.setattr(inference_module, "distance_matrix", fail)
+        objs = gen_histogram_groups(n, n, 1.0, 8, seed=2)
+        with pytest.raises(error):
+            label_swap_experiment(objs, ["MLD", "MOD3"], k=1, repeats=1, B=B, seed=3)
+
     def test_mean_p_values_reported_per_method(self):
         objs = gen_histogram_groups(8, 8, 3.0, 15, seed=19)
         report = label_swap_experiment(objs, ["MOD3", "MOD2"], k=1, repeats=2, B=20, seed=20)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from metricdepth import simulation
 from metricdepth.errors import InvalidArgumentError
 from metricdepth.seeding import child_rng
 from metricdepth.simulation import (
@@ -133,6 +134,16 @@ class TestExperimentHarness:
         cfg = SphereSimConfig(p=3, n=10, eps=0.0, reps=1, seed=1)
         with pytest.raises(InvalidArgumentError):
             run_location_experiment("sphere", cfg, ["MOD3"], estimator="out-of-sample")
+
+    @pytest.mark.parametrize("tsh", [0.0, 2.0])
+    def test_out_of_sample_tsh_checked_before_any_replicate(self, tsh, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("replicate generated before validation")
+
+        monkeypatch.setattr(simulation, "gen_correlation_sample", fail)
+        cfg = CorrSimConfig(p=3, n=8, eps=0.1, reps=1, seed=1)
+        with pytest.raises(InvalidArgumentError, match="tsh"):
+            run_location_experiment("corr", cfg, ["MLD"], estimator="out-of-sample", tsh=tsh)
 
     def test_tidy_csv_rows(self, tmp_path):
         cfg = SphereSimConfig(p=3, n=10, eps=0.0, reps=3, seed=1)

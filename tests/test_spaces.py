@@ -317,22 +317,24 @@ class TestObjectTypes:
         with pytest.raises(InvalidArgumentError):
             Histogram([0, 1, 2], [-0.5, 1.5])
 
-    def test_correlation_checks_of_a_stack_match_the_constructor(self, rng):
+    def test_correlation_checks_raise_in_order(self, rng):
         good = random_object(rng, "corr").entries
-        stack = np.array([
-            good,
-            [[1.0, np.nan, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not finite
-            [[1.0, 0.3, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not symmetric
-            [[1.1, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],  # diagonal not 1
-            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # singular
-            [[np.inf, 2.0, 0.0], [0.2, 1.1, 0.0], [0.0, 0.0, -1.0]],  # fails all: first wins
-        ])
-        sym, failed = spaces._check_correlations(stack)
-        assert failed.tolist() == [-1, 0, 1, 2, 3, 0]
-        assert sym[0].tobytes() == CorrelationMatrix(good).entries.tobytes()
-        for e, f in zip(stack[1:], failed[1:]):
-            error, message = spaces._CORRELATION_CHECKS[f]
-            with pytest.raises(error, match=message):
+        assert CorrelationMatrix(good).entries.tobytes() == good.tobytes()
+        cases = [
+            ([[1.0, np.nan, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],
+             InvalidArgumentError, "correlation matrix entries must be finite"),
+            ([[1.0, 0.3, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],
+             InvalidArgumentError, "correlation matrix must be symmetric"),
+            ([[1.1, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]],
+             InvalidArgumentError, "correlation matrix diagonal must be 1 within 1e-10"),
+            ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+             NotPositiveDefiniteError, "correlation matrix is not positive definite"),
+            # fails every check: the first one wins
+            ([[np.inf, 2.0, 0.0], [0.2, 1.1, 0.0], [0.0, 0.0, -1.0]],
+             InvalidArgumentError, "correlation matrix entries must be finite"),
+        ]
+        for e, error, message in cases:
+            with pytest.raises(error, match=f"^{message}$"):
                 CorrelationMatrix(e)
 
     def test_object_set_rejects_mixed_kinds(self):
