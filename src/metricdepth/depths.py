@@ -38,6 +38,9 @@ query or the whole sample against it.
 On samples that embed in a Euclidean space (``euclidean_certificate``),
 ``mod3_lower_bounds`` bounds every sample object's MOD3 mean kernel from
 below in O(n^2) in all; the in-sample MOD3 argmax uses it to skip objects.
+On other samples the values are no bound, but they still order the objects
+well: the in-sample argmax scores the one with the smallest value first,
+and drops the others by partial sums of their kernels.
 
 Full-sample evaluation (``depth_values``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
@@ -273,6 +276,13 @@ def _mod3_terms(s: SampleState, q: np.ndarray, part=slice(None), c=None) -> np.n
 EMBEDDING_TOL = 1e-9
 
 
+def _is_distance_table(v: np.ndarray) -> bool:
+    """Whether the array ``v`` is nonnegative, finite and symmetric, with a
+    zero diagonal."""
+    return bool(np.all((v >= 0) & (v < np.inf)) and np.array_equal(v, v.T)
+                and not np.any(np.diagonal(v)))
+
+
 def euclidean_certificate(dm) -> bool:
     """Whether the distances ``dm`` embed in a Euclidean space.
 
@@ -285,8 +295,7 @@ def euclidean_certificate(dm) -> bool:
     matrices, generally fail.
     """
     v = as_distance_array(dm)
-    if not (np.all((v >= 0) & (v < np.inf)) and np.array_equal(v, v.T)
-            and not np.any(np.diagonal(v))):
+    if not _is_distance_table(v):
         return False
     sq = v * v
     mean = sq.mean(axis=1)

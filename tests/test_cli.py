@@ -73,6 +73,34 @@ def test_exit_zero_and_byte_identical_rerun(name, files):
     assert outputs[0] == outputs[1]
 
 
+def test_deepest_mod3_on_an_uncertified_sample(tmp_path, monkeypatch):
+    # 40 correlation matrices fail the Euclidean certificate: the argmax
+    # comes from partial kernel sums, and is the full pass's bitwise
+    corr, _ = gen_correlation_sample(CorrSimConfig(p=3, n=40, eps=0.1, reps=1, seed=2),
+                                     child_rng(2, 1))
+    path = str(tmp_path / "corr40.json")
+    dump_objects(corr, path)
+    dm = distance_matrix(corr)
+    assert not depths.euclidean_certificate(dm)
+    values = depths.depth_values(dm, depths.DepthMethod.MOD3)
+
+    def no_full_pass(*args):
+        raise AssertionError("deepest took the full pass")
+
+    monkeypatch.setattr(deepest, "depth_values", no_full_pass)
+    outputs = []
+    for run in (1, 2):
+        out = str(tmp_path / f"deepest-{run}.json")
+        assert main(["deepest", "--in", path, "--method", "MOD3", "--out", out]) == 0
+        with open(out, "rb") as fh:
+            outputs.append(fh.read())
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    i0 = int(np.argmax(values))
+    assert report["index"] == i0
+    assert np.float64(report["depth"]).tobytes() == values[i0].tobytes()
+
+
 @pytest.mark.parametrize("name", ["depth-dm-json", "deepest", "deepest-oos", "simulate-corr",
                                   "simulate-sphere", "permtest", "swap-test"])
 def test_unknown_method_exits_two(name, files):

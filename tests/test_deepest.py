@@ -1,5 +1,7 @@
 """Tests for deepest-object estimation: charts, PCA, optimizers, pipeline."""
 
+import math
+import warnings
 from contextlib import suppress
 
 import numpy as np
@@ -145,12 +147,76 @@ class TestMod3Elimination:
         assert full_passes == []
 
     @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
-    def test_uncertified_samples_take_the_full_pass(self, make, full_passes):
+    def test_uncertified_samples_skip_the_full_pass(self, make, full_passes):
         for n, seed in [(20, 1), (30, 2), (40, 3)]:
             dm = make(n, seed)
             assert not euclidean_certificate(dm)
             self.assert_full_pass_pick(dm)
-        assert full_passes == [DepthMethod.MOD3] * 3
+        assert full_passes == []
+
+    def test_asymmetric_array_takes_the_full_pass(self, full_passes):
+        # relabelled kernels match the full pass's only on a symmetric table
+        v = corr_dm(20, 1).values.copy()
+        v[1, 0] *= 1 + 1e-12
+        self.assert_full_pass_pick(v)
+        assert full_passes == [DepthMethod.MOD3]
+
+    @pytest.fixture
+    def uncertified(self, monkeypatch):
+        # partial sums need no certificate: small correlation samples may
+        # pass it, and take the partial sums here too
+        monkeypatch.setattr(deepest, "euclidean_certificate", lambda dm: False)
+
+    @pytest.fixture
+    def survivors(self, monkeypatch):
+        # the number of objects scored after the partial-sum scan, per argmax
+        counts = []
+
+        def counting(state, q):
+            counts.append(q.shape[0])
+            return depths._depths(state, q)
+
+        monkeypatch.setattr(deepest, "_depths", counting)
+        return counts
+
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
+    @pytest.mark.parametrize("n", [6, 10, 20, 40, 70])
+    def test_uncertified_sweep(self, make, n, uncertified, full_passes):
+        # at n = 40 and 70 the rows of a tile step through their triples in
+        # several tiles, and at n = 70 one row's triples exceed a tile
+        assert math.comb(70, 3) > depths._BLOCK_TARGET
+        for seed in range(4):
+            self.assert_full_pass_pick(make(n, seed))
+        assert full_passes == []
+
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
+    @pytest.mark.parametrize("n", [6, 20, 40])
+    def test_uncertified_duplicate_of_the_deepest_object(self, make, n, monkeypatch, uncertified):
+        for seed in range(3):
+            v = make(n, seed).values
+            i0 = int(np.argmax(depth_values(v, DepthMethod.MOD3)))
+            # the deepest object again, at index 0
+            dup = np.concatenate([[i0], np.arange(n)])
+            v = DistanceMatrix(v[np.ix_(dup, dup)])
+            assert self.assert_full_pass_pick(v).index == 0
+            # scored first at its higher index, the copy at index 0 survives
+            # the scan and wins the tie
+            with monkeypatch.context() as m:
+                m.setattr(deepest, "mod3_lower_bounds",
+                          lambda _: np.where(np.arange(n + 1) == i0 + 1, 0.0, 1.0))
+                assert self.assert_full_pass_pick(v).index == 0
+
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
+    def test_shallowest_object_scored_first(self, make, monkeypatch, uncertified, survivors):
+        # with the shallowest object scored first, every other object is
+        # deeper, so none is dropped and all are scored after the scan
+        for n, seed in [(10, 1), (40, 2), (70, 3)]:
+            dm = make(n, seed)
+            values = depth_values(dm, DepthMethod.MOD3)
+            monkeypatch.setattr(deepest, "mod3_lower_bounds", lambda _: values)
+            survivors.clear()
+            self.assert_full_pass_pick(dm)
+            assert survivors == [n - 1]
 
     @staticmethod
     def gram_eigenvalues(v):
@@ -196,6 +262,21 @@ class TestMod3Elimination:
         with pytest.raises(MetricViolationError):
             statistic_from_dm(DistanceMatrix(v), np.array([0, 0, 0, 0, 1, 1, 1]),
                               DepthMethod.MOD3)
+
+    def test_non_metric_group_in_one_tile_still_raises(self):
+        # ten objects: every object's triples fit in the first tile of the
+        # scan, so every radicand of every object is evaluated
+        n = 10
+        assert math.comb(n, 3) <= depths._BLOCK_TARGET // (n - 1)
+        v = np.full((n, n), 10.0)
+        v[:4, :4] = nonmetric_dm().values
+        v[4:, 4:] = line_dm(np.arange(6.0)).values
+        dm = DistanceMatrix(v)
+        assert not euclidean_certificate(dm)
+        with pytest.raises(MetricViolationError):
+            depth_values(dm, DepthMethod.MOD3)
+        with pytest.raises(MetricViolationError):
+            deepest_in_sample(dm, DepthMethod.MOD3)
 
     def test_too_small_sample_still_raises(self):
         with pytest.raises(InsufficientSampleError):
@@ -260,6 +341,33 @@ class TestCholeskyChart:
     def test_degenerate_decode_raises(self):
         with pytest.raises(DegenerateDecodeError):
             cholesky_decode([1.0, 0.0, 0.0])  # zero diagonal in L L'
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected_first(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDecodeError, match="entries must be finite"):
+                cholesky_decode([1.0, bad, 1.0])
+            # one bad row of a block does not spoil the others
+            matrices, reasons = deepest._decode_rows(np.array([[1.0, bad, 1.0], [1.0, 1.0, 1.0]]), 2)
+        assert reasons == ["encoded vector entries must be finite", None]
+        assert np.array_equal(matrices, cholesky_decode([1.0, 1.0, 1.0]).entries[None])
+
+    @pytest.mark.parametrize("v", [[1e200] * 3, [1e100] * 3, [1e160, 0.0, 1e160, 0.0, 0.0, 1e160]])
+    def test_overflowing_decode_raises_without_warnings(self, v):
+        # L L' overflows at 1e200; at 1e100 it does not, but the products of
+        # its diagonal entries do, which would rescale it to the identity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDecodeError, match="overflows"):
+                cholesky_decode(v)
+
+    def test_large_vector_decodes_without_warnings(self):
+        # the decode is scale-free while it stays in the floating-point range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = cholesky_decode([1e50, 1e50, 1e50]).entries
+        assert np.allclose(big, cholesky_decode([1.0, 1.0, 1.0]).entries, rtol=1e-15, atol=0)
 
     def test_decode_never_silently_invalid(self, rng):
         # random vectors either decode to a valid correlation matrix or raise
