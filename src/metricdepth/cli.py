@@ -227,7 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_depth)
 
-    p = sub.add_parser("deepest", help="deepest-object estimate")
+    p = sub.add_parser(
+        "deepest", help="deepest-object estimate",
+        description="Deepest-object estimate. Distances are computed from the objects with "
+                    "their space's metric. The in-sample MOD3 search on samples of more "
+                    "than 22 objects may leave kernels unevaluated, and so does not check "
+                    "every kernel radicand for metric violations.")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", required=True, help=_METHOD_HELP)
     _add_out_of_sample(p)

@@ -19,12 +19,14 @@ computing every depth, by exact elimination:
 * Partial sums: uncertified samples (correlation, sphere) need no bound.
   Every kernel is nonnegative, so any partial sum of an object's kernels
   is at most its total. The object with the smallest bound is scored
-  first, which gives a limit: its kernel sum, raised by the margin. Every
-  other object then sums its kernels, large ones first: the sample is
-  relabelled by its distances in decreasing order, so the lexicographic
-  triple list starts with the triples that hold its farthest object. An
-  object is dropped once its partial sum exceeds the limit; the survivors
-  are scored in full. At n = 140 to 200, 26-29% of the kernels of the
+  first, as the reference. Every other object then sums its kernels,
+  large ones first: the sample is relabelled by its distances in
+  decreasing order, so the lexicographic triple list starts with the
+  triples that hold its farthest object. An object is dropped once the
+  depth of its partial sum, with the sum lowered by the margin, falls
+  below the reference's depth (compared as depths, so that a tie after
+  rounding is kept at any distance scale); the survivors are scored in
+  full. At n = 140 to 200, 26-29% of the kernels of the
   full pass are summed on correlation samples, and about 20% on sphere
   samples.
 * Full pass: the other four methods, subsampled MOD3 states over fewer
@@ -120,8 +122,8 @@ _NM_STEP_FRACTION = 0.10  # initial simplex step, as a fraction of box width
 _FTOL = 1e-8  # objective tolerance: simplex spread, or L-BFGS-B's relative decrease
 _FD_STEP = 1e-6  # relative central-difference step (quasi-Newton)
 # relative margin of the in-sample MOD3 elimination: an object is skipped
-# only when its lower bound, or its partial kernel sum, exceeds the best
-# mean kernel (or kernel sum) by more than this
+# only when its lower bound, or the mean of its partial kernel sum, exceeds
+# the mean kernel of a deeper object by more than this
 _ELIMINATION_MARGIN = 1e-9
 
 
@@ -192,10 +194,11 @@ def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     increasing order of bound, and scoring stops once no unscored object
     can reach the best depth found, with the bound relaxed by a relative
     margin of 1e-9. On any other MOD3 sample, the object with the smallest
-    bound is scored, and every other object is dropped as soon as a partial
-    sum of its kernels exceeds that object's kernel sum by the same margin;
-    the objects not dropped are scored. Each score is bitwise equal to that
-    object's entry of ``depth_values``, so the result is the full pass's.
+    bound is scored, and every other object is dropped as soon as the depth
+    of a partial sum of its kernels, lowered by the same margin, falls below
+    that object's depth; the objects not dropped are scored. Each score is
+    bitwise equal to that object's entry of ``depth_values``, so the result
+    is the full pass's.
     Another method, a subsampled state over fewer than C(n, 3) triples, or
     an array that is not a symmetric, finite, nonnegative distance table
     with a zero diagonal, computes every depth.
@@ -205,7 +208,8 @@ def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     evaluated: on an uncertified sample those of the object scored first,
     of the survivors, and of each dropped object up to the tile in which it
     was dropped. So every radicand is checked only when each object's
-    triples fit in its first tile, as they do up to n = 22.
+    triples fit in its first tile, as they do up to n = 22. Check an
+    untrusted distance matrix with :func:`check_metric_axioms` first.
     """
     return _deepest_in_sample(dm, method, certified=False)
 
@@ -251,18 +255,15 @@ def _mod3_eliminate(state) -> tuple[int, float]:
     """Index and depth of the deepest object of a full MOD3 state, by
     partial-sum elimination (no certificate needed)."""
     v = state.values
-    n, size = v.shape[0], state.index[0].size
+    n = v.shape[0]
     # the smallest bound is not a valid bound here, but a good first guess
     ref = int(np.argmin(mod3_lower_bounds(v)))
     ref_depth = depth_of_query(v[ref], state, DepthMethod.MOD3)
-    # the kernel sum of an object at least as deep as the reference stays
-    # within this, up to the round-off that the margin covers
-    limit = (1.0 / ref_depth - 1.0) * size * (1.0 + _ELIMINATION_MARGIN)
     others = np.delete(np.arange(n), ref)
     # a block's relabelled pair tables hold up to _BLOCK_TARGET elements, as
     # a tile's temporaries do
     rows = min(n - 1, max(1, _BLOCK_TARGET // (n * n)))
-    scan = partial(_mod3_scan, state, limit)
+    scan = partial(_mod3_scan, state, ref_depth)
     survivors = np.concatenate(_run(scan, [others[s:s + rows] for s in range(0, n - 1, rows)]))
     index = np.append(survivors, ref)
     scores = np.append(_depths(state, v[survivors]) if survivors.size else [], ref_depth)
@@ -270,13 +271,16 @@ def _mod3_eliminate(state) -> tuple[int, float]:
     return int(index[scores == best].min()), float(best)
 
 
-def _mod3_scan(state, limit: float, rows: np.ndarray) -> np.ndarray:
-    """The objects ``rows`` of a full MOD3 state whose kernel sum does not
-    exceed ``limit``.
+def _mod3_scan(state, ref_depth: float, rows: np.ndarray) -> np.ndarray:
+    """The objects ``rows`` of a full MOD3 state that may reach ``ref_depth``.
 
     Each row's kernels are summed tile by tile along the triple list, and
-    a row leaves as soon as its partial sum exceeds ``limit``: kernels are
-    nonnegative, so a partial sum never exceeds the total. Each row sees the
+    a row leaves as soon as the depth of its partial sum, lowered by the
+    elimination margin, falls below ``ref_depth``: kernels are nonnegative,
+    so a partial sum never exceeds the total. The comparison is made in
+    depth space, as the full pass rounds it, so that a row whose depth ties
+    the reference's after rounding is kept, however small the distances
+    (at distances of 1e-6 every depth rounds to 1). Each row sees the
     sample relabelled in decreasing order of its distances, so the list
     starts with the triples that hold its farthest object, then those that
     hold the next farthest, and so on; large kernels come early. Relabelled
@@ -299,7 +303,7 @@ def _mod3_scan(state, limit: float, rows: np.ndarray) -> np.ndarray:
         stop = start + max(1, _BLOCK_TARGET // rows.size)
         total += _mod3_terms(state, q, slice(start, stop), c=c).sum(axis=1)
         start = stop
-        keep = total <= limit
+        keep = 1.0 / (1.0 + total / (1.0 + _ELIMINATION_MARGIN) / size) >= ref_depth
         if not keep.all():
             rows, q, c, total = rows[keep], q[keep], c[keep], total[keep]
     return rows

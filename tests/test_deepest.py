@@ -207,6 +207,22 @@ class TestMod3Elimination:
                 assert self.assert_full_pass_pick(v).index == 0
 
     @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
+    @pytest.mark.parametrize("scale", [1e-3, 3e-5, 1e-6])
+    @pytest.mark.parametrize("n", [6, 20, 40])
+    def test_uncertified_small_distances(self, make, scale, n, uncertified, full_passes):
+        # mean kernels of about scale**3: at 1e-3 depths differ from 1 in
+        # their last bits, at 3e-5 many tie after rounding, and at 1e-6
+        # every depth rounds to 1 and the pick is index 0
+        for seed in range(3):
+            v = make(n, seed).values * scale
+            self.assert_full_pass_pick(DistanceMatrix(v))
+            # the deepest object again, at index 0
+            i0 = int(np.argmax(depth_values(v, DepthMethod.MOD3)))
+            dup = np.concatenate([[i0], np.arange(n)])
+            assert self.assert_full_pass_pick(DistanceMatrix(v[np.ix_(dup, dup)])).index == 0
+        assert full_passes == []
+
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
     def test_shallowest_object_scored_first(self, make, monkeypatch, uncertified, survivors):
         # with the shallowest object scored first, every other object is
         # deeper, so none is dropped and all are scored after the scan
