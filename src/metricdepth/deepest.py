@@ -61,9 +61,11 @@ The search scores candidates in blocks: :func:`optimize_box` takes a block
 objective, which maps a (k, r) array of points to their k values. The depth
 objective decodes every row of PCA coordinates at once, measures the rows
 that decode with one stacked distance call, and scores them with one depth
-block; rows that do not decode score below the method's range. Each row's
-value is bitwise what scoring it alone gives. Two kinds of step hand the
-objective several independent points at once:
+block; rows that do not decode score below the method's range. The decode
+tests positive definiteness with one ``eigh`` of the block, and the
+distances start from those eigenpairs. Each row's value is bitwise what
+scoring it alone gives. Two kinds of step hand the objective several
+independent points at once:
 
 * the Nelder-Mead initial simplex (r + 1 points) and each shrink step
   (r points);
@@ -72,11 +74,10 @@ objective several independent points at once:
   bound handling are unchanged.
 
 The other steps stay sequential. Each Nelder-Mead reflect, expand or
-contract point depends on the values before it. Scoring such points ahead
-of time would spend evaluations on points the search may not take, and
-would save little: most of a candidate's cost, its distances (one
-``eigvalsh`` per sample object), is the same per row in a block as alone.
-L-BFGS-B's line-search points likewise come one at a time.
+contract point depends on the values before it, and L-BFGS-B's line-search
+points come one at a time. A row may cost less in a block than alone, but
+scoring points ahead of time would spend evaluations, which the budget
+counts, on points the search may not take.
 """
 
 from __future__ import annotations
@@ -88,12 +89,14 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import depths
 from .depths import (
-    _BLOCK_TARGET,
     DepthMethod,
     _check_query,
     _depths,
+    _give_back,
     _is_distance_table,
+    _lend,
     _mod3_pairs,
     _mod3_terms,
     _run,
@@ -112,6 +115,7 @@ from .errors import (
 from .spaces import (
     CorrelationMatrix,
     ObjectSet,
+    _Eigh,
     _positive_definite,
     _sample_rows,
     distance_matrix,
@@ -262,7 +266,7 @@ def _mod3_eliminate(state) -> tuple[int, float]:
     others = np.delete(np.arange(n), ref)
     # a block's relabelled pair tables hold up to _BLOCK_TARGET elements, as
     # a tile's temporaries do
-    rows = min(n - 1, max(1, _BLOCK_TARGET // (n * n)))
+    rows = min(n - 1, max(1, depths._BLOCK_TARGET // (n * n)))
     scan = partial(_mod3_scan, state, ref_depth)
     survivors = np.concatenate(_run(scan, [others[s:s + rows] for s in range(0, n - 1, rows)]))
     index = np.append(survivors, ref)
@@ -298,14 +302,18 @@ def _mod3_scan(state, ref_depth: float, rows: np.ndarray) -> np.ndarray:
     total = np.zeros(rows.size)
     size = state.index[0].size
     start = 0
-    while start < size and rows.size:
-        # a tile holds up to _BLOCK_TARGET kernels
-        stop = start + max(1, _BLOCK_TARGET // rows.size)
-        total += _mod3_terms(state, q, slice(start, stop), c=c).sum(axis=1)
-        start = stop
-        keep = 1.0 / (1.0 + total / (1.0 + _ELIMINATION_MARGIN) / size) >= ref_depth
-        if not keep.all():
-            rows, q, c, total = rows[keep], q[keep], c[keep], total[keep]
+    scratch = _lend()
+    try:
+        while start < size and rows.size:
+            # a tile holds up to _BLOCK_TARGET kernels
+            stop = start + max(1, depths._BLOCK_TARGET // rows.size)
+            total += _mod3_terms(state, q, slice(start, stop), c=c, scratch=scratch).sum(axis=1)
+            start = stop
+            keep = 1.0 / (1.0 + total / (1.0 + _ELIMINATION_MARGIN) / size) >= ref_depth
+            if not keep.all():
+                rows, q, c, total = rows[keep], q[keep], c[keep], total[keep]
+    finally:
+        _give_back(scratch)
     return rows
 
 
@@ -356,10 +364,19 @@ def cholesky_decode(v) -> CorrelationMatrix:
 
 
 def _decode_rows(v: np.ndarray, p: int) -> tuple[np.ndarray, list]:
-    """:func:`cholesky_decode` of every row of the (k, p(p+1)/2) array ``v``.
+    """:func:`cholesky_decode` of every row of the (k, p(p+1)/2) array ``v``:
+    the checked entries of the rows that decode, stacked in order, and per
+    row None or the reason it does not decode (see :func:`_decode_factored`)."""
+    matrices, _, reasons = _decode_factored(v, p)
+    return matrices, reasons
+
+
+def _decode_factored(v: np.ndarray, p: int) -> tuple[np.ndarray, _Eigh, list]:
+    """:func:`_decode_rows`, with the :class:`_Eigh` of the decoded matrices.
 
     Returns the checked entries of the rows that decode, stacked in order,
-    and per row None or the reason it does not decode. A row fails when it
+    their eigenpairs, from the positive-definiteness test, and per row None
+    or the reason it does not decode. A row fails when it
     has a non-finite entry, when L L' or the products of its diagonal
     entries overflow, or when L L' has a (near-)zero diagonal entry. The
     rescaled matrix of any other row is finite and symmetric with a unit
@@ -381,23 +398,29 @@ def _decode_rows(v: np.ndarray, p: int) -> tuple[np.ndarray, list]:
     bounded = np.isfinite(s).all(axis=(1, 2)) & np.isfinite(scale).all(axis=(1, 2))
     smallest = d.min(axis=1)
     scaled = finite & bounded & (smallest > 1e-12)
-    for t in np.flatnonzero(~scaled):
-        if not finite[t]:
-            reasons[t] = "encoded vector entries must be finite"
-        elif not bounded[t]:
-            reasons[t] = "decoded matrix overflows the floating-point range"
-        else:
-            reasons[t] = f"decoded matrix has diagonal entry {smallest[t]} <= 1e-12"
-    out = s[scaled] / np.sqrt(scale[scaled])
+    # rows are picked out only when some row fails: a 1-row decode took
+    # 60-75 us with the picking and the loops over failures, 38 us without
+    if not scaled.all():
+        for t in np.flatnonzero(~scaled):
+            if not finite[t]:
+                reasons[t] = "encoded vector entries must be finite"
+            elif not bounded[t]:
+                reasons[t] = "decoded matrix overflows the floating-point range"
+            else:
+                reasons[t] = f"decoded matrix has diagonal entry {smallest[t]} <= 1e-12"
+        s, scale = s[scaled], scale[scaled]
+    out = s / np.sqrt(scale)
     out = 0.5 * (out + out.transpose(0, 2, 1))
     diag = np.arange(p)
     out[:, diag, diag] = 1.0
-    valid = _positive_definite(out)
+    valid, f = _positive_definite(out)
+    if valid.all():
+        return out, f, reasons
     for t, ok in zip(np.flatnonzero(scaled), valid):
         if not ok:
             reasons[t] = ("decoded matrix is not a valid correlation: "
                           "correlation matrix is not positive definite")
-    return out[valid], reasons
+    return out[valid], _Eigh(f.w[valid], f.v[valid]), reasons
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +685,13 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
 
     def objective(w):
         # decode every row, then measure and score the rows that decode
-        # together: one stacked distance call and one depth block
-        matrices, reasons = _decode_rows(_pca_decode_rows(model, w), p)
+        # together, from the eigenpairs of the decode's positive-definiteness
+        # test: one stacked distance call and one depth block
+        _, factors, reasons = _decode_factored(_pca_decode_rows(model, w), p)
         values = np.full(w.shape[0], failure_score)
         decoded = np.array([reason is None for reason in reasons])
         if decoded.any():
-            q = _check_query(_sample_rows(matrices, objects), n, rows=len(matrices))
+            q = _check_query(_sample_rows(factors, objects), n, rows=len(factors.w))
             values[decoded] = _depths(state, q)
         return values
 

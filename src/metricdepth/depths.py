@@ -30,6 +30,10 @@ is a 1-row block; scoring every sample object (``depth_values``) runs the
 sample's own distance rows through the same tiles, so both give bitwise
 identical values. A call of two tiles or more runs them on one thread per
 core available to the process; a single tile runs on the calling thread.
+A MOD3 or MSD tile writes its temporaries into buffers that are kept from
+call to call (one set per tile running at once), so it allocates no array
+of its size: freshly allocated ones had their memory faulted in again on
+many calls.
 
 Subsampled MOD3 (``mod3_subsample_state``) is a MOD3 state over ``m``
 triples drawn once, in place of all C(n, 3); the same evaluator scores one
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -215,10 +220,14 @@ def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # its rows are reduced one by one, as a 1-row table is.
 
 
-# Radicand clamp for the MOD3 kernel, relative to max(1, prod of squared
-# query distances). Exact arithmetic keeps the radicand nonnegative; floating
-# point can undershoot by round-off, which is clamped. Larger undershoots mean
-# the distances cannot come from a metric.
+# Radicand clamp for the MOD3 kernel, relative to max(prod, min(1, m^3)),
+# with prod the product of the three squared query distances and m the
+# largest squared distance of the query's row. Exact arithmetic keeps the
+# radicand nonnegative; floating point can undershoot by round-off, which is
+# clamped. Larger undershoots mean the distances cannot come from a metric.
+# Below m = 1 the tolerance shrinks as m^3, as the radicands do, so a
+# violation is caught however small the distances; from m = 1 up it is
+# max(prod, 1), as it always was.
 KERNEL_RADICAND_TOL = 1e-9
 
 
@@ -229,37 +238,39 @@ def _mod3_pairs(s: SampleState, q: np.ndarray) -> np.ndarray:
     return (0.5 * (a[:, :, None] + a[:, None, :] - s.table)).reshape(a.shape[0], -1)
 
 
-def _mod3_terms(s: SampleState, q: np.ndarray, part=slice(None), c=None) -> np.ndarray:
+def _mod3_terms(s: SampleState, q: np.ndarray, part=slice(None), c=None,
+                scratch=None) -> np.ndarray:
     """Kernel of every (query, triple) in ``part`` of the triples; ``c`` is
-    the block's :func:`_mod3_pairs`, when already built."""
+    the block's :func:`_mod3_pairs`, when already built. The kernels are
+    written into ``scratch`` (see :func:`_tile_buffers`)."""
     a = q * q
     if c is None:
         c = _mod3_pairs(s, q)
     i, j, k, ij, jk, ik = (t[part] for t in s.index)
-    c_ij, c_jk, c_ik = c.take(ij, axis=1), c.take(jk, axis=1), c.take(ik, axis=1)
-    a_i, a_j, a_k = a.take(i, axis=1), a.take(j, axis=1), a.take(k, axis=1)
+    a_i, a_j, a_k, c_ij, c_jk, c_ik, prod, rad, tmp, low = _tile_buffers(
+        scratch, a.shape[0], i.size, 9)
+    for out, table, index in ((c_ij, c, ij), (c_jk, c, jk), (c_ik, c, ik),
+                              (a_i, a, i), (a_j, a, j), (a_k, a, k)):
+        # in range by construction; "raise" would buffer ``out``
+        table.take(index, axis=1, out=out, mode="clip")
     # kernel radicand det(B3) + 4*prod, evaluated as
     #   5*prod + ((2*c_ij)*c_jk)*c_ik - (a_i*c_jk)*c_jk - (a_j*c_ik)*c_ik
-    #   - (a_k*c_ij)*c_ij, left to right,
-    # in place in ``rad`` with one scratch array. Fewer temporaries keep a
-    # 1-row query from handing its memory back to the system on return and
-    # faulting it in again on the next call (at n=40: under 1 minor page
-    # fault per query, against 161 with one temporary per operation)
-    prod = a_i * a_j
+    #   - (a_k*c_ij)*c_ij, left to right
+    np.multiply(a_i, a_j, out=prod)
     prod *= a_k
-    rad = np.multiply(prod, 5.0)
-    scratch = np.multiply(c_ij, 2.0)
-    scratch *= c_jk
-    scratch *= c_ik
-    rad += scratch
+    np.multiply(prod, 5.0, out=rad)
+    np.multiply(c_ij, 2.0, out=tmp)
+    tmp *= c_jk
+    tmp *= c_ik
+    rad += tmp
     for a_x, c_x in ((a_i, c_jk), (a_j, c_ik), (a_k, c_ij)):
-        np.multiply(a_x, c_x, out=scratch)
-        scratch *= c_x
-        rad -= scratch
-    # the tolerance -KERNEL_RADICAND_TOL * max(1, prod), in place in ``prod``
-    scale = np.maximum(prod, 1.0, out=prod)
-    scale *= -KERNEL_RADICAND_TOL
-    if np.any(rad < scale):
+        np.multiply(a_x, c_x, out=tmp)
+        tmp *= c_x
+        rad -= tmp
+    # the tolerance -KERNEL_RADICAND_TOL * max(prod, min(1, m^3)), in ``prod``
+    np.maximum(prod, np.minimum(1.0, a.max(axis=1, keepdims=True) ** 3), out=prod)
+    prod *= -KERNEL_RADICAND_TOL
+    if np.less(rad, prod, out=low).any():
         raise MetricViolationError("kernel radicand below round-off tolerance; not a metric")
     np.maximum(rad, 0.0, out=rad)
     return np.sqrt(rad, out=rad)
@@ -359,16 +370,27 @@ def _mld_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
     return s.table[part] > np.maximum(q.take(i, axis=1), q.take(j, axis=1))
 
 
-def _msd_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
+def _msd_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
     """Cosine-like ratio of every (query, pair) in ``part``, 0 where either
     query distance is 0. Exact arithmetic keeps it in [-2, 2]; the clip
     catches round-off on near-coincident objects."""
     i, j = (t[part] for t in s.index)
-    qi, qj = q.take(i, axis=1), q.take(j, axis=1)
-    active = (qi != 0.0) & (qj != 0.0)
-    num = qi * qi + qj * qj - s.table[part]
-    denom = np.where(active, qi * qj, 1.0)
-    return np.where(active, np.clip(num / denom, -2.0, 2.0), 0.0)
+    q_i, q_j, num, denom, active, idle = _tile_buffers(scratch, q.shape[0], i.size, 4, 2)
+    q.take(i, axis=1, out=q_i, mode="clip")
+    q.take(j, axis=1, out=q_j, mode="clip")
+    np.not_equal(q_i, 0.0, out=active)
+    active &= np.not_equal(q_j, 0.0, out=idle)
+    np.logical_not(active, out=idle)
+    # (q_i^2 + q_j^2 - d_ij^2) / (q_i * q_j), dividing by 1 where inactive
+    np.multiply(q_i, q_i, out=num)
+    num += np.multiply(q_j, q_j, out=denom)
+    num -= s.table[part]
+    np.multiply(q_i, q_j, out=denom)
+    np.copyto(denom, 1.0, where=idle)
+    num /= denom
+    np.clip(num, -2.0, 2.0, out=num)
+    np.copyto(num, 0.0, where=idle)
+    return num
 
 
 def _mhd_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
@@ -422,6 +444,72 @@ _PAIRWISE_BLOCK = 128
 # threads that score the tiles of one call; numpy releases the GIL inside
 # ``take`` and its elementwise loops
 _WORKERS = len(os.sched_getaffinity(0))
+
+
+class _Scratch:
+    """Buffers for one tile's temporaries: room for nine float64 and two
+    boolean arrays of ``size`` elements each.
+
+    They lie in an anonymous memory map of their own, outside the heap of
+    the allocator, so that they do not keep the heap from shrinking: held
+    on the heap, two sets raised the peak resident memory of 20 in-sample
+    replicates at n=140 by 1-3 MB more than in a map of their own. The map
+    is private, so a process forked from this one copies the pages it
+    writes instead of sharing them with its parent and its siblings.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        # a map cannot be empty
+        buffer = mmap.mmap(-1, max(1, 9 * 8 * size + 2 * size),
+                           flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        self.floats = np.frombuffer(buffer, count=9 * size)
+        self.masks = np.frombuffer(buffer, dtype=bool, count=2 * size, offset=9 * 8 * size)
+
+    def arrays(self, rows: int, width: int, floats: int, masks: int) -> tuple:
+        """``floats`` float64 and then ``masks`` boolean (rows, width)
+        arrays, side by side at the front of the buffers."""
+        k = rows * width
+        return (*self.floats[:floats * k].reshape(floats, rows, width),
+                *self.masks[:masks * k].reshape(masks, rows, width))
+
+
+def _tile_buffers(scratch, rows: int, width: int, floats: int, masks: int = 1) -> tuple:
+    """:meth:`_Scratch.arrays` of ``scratch``, or of new buffers of just
+    that size when ``scratch`` is None."""
+    return (scratch or _Scratch(rows * width)).arrays(rows, width, floats, masks)
+
+
+# Scratch not lent out at the moment: one per tile that ever ran at the same
+# time as others (one per worker thread), kept from call to call. Tiles
+# that allocated their temporaries afresh (up to 2.4 MB a tile) had their
+# pages faulted in again on many calls, as if the allocator handed the top
+# of its heap back to the system after each tile: in a fresh process a
+# 12-row MOD3 block at n=40 took about 1,500 minor page faults, and an MSD
+# pass at n=140 about 9,500. ``list.pop`` and ``list.append`` are atomic,
+# so lending needs no lock.
+_SCRATCH: list = []
+
+# the methods whose evaluators take scratch, the two named above; the other
+# evaluators allocate their temporaries
+_BUFFERED = frozenset({DepthMethod.MOD3, DepthMethod.MSD})
+
+
+def _lend() -> _Scratch:
+    """A :class:`_Scratch` from the pool that holds a tile of up to
+    ``_BLOCK_TARGET`` elements (the target read now), to be handed to
+    :func:`_give_back` when done. Every tile writes what it reads, so a tile
+    that raised leaves nothing behind that a later tile could read."""
+    size = max(_BLOCK_TARGET, _PAIRWISE_BLOCK)
+    try:
+        scratch = _SCRATCH.pop()
+    except IndexError:
+        return _Scratch(size)
+    return scratch if scratch.size == size else _Scratch(size)
+
+
+def _give_back(scratch: _Scratch) -> None:
+    _SCRATCH.append(scratch)
 
 
 def _split(size: int) -> int:
@@ -497,24 +585,29 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
     size = s.index[0].size
     # a row block holds up to _BLOCK_TARGET terms, and at least one row
     rows = max(1, _BLOCK_TARGET // max(size, 1))
+
+    def tile(qb, leaf, inputs):
+        if s.method not in _BUFFERED:
+            return reduce(terms(s, qb, slice(*leaf), **inputs))
+        scratch = _lend()
+        try:
+            return reduce(terms(s, qb, slice(*leaf), scratch=scratch, **inputs))
+        finally:
+            _give_back(scratch)
+
     if q.shape[0] <= rows and _is_leaf(size):
         # a single tile, as every query of the out-of-sample search is, runs
         # here: the general case's fixed cost would double a short call's
         # (MLD at n=40: 24 against 11 us per query)
-        return finish(reduce(terms(s, q, **shared(s, q))), size)
+        return finish(tile(q, (0, size), shared(s, q)), size)
     leaves = _leaves(0, size)
     starts = range(0, q.shape[0], rows)
-    # Every temporary of a tile holds at most _BLOCK_TARGET elements, so the
-    # memory one tile frees serves the next: a repeated full MOD3 pass at
-    # n=140 takes 0-1 minor page faults, against about 10k when a block held
-    # a whole row of 447,580 terms.
 
     def block(start):
         qb = q[start:start + rows]
         inputs = shared(s, qb)
         # a lone block shares its leaves out among the threads
-        partials = _run(lambda leaf: reduce(terms(s, qb, slice(*leaf), **inputs)), leaves,
-                        threads=len(starts) == 1)
+        partials = _run(lambda leaf: tile(qb, leaf, inputs), leaves, threads=len(starts) == 1)
         return finish(_fold(size, iter(partials), join), size)
 
     # several blocks: each thread takes whole blocks, so that a block's shared

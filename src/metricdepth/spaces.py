@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class CorrelationMatrix:
         e = 0.5 * (e + e.T)
         if np.max(np.abs(np.diagonal(e) - 1.0)) > 1e-10:
             raise InvalidArgumentError("correlation matrix diagonal must be 1 within 1e-10")
-        if not _positive_definite(e):
+        if not _positive_definite(e)[0]:
             raise NotPositiveDefiniteError("correlation matrix is not positive definite")
         object.__setattr__(self, "entries", _readonly(e))
 
@@ -72,12 +73,25 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
-def _positive_definite(m: np.ndarray) -> np.ndarray:
+class _Eigh(NamedTuple):
+    """Eigenvalues ``w`` and eigenvectors ``v`` of each symmetric matrix of a
+    stack, by ``eigh``: the factorization an SPD query is measured from."""
+
+    w: np.ndarray
+    v: np.ndarray
+
+
+def _positive_definite(m: np.ndarray) -> tuple[np.ndarray, _Eigh]:
     """Whether each symmetric matrix of ``m`` has every eigenvalue above
-    ``EIGENVALUE_FLOOR``, by the ``eigh`` that ``_spd_row`` factors a query with."""
-    # eigh gives a matrix the same eigenvalues alone as in a stack, so a
-    # matrix accepted here is accepted as a query there
-    return np.linalg.eigh(m)[0].min(axis=-1) > EIGENVALUE_FLOOR
+    ``EIGENVALUE_FLOOR``, and the :class:`_Eigh` that says so.
+
+    ``_spd_row`` factors its queries by the same ``eigh``, which gives a
+    matrix the same eigenpairs alone as in a stack: a matrix accepted here
+    is accepted as a query, and its factors measure it as its entries do.
+    """
+    f = _Eigh(*np.linalg.eigh(m))
+    # eigh gives the eigenvalues in ascending order
+    return f.w[..., 0] > EIGENVALUE_FLOOR, f
 
 
 @dataclass(frozen=True)
@@ -226,12 +240,19 @@ def _coord_stack(items) -> np.ndarray:
 
 def _spd_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Affine-invariant distances from each matrix of the (k, p, p) stack
-    ``a`` to each matrix of the (n, p, p) stack ``b``, as (k, n): each of
-    ``a``'s inverse square roots is factored once, then one batched
-    congruence and one batched ``eigvalsh``."""
+    ``a`` to each matrix of the (n, p, p) stack ``b``, as (k, n): ``a`` is
+    factored by one batched ``eigh``, then measured by
+    :func:`_spd_factored_row`."""
     if a.ndim != 3 or a.shape[1:] != b.shape[1:]:
         raise InvalidArgumentError(f"dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
-    w, v = np.linalg.eigh(a)
+    return _spd_factored_row(_Eigh(*np.linalg.eigh(a)), b)
+
+
+def _spd_factored_row(f: _Eigh, b: np.ndarray) -> np.ndarray:
+    """:func:`_spd_row` of the queries whose eigenpairs are ``f``: each
+    query's inverse square root, then one batched congruence and one batched
+    ``eigvalsh``."""
+    w, v = f
     _check_positive(w)
     isqrt = ((v / np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1))[:, None]
     m = isqrt @ b @ isqrt
@@ -410,8 +431,11 @@ def query_distances(x, sample: ObjectSet) -> np.ndarray:
 
 def _sample_rows(xs, sample: ObjectSet) -> np.ndarray:
     """Distances from each of the queries ``xs`` to every object of
-    ``sample``, as (len(xs), len(sample)). The queries are objects of the
-    sample's kind, or for correlation matrices their checked entries."""
+    ``sample``, one row per query. The queries are objects of the sample's
+    kind; for correlation matrices, also their checked entries, stacked, or
+    the :class:`_Eigh` of those."""
+    if isinstance(xs, _Eigh):
+        return _spd_factored_row(xs, sample._table)
     table = None if sample.kind == "hist" else sample._table
     return _query_rows(sample.kind, xs, sample.items, table)
 

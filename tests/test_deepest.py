@@ -683,6 +683,53 @@ class TestBlockEvaluation:
             objective(w)
 
 
+    @staticmethod
+    def mixed_block(objs, model):
+        """PCA coordinates of 8 candidates near the sample, three of which
+        do not decode (as in the per-row test above)."""
+        rng = np.random.default_rng(11)
+        data = np.array([cholesky_encode(o) for o in objs.items])
+        vecs = data[rng.integers(0, len(data), 8)] + 0.05 * rng.standard_normal((8, data.shape[1]))
+        vecs[1, 1:] = 0.0
+        vecs[4, -4:] = [1.0, 0.0, 0.0, 0.0]
+        vecs[6, -4:] = 0.0
+        return (vecs - model.mean) @ model.components.T
+
+    def test_block_objective_factors_each_block_once(self, monkeypatch):
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=4, n=20, eps=0.1, reps=1, seed=3),
+                                         child_rng(3, 1))
+        objective = self.search_objective(objs, DepthMethod.MOD3, None, monkeypatch)
+        model = pca_fit(np.array([cholesky_encode(o) for o in objs.items]), 1.0)
+        w = self.mixed_block(objs, model)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for block in (w, w[:1], w[1:2]):
+            calls.clear()
+            objective(block)
+            # the decode's positive-definiteness test, which the distances reuse
+            assert len(calls) == 1
+
+    def test_factored_distances_equal_the_entries(self):
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=4, n=20, eps=0.1, reps=1, seed=3),
+                                         child_rng(3, 1))
+        model = pca_fit(np.array([cholesky_encode(o) for o in objs.items]), 1.0)
+        v = deepest._pca_decode_rows(model, self.mixed_block(objs, model))
+        matrices, factors, reasons = deepest._decode_factored(v, 4)
+        assert sum(r is None for r in reasons) == len(matrices) == 5
+        got = deepest._sample_rows(factors, objs)
+        assert got.tobytes() == deepest._sample_rows(matrices, objs).tobytes()
+        # and each row as the decoded object measures alone
+        alone = [query_distances(cholesky_decode(x), objs)
+                 for x, r in zip(v, reasons) if r is None]
+        assert got.tobytes() == np.array(alone).tobytes()
+
+
 # smallest eigenvalue 1.00003e-12 by eigvalsh, 9.99999e-13 by eigh: the two
 # LAPACK routines fall on either side of the 1e-12 floor
 CRAFTED_MATRIX = [[1.0, 0.8916399411754229, 0.1098573859361863],

@@ -3,10 +3,14 @@ the reference depths of ``reference.py``."""
 
 import json
 import math
+import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +364,23 @@ class TestFullSample:
         with pytest.raises(MetricViolationError):
             depth_of_query(dm.values[0], dm, DepthMethod.MOD3)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_mod3_metric_violation_raises_at_any_scale(self, scale):
+        # radicands scale as distance^6, and so does their tolerance
+        dm = DistanceMatrix(nonmetric_dm().values * scale)
+        with pytest.raises(MetricViolationError):
+            depth_values(dm, DepthMethod.MOD3)
+        with pytest.raises(MetricViolationError):
+            depth_of_query(dm.values[0], dm, DepthMethod.MOD3)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
+    def test_mod3_metric_samples_pass_at_any_scale(self, make, scale):
+        # every radicand of the full pass is checked; round-off stays far
+        # inside the tolerance at small and large distances alike
+        dm = DistanceMatrix(make(20, 3).values * scale)
+        assert np.all(np.isfinite(depth_values(dm, DepthMethod.MOD3)))
+
     def test_report_carries_timing(self, tmp_path):
         # the full-sample report of ``metricdepth depth``
         write_distance_csv(tmp_path / "dm.csv", LINE_024)
@@ -527,7 +548,7 @@ def _mod3_terms_expression(s, q, part=slice(None)):
         - a_j * c_ik * c_ik
         - a_k * c_ij * c_ij
     )
-    scale = np.maximum(1.0, prod)
+    scale = np.maximum(prod, np.minimum(1.0, a.max(axis=1, keepdims=True) ** 3))
     if np.any(rad < -KERNEL_RADICAND_TOL * scale):
         raise MetricViolationError("kernel radicand below round-off tolerance; not a metric")
     return np.sqrt(np.maximum(rad, 0.0))
@@ -639,3 +660,142 @@ class TestRangeInvariantsHypothesis:
             value = depth_of_query(q, dm, method)
             lo, hi = method.value_range
             assert lo <= value <= hi
+
+
+# the MSD terms as the expression of the evaluator that allocated every
+# temporary, which the in-place one keeps
+def _msd_terms_expression(s, q, part=slice(None)):
+    i, j = (t[part] for t in s.index)
+    qi, qj = q.take(i, axis=1), q.take(j, axis=1)
+    active = (qi != 0.0) & (qj != 0.0)
+    num = qi * qi + qj * qj - s.table[part]
+    denom = np.where(active, qi * qj, 1.0)
+    return np.where(active, np.clip(num / denom, -2.0, 2.0), 0.0)
+
+
+_EXPRESSIONS = {
+    DepthMethod.MOD3: (depths._mod3_terms, _mod3_terms_expression),
+    DepthMethod.MSD: (depths._msd_terms, _msd_terms_expression),
+}
+
+
+def _dirty_scratch(size):
+    """Tile buffers that hold what a failed tile could leave behind."""
+    scratch = depths._Scratch(size)
+    scratch.floats.fill(np.nan)
+    scratch.masks.fill(True)
+    return scratch
+
+
+class TestTileBuffers:
+    @pytest.mark.parametrize("method", sorted(_EXPRESSIONS))
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm, histogram_dm])
+    def test_terms_equal_the_expressions_bitwise(self, method, make):
+        terms, expression = _EXPRESSIONS[method]
+        state = depths.sample_state(make(25, 4), method)
+        v = state.values
+        # sample rows (a zero distance each) and rows off the sample
+        mixed = 0.75 * v[:8] + 0.25 * v[8:16]
+        for q in (v[3:4], v[:7], mixed[:1], mixed):
+            for part in (slice(None), slice(100, 251)):
+                want = expression(state, q, part)
+                for scratch in (None, _dirty_scratch(depths._BLOCK_TARGET)):
+                    got = terms(state, q, part, scratch=scratch)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_tile_leaves_later_calls_exact(self, workers, monkeypatch):
+        monkeypatch.setattr(depths, "_WORKERS", workers)
+        monkeypatch.setattr(depths, "_BLOCK_TARGET", 1500)
+        dm = corr_dm(30, 7)
+        want = {m: _full_row_reference(dm, m) for m in DepthMethod}
+        # a non-metric sample whose later tiles fail, on the worker threads
+        # too: copies of point 1 of nonmetric_dm(), as in the leaf test above
+        idx = [0] + [1] * 17 + [2, 3]
+        bad = nonmetric_dm().values[np.ix_(idx, idx)]
+        for method in DepthMethod:
+            with pytest.raises(MetricViolationError):
+                depth_values(bad, DepthMethod.MOD3)
+            assert np.array_equal(depth_values(dm, method), want[method])
+        # the buffers lent last were sized by the target of the call
+        assert all(s.size == 1500 for s in depths._SCRATCH[-workers:])
+
+    def test_buffers_lent_once_at_a_time_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a buffer lent to two tiles at once, or lost, would show as
+        # a wrong depth or a repeated buffer in the pool
+        monkeypatch.setattr(depths, "_WORKERS", 8)
+        monkeypatch.setattr(depths, "_BLOCK_TARGET", 200)
+        monkeypatch.setattr(depths, "_SCRATCH", [])
+        dm = corr_dm(20, 9)
+        want = {m: _full_row_reference(dm, m) for m in DepthMethod}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for method in DepthMethod:
+                assert np.array_equal(depth_values(dm, method), want[method])
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(depths._SCRATCH) <= 8
+        assert len({id(s) for s in depths._SCRATCH}) == len(depths._SCRATCH)
+        assert threading.active_count() == 1
+
+    def test_forked_processes_keep_their_own_buffers(self):
+        # two processes forked after the pool was filled score their own
+        # samples at the same time: buffers shared with each other would
+        # mix their tiles' temporaries and give wrong depths
+        samples = [corr_dm(40, 3), corr_dm(40, 4)]
+        want = [[depth_values(dm, m) for m in depths._BUFFERED] for dm in samples]
+        assert depths._SCRATCH
+
+        def score(dm, expected):
+            for _ in range(40):
+                got = [depth_values(dm, m) for m in depths._BUFFERED]
+                if any(g.tobytes() != w.tobytes() for g, w in zip(got, expected)):
+                    sys.exit(1)
+
+        fork = multiprocessing.get_context("fork")
+        children = [fork.Process(target=score, args=pair) for pair in zip(samples, want)]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=120)
+        assert [child.exitcode for child in children] == [0, 0]
+
+    def test_repeated_calls_fault_no_memory_in(self):
+        # In a fresh process the allocator hands a tile's freed temporaries
+        # back to the system and faults them in again on the next call: about
+        # 1,500 minor page faults for a 12-row MOD3 block at n=40 (four tiles
+        # of 3 rows), and about 9,500 for an MSD pass at n=140, when each
+        # tile allocated its own. The tile buffers are kept between calls.
+        code = """if True:
+            import resource
+            from metricdepth.depths import DepthMethod, _depths, depth_values, sample_state
+            from metricdepth.simulation import CorrSimConfig, gen_correlation_sample
+            from metricdepth.seeding import child_rng
+            from metricdepth.spaces import distance_matrix
+
+            def faults(call):
+                call()
+                call()
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                call()
+                return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+            def sample(p, n):
+                cfg = CorrSimConfig(p=p, n=n, eps=0.1, reps=1, seed=5)
+                return distance_matrix(gen_correlation_sample(cfg, child_rng(5, 1))[0]).values
+
+            v = sample(4, 40)
+            mod3 = sample_state(v, DepthMethod.MOD3)
+            msd = sample_state(sample(3, 140), DepthMethod.MSD)
+            print(faults(lambda: _depths(mod3, v[:12])),
+                  faults(lambda: depth_values(msd, DepthMethod.MSD)))
+        """
+        src = str(Path(depths.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120, check=True)
+        mod3_faults, msd_faults = map(int, proc.stdout.split())
+        assert mod3_faults < 50
+        assert msd_faults < 50
