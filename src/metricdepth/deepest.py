@@ -1,44 +1,13 @@
 """Deepest-object estimation.
 
 The in-sample estimator returns the sample object with maximal full-sample
-depth, the lowest index on ties. For MOD3 it finds that object without
-computing every depth, by exact elimination:
-
-* Certificate: the sample must embed in a Euclidean space, checked by one
-  ``eigvalsh`` of the classical-MDS Gram (``depths.euclidean_certificate``,
-  relative tolerance ``depths.EMBEDDING_TOL`` = 1e-9). Every MOD3 kernel of
-  a sample object is then at least 2 d_i d_j d_k, so the object's mean
-  kernel is at least 2 e3(its distance row) / C(n, 3)
-  (``depths.mod3_lower_bounds``, all n in O(n^2)).
-* Elimination: objects are scored in increasing order of bound, each as a
-  1-row block of the unchanged MOD3 evaluator, until the next bound
-  exceeds the best mean kernel by more than the relative margin
-  ``_ELIMINATION_MARGIN`` = 1e-9 (compared as depths, so that depths equal
-  after rounding still tie). On histogram and Euclidean samples one to
-  three objects are scored instead of n.
-* Partial sums: uncertified samples (correlation, sphere) need no bound.
-  Every kernel is nonnegative, so any partial sum of an object's kernels
-  is at most its total. The object with the smallest bound is scored
-  first, as the reference. Every other object then sums its kernels,
-  large ones first: the sample is relabelled by its distances in
-  decreasing order, so the lexicographic triple list starts with the
-  triples that hold its farthest object. An object is dropped once the
-  depth of its partial sum, with the sum lowered by the margin, falls
-  below the reference's depth (compared as depths, so that a tie after
-  rounding is kept at any distance scale); the survivors are scored in
-  full. At n = 140 to 200, 26-29% of the kernels of the
-  full pass are summed on correlation samples, and about 20% on sphere
-  samples.
-* Full pass: the other four methods, subsampled MOD3 states over fewer
-  than C(n, 3) triples, and distance arrays that are not symmetric,
-  finite and nonnegative with a zero diagonal.
-
-Each score is bitwise the full pass's, and a skipped object cannot reach
-the best depth, so the pick and its depth are those of the full pass. The
-relabelled kernels of the partial sums round differently from the full
-pass's, by far less than the margin. They are checked for metric
-violations as the full pass's are, but the kernels after a dropped
-object's last tile are never evaluated.
+depth, the lowest index on ties. For a MOD3 state over every triple of a
+symmetric, finite, nonnegative distance table with a zero diagonal, it
+checks ``depths.euclidean_certificate`` and finds that object by exact
+elimination (``depths._mod3_argmax``), which scores few objects in full
+and gives the full pass's pick and depth bitwise. The other four methods,
+subsampled MOD3 states over fewer than C(n, 3) triples, and other arrays
+take the full pass.
 
 The out-of-sample estimator lifts the search off the sample grid:
 objects are mapped to Euclidean coordinates (correlation matrices via the
@@ -85,25 +54,18 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from . import depths
 from .depths import (
     DepthMethod,
     _check_query,
     _depths,
-    _give_back,
     _is_distance_table,
-    _lend,
-    _mod3_pairs,
-    _mod3_terms,
-    _run,
-    depth_of_query,
+    _mod3_argmax,
     depth_values,
     euclidean_certificate,
-    mod3_lower_bounds,
     sample_state,
 )
 from .errors import (
@@ -117,7 +79,7 @@ from .spaces import (
     ObjectSet,
     _Eigh,
     _positive_definite,
-    _sample_rows,
+    _spd_factored_row,
     distance_matrix,
 )
 
@@ -125,10 +87,6 @@ _NM_REFLECT, _NM_EXPAND, _NM_CONTRACT, _NM_SHRINK = 1.0, 2.0, 0.5, 0.5
 _NM_STEP_FRACTION = 0.10  # initial simplex step, as a fraction of box width
 _FTOL = 1e-8  # objective tolerance: simplex spread, or L-BFGS-B's relative decrease
 _FD_STEP = 1e-6  # relative central-difference step (quasi-Newton)
-# relative margin of the in-sample MOD3 elimination: an object is skipped
-# only when its lower bound, or the mean of its partial kernel sum, exceeds
-# the mean kernel of a deeper object by more than this
-_ELIMINATION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -191,21 +149,13 @@ class DeepestResult:
 def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     """Sample index maximizing the full-sample depth (lowest index on ties).
 
-    For MOD3 on a sample that passes :func:`euclidean_certificate` (Gram
-    eigenvalues no lower than -1e-9 times the largest), the argmax is found
-    by exact elimination: every object's depth is at most 1/(1 + its
-    :func:`mod3_lower_bounds` bound), objects are scored one by one in
-    increasing order of bound, and scoring stops once no unscored object
-    can reach the best depth found, with the bound relaxed by a relative
-    margin of 1e-9. On any other MOD3 sample, the object with the smallest
-    bound is scored, and every other object is dropped as soon as the depth
-    of a partial sum of its kernels, lowered by the same margin, falls below
-    that object's depth; the objects not dropped are scored. Each score is
-    bitwise equal to that object's entry of ``depth_values``, so the result
-    is the full pass's.
-    Another method, a subsampled state over fewer than C(n, 3) triples, or
-    an array that is not a symmetric, finite, nonnegative distance table
-    with a zero diagonal, computes every depth.
+    For MOD3 over every triple of a symmetric, finite, nonnegative distance
+    table with a zero diagonal, the argmax is found by exact elimination:
+    objects that cannot reach the depth of the object scored first are
+    dropped, by a lower bound on their mean kernel when the sample passes
+    :func:`euclidean_certificate`, and otherwise by partial sums of their
+    kernels. The result is bitwise the full pass's. Any other case computes
+    every depth.
 
     :class:`MetricViolationError` is raised for a kernel radicand below its
     round-off tolerance, as by ``depth_values``, but only among the kernels
@@ -226,95 +176,14 @@ def _deepest_in_sample(dm, method: DepthMethod, certified: bool) -> DeepestResul
     n = state.values.shape[0]
     full = method is DepthMethod.MOD3 and state.index[0].size == math.comb(n, 3)
     if full and (certified or euclidean_certificate(state.values)):
-        i0, depth = _mod3_argmax(state)
+        i0, depth = _mod3_argmax(state, certified=True)
     elif full and _is_distance_table(state.values):
-        i0, depth = _mod3_eliminate(state)
+        i0, depth = _mod3_argmax(state, certified=False)
     else:
         values = depth_values(state, method)
         i0 = int(np.argmax(values))
         depth = float(values[i0])
     return DeepestResult(depth=depth, source="in-sample", index=i0)
-
-
-def _mod3_argmax(state) -> tuple[int, float]:
-    """Index and depth of the deepest object of a certified MOD3 state."""
-    bound = mod3_lower_bounds(state.values)
-    # an object's depth is at most this; the margin covers the round-off by
-    # which a computed mean kernel can fall below its bound, as it does where
-    # the bound is tight (det B3 = 0 on one- and two-dimensional data)
-    ceiling = 1.0 / (1.0 + bound / (1.0 + _ELIMINATION_MARGIN))
-    best, best_depth = -1, -np.inf
-    # ceilings do not increase along this order, so the first one below the
-    # best depth ends the search (an equal one may still tie, and is scored)
-    for c in np.argsort(bound, kind="stable"):
-        if ceiling[c] < best_depth:
-            break
-        depth = depth_of_query(state.values[c], state, DepthMethod.MOD3)
-        if depth > best_depth or (depth == best_depth and c < best):
-            best, best_depth = int(c), depth
-    return best, best_depth
-
-
-def _mod3_eliminate(state) -> tuple[int, float]:
-    """Index and depth of the deepest object of a full MOD3 state, by
-    partial-sum elimination (no certificate needed)."""
-    v = state.values
-    n = v.shape[0]
-    # the smallest bound is not a valid bound here, but a good first guess
-    ref = int(np.argmin(mod3_lower_bounds(v)))
-    ref_depth = depth_of_query(v[ref], state, DepthMethod.MOD3)
-    others = np.delete(np.arange(n), ref)
-    # a block's relabelled pair tables hold up to _BLOCK_TARGET elements, as
-    # a tile's temporaries do
-    rows = min(n - 1, max(1, depths._BLOCK_TARGET // (n * n)))
-    scan = partial(_mod3_scan, state, ref_depth)
-    survivors = np.concatenate(_run(scan, [others[s:s + rows] for s in range(0, n - 1, rows)]))
-    index = np.append(survivors, ref)
-    scores = np.append(_depths(state, v[survivors]) if survivors.size else [], ref_depth)
-    best = scores.max()
-    return int(index[scores == best].min()), float(best)
-
-
-def _mod3_scan(state, ref_depth: float, rows: np.ndarray) -> np.ndarray:
-    """The objects ``rows`` of a full MOD3 state that may reach ``ref_depth``.
-
-    Each row's kernels are summed tile by tile along the triple list, and
-    a row leaves as soon as the depth of its partial sum, lowered by the
-    elimination margin, falls below ``ref_depth``: kernels are nonnegative,
-    so a partial sum never exceeds the total. The comparison is made in
-    depth space, as the full pass rounds it, so that a row whose depth ties
-    the reference's after rounding is kept, however small the distances
-    (at distances of 1e-6 every depth rounds to 1). Each row sees the
-    sample relabelled in decreasing order of its distances, so the list
-    starts with the triples that hold its farthest object, then those that
-    hold the next farthest, and so on; large kernels come early. Relabelled
-    kernels round differently from the full pass's, by far less than the
-    elimination margin.
-    """
-    v = state.values
-    n = v.shape[0]
-    order = np.argsort(-v[rows], axis=1, kind="stable")
-    q = np.take_along_axis(v[rows], order, axis=1)
-    # the relabelled rows' pair tables, gathered from their own
-    c = _mod3_pairs(state, v[rows]).reshape(-1, n, n)
-    c = c[np.arange(rows.size)[:, None, None], order[:, :, None], order[:, None, :]]
-    c = c.reshape(rows.size, -1)
-    total = np.zeros(rows.size)
-    size = state.index[0].size
-    start = 0
-    scratch = _lend()
-    try:
-        while start < size and rows.size:
-            # a tile holds up to _BLOCK_TARGET kernels
-            stop = start + max(1, depths._BLOCK_TARGET // rows.size)
-            total += _mod3_terms(state, q, slice(start, stop), c=c, scratch=scratch).sum(axis=1)
-            start = stop
-            keep = 1.0 / (1.0 + total / (1.0 + _ELIMINATION_MARGIN) / size) >= ref_depth
-            if not keep.all():
-                rows, q, c, total = rows[keep], q[keep], c[keep], total[keep]
-    finally:
-        _give_back(scratch)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +226,14 @@ def cholesky_decode(v) -> CorrelationMatrix:
     p = int((math.isqrt(8 * v.size + 1) - 1) // 2)
     if p * (p + 1) // 2 != v.size:
         raise InvalidArgumentError(f"length {v.size} is not a triangular number")
-    matrices, reasons = _decode_rows(v[None], p)
+    matrices, _, reasons = _decode_rows(v[None], p)
     if reasons[0] is not None:
         raise DegenerateDecodeError(reasons[0])
     return CorrelationMatrix(matrices[0])
 
 
-def _decode_rows(v: np.ndarray, p: int) -> tuple[np.ndarray, list]:
-    """:func:`cholesky_decode` of every row of the (k, p(p+1)/2) array ``v``:
-    the checked entries of the rows that decode, stacked in order, and per
-    row None or the reason it does not decode (see :func:`_decode_factored`)."""
-    matrices, _, reasons = _decode_factored(v, p)
-    return matrices, reasons
-
-
-def _decode_factored(v: np.ndarray, p: int) -> tuple[np.ndarray, _Eigh, list]:
-    """:func:`_decode_rows`, with the :class:`_Eigh` of the decoded matrices.
+def _decode_rows(v: np.ndarray, p: int) -> tuple[np.ndarray, _Eigh, list]:
+    """:func:`cholesky_decode` of every row of the (k, p(p+1)/2) array ``v``.
 
     Returns the checked entries of the rows that decode, stacked in order,
     their eigenpairs, from the positive-definiteness test, and per row None
@@ -687,11 +548,11 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
         # decode every row, then measure and score the rows that decode
         # together, from the eigenpairs of the decode's positive-definiteness
         # test: one stacked distance call and one depth block
-        _, factors, reasons = _decode_factored(_pca_decode_rows(model, w), p)
+        _, factors, reasons = _decode_rows(_pca_decode_rows(model, w), p)
         values = np.full(w.shape[0], failure_score)
         decoded = np.array([reason is None for reason in reasons])
         if decoded.any():
-            q = _check_query(_sample_rows(factors, objects), n, rows=len(factors.w))
+            q = _check_query(_spd_factored_row(factors, objects._table), n, rows=len(factors.w))
             values[decoded] = _depths(state, q)
         return values
 

@@ -41,10 +41,9 @@ query or the whole sample against it.
 
 On samples that embed in a Euclidean space (``euclidean_certificate``),
 ``mod3_lower_bounds`` bounds every sample object's MOD3 mean kernel from
-below in O(n^2) in all; the in-sample MOD3 argmax uses it to skip objects.
-On other samples the values are no bound, but they still order the objects
-well: the in-sample argmax scores the one with the smallest value first,
-and drops the others by partial sums of their kernels.
+below in O(n^2) in all. The in-sample MOD3 argmax (``_mod3_argmax``)
+starts from these values on any sample, and drops objects without scoring
+them in full.
 
 Full-sample evaluation (``depth_values``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
@@ -333,6 +332,104 @@ def mod3_lower_bounds(dm) -> np.ndarray:
     e2 = np.zeros_like(v)
     np.cumsum(v[:, :-1] * e1[:, :-1], axis=1, out=e2[:, 1:])
     return 2.0 * (v * e2).sum(axis=1) / math.comb(n, 3)
+
+
+# relative margin of the in-sample MOD3 elimination: an object is dropped
+# only when its lower bound, or the mean of its partial kernel sum, exceeds
+# the mean kernel of a deeper object by more than this
+_ELIMINATION_MARGIN = 1e-9
+
+
+def _mod3_argmax(state: SampleState, certified: bool) -> tuple[int, float]:
+    """Index and depth of the deepest object of a MOD3 state over every
+    triple of a distance table (see :func:`_is_distance_table`), the lowest
+    index on ties, by exact elimination. ``certified`` says that the sample
+    passes :func:`euclidean_certificate`.
+
+    The object with the smallest :func:`mod3_lower_bounds` value is scored
+    first, as the reference. Every other object that cannot reach the
+    reference's depth is dropped, and the others are scored as one block:
+
+    * Certified: every kernel of a sample object is at least
+      2 d_i d_j d_k, so its depth is at most 1/(1 + bound/(1 + margin)),
+      with ``_ELIMINATION_MARGIN`` as the margin. The margin covers the
+      round-off by which a computed mean kernel can fall below its bound,
+      as it does where the bound is tight (det B3 = 0 on one- and
+      two-dimensional data). On histogram and Euclidean samples one to
+      three objects are scored instead of n.
+    * Otherwise the values are no bound, but kernels are nonnegative, so
+      a partial sum of an object's kernels is at most its total. Each object
+      sums its kernels, large ones first (:func:`_mod3_scan`), and is
+      dropped once the depth of its partial sum, with the sum lowered by
+      the margin, falls below the reference's depth. At n = 140 to 200,
+      26-29% of the kernels of the full pass are summed on correlation
+      samples, and about 20% on sphere samples.
+
+    Both tests compare depths, as the full pass rounds them, so that
+    depths equal after rounding still tie at any distance scale (at
+    distances of 1e-6 every depth rounds to 1). ``_depths`` gives a row
+    the same bits alone as in a block, so every score is the full pass's
+    and so are the pick and its depth.
+    """
+    v = state.values
+    n = v.shape[0]
+    bound = mod3_lower_bounds(v)
+    ref = int(np.argmin(bound))
+    ref_depth = _depths(state, v[ref:ref + 1])[0]
+    others = np.flatnonzero(np.arange(n) != ref)
+    if certified:
+        survivors = others[1.0 / (1.0 + bound[others] / (1.0 + _ELIMINATION_MARGIN)) >= ref_depth]
+    else:
+        # a block's relabelled pair tables hold up to _BLOCK_TARGET elements,
+        # as a tile's temporaries do
+        rows = min(n - 1, max(1, _BLOCK_TARGET // (n * n)))
+        scan = partial(_mod3_scan, state, ref_depth)
+        survivors = np.concatenate(_run(scan, [others[s:s + rows] for s in range(0, n - 1, rows)]))
+    best, pick = ref_depth, ref
+    if survivors.size:
+        scores = _depths(state, v[survivors])
+        # survivors keep their increasing order, so argmax takes the lowest
+        # index of their ties
+        i = np.argmax(scores)
+        if scores[i] > best or (scores[i] == best and survivors[i] < ref):
+            best, pick = scores[i], int(survivors[i])
+    return pick, float(best)
+
+
+def _mod3_scan(state: SampleState, ref_depth: float, rows: np.ndarray) -> np.ndarray:
+    """The objects ``rows`` of a full MOD3 state whose partial kernel sums
+    keep them within reach of ``ref_depth`` (see :func:`_mod3_argmax`).
+
+    Each row's kernels are summed tile by tile along the triple list. Each
+    row sees the sample relabelled in decreasing order of its distances,
+    so the list starts with the triples that hold its farthest object,
+    then those that hold the next farthest, and so on. Relabelled kernels
+    round differently from the full pass's, by far less than the margin.
+    """
+    v = state.values
+    n = v.shape[0]
+    order = np.argsort(-v[rows], axis=1, kind="stable")
+    q = np.take_along_axis(v[rows], order, axis=1)
+    # the relabelled rows' pair tables, gathered from their own
+    c = _mod3_pairs(state, v[rows]).reshape(-1, n, n)
+    c = c[np.arange(rows.size)[:, None, None], order[:, :, None], order[:, None, :]]
+    c = c.reshape(rows.size, -1)
+    total = np.zeros(rows.size)
+    size = state.index[0].size
+    start = 0
+    scratch = _lend()
+    try:
+        while start < size and rows.size:
+            # a tile holds up to _BLOCK_TARGET kernels
+            stop = start + max(1, _BLOCK_TARGET // rows.size)
+            total += _mod3_terms(state, q, slice(start, stop), c=c, scratch=scratch).sum(axis=1)
+            start = stop
+            keep = 1.0 / (1.0 + total / (1.0 + _ELIMINATION_MARGIN) / size) >= ref_depth
+            if not keep.all():
+                rows, q, c, total = rows[keep], q[keep], c[keep], total[keep]
+    finally:
+        _give_back(scratch)
+    return rows
 
 
 # Two-sided clamp for the 2x2 determinant, relative to the squared largest

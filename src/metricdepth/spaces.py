@@ -426,18 +426,8 @@ def query_distances(x, sample: ObjectSet) -> np.ndarray:
         raise InvalidArgumentError(
             f"query of type {type(x).__name__} does not match sample kind {sample.kind!r}"
         )
-    return _sample_rows((x,), sample)[0]
-
-
-def _sample_rows(xs, sample: ObjectSet) -> np.ndarray:
-    """Distances from each of the queries ``xs`` to every object of
-    ``sample``, one row per query. The queries are objects of the sample's
-    kind; for correlation matrices, also their checked entries, stacked, or
-    the :class:`_Eigh` of those."""
-    if isinstance(xs, _Eigh):
-        return _spd_factored_row(xs, sample._table)
     table = None if sample.kind == "hist" else sample._table
-    return _query_rows(sample.kind, xs, sample.items, table)
+    return _query_rows(sample.kind, (x,), sample.items, table)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
-from metricdepth import deepest, depths
+from metricdepth import deepest, depths, spaces
 from metricdepth.core import DistanceMatrix
 from metricdepth.deepest import (
     OptimizerConfig,
@@ -39,7 +39,7 @@ from metricdepth.errors import (
     NotPositiveDefiniteError,
 )
 from metricdepth.inference import statistic_from_dm
-from metricdepth.simulation import CorrSimConfig, gen_correlation_sample
+from metricdepth.simulation import CorrSimConfig, gen_correlation_sample, gen_histogram_groups
 from metricdepth.seeding import child_rng
 from metricdepth.spaces import (
     CorrelationMatrix,
@@ -168,15 +168,16 @@ class TestMod3Elimination:
         monkeypatch.setattr(deepest, "euclidean_certificate", lambda dm: False)
 
     @pytest.fixture
-    def survivors(self, monkeypatch):
-        # the number of objects scored after the partial-sum scan, per argmax
+    def scored(self, monkeypatch):
+        # the number of objects in each block that the depth tiles score
         counts = []
+        score = depths._depths
 
         def counting(state, q):
             counts.append(q.shape[0])
-            return depths._depths(state, q)
+            return score(state, q)
 
-        monkeypatch.setattr(deepest, "_depths", counting)
+        monkeypatch.setattr(depths, "_depths", counting)
         return counts
 
     @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
@@ -202,7 +203,7 @@ class TestMod3Elimination:
             # scored first at its higher index, the copy at index 0 survives
             # the scan and wins the tie
             with monkeypatch.context() as m:
-                m.setattr(deepest, "mod3_lower_bounds",
+                m.setattr(depths, "mod3_lower_bounds",
                           lambda _: np.where(np.arange(n + 1) == i0 + 1, 0.0, 1.0))
                 assert self.assert_full_pass_pick(v).index == 0
 
@@ -222,17 +223,50 @@ class TestMod3Elimination:
             assert self.assert_full_pass_pick(DistanceMatrix(v[np.ix_(dup, dup)])).index == 0
         assert full_passes == []
 
+    @pytest.mark.parametrize("scale", [1e-3, 3e-5, 1e-6])
+    def test_certified_small_distances(self, scale, rng, full_passes):
+        # as above: at 1e-6 every depth rounds to 1, and so does every
+        # ceiling, so the pick is index 0 whichever object is scored first
+        for n in (6, 20, 40):
+            for dim in (1, 2, 3):
+                dm = DistanceMatrix(euclidean_dm(rng.standard_normal((n, dim))).values * scale)
+                assert euclidean_certificate(dm)
+                self.assert_full_pass_pick(dm)
+        assert full_passes == []
+
     @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
-    def test_shallowest_object_scored_first(self, make, monkeypatch, uncertified, survivors):
+    def test_shallowest_object_scored_first(self, make, monkeypatch, uncertified, scored):
         # with the shallowest object scored first, every other object is
         # deeper, so none is dropped and all are scored after the scan
         for n, seed in [(10, 1), (40, 2), (70, 3)]:
             dm = make(n, seed)
             values = depth_values(dm, DepthMethod.MOD3)
-            monkeypatch.setattr(deepest, "mod3_lower_bounds", lambda _: values)
-            survivors.clear()
-            self.assert_full_pass_pick(dm)
-            assert survivors == [n - 1]
+            monkeypatch.setattr(depths, "mod3_lower_bounds", lambda _: values)
+            scored.clear()
+            res = deepest_in_sample(dm, DepthMethod.MOD3)
+            # the reference alone, then every other object as one block
+            assert scored == [1, n - 1]
+            i0 = int(np.argmax(values))
+            assert res.index == i0
+            assert np.float64(res.depth).tobytes() == values[i0].tobytes()
+
+    def test_certified_elimination_scores_few_objects(self, scored):
+        # groups of 25 as a histogram permutation test draws them: the bound
+        # walk that scored certified samples one object at a time scored at
+        # most three objects per argmax on these draws (1.1 on average)
+        most = 0
+        for s in range(10):
+            objs = gen_histogram_groups(25, 25, 1.0, 15, seed=s)
+            v = distance_matrix(objs).values
+            labels = np.asarray(objs.labels)
+            for r in range(20):
+                relabelled = labels[np.random.default_rng([s, r]).permutation(labels.size)]
+                for name in np.unique(labels):
+                    idx = np.flatnonzero(relabelled == name)
+                    scored.clear()
+                    deepest_in_sample(v[np.ix_(idx, idx)], DepthMethod.MOD3)
+                    most = max(most, sum(scored))
+        assert most <= 3
 
     @staticmethod
     def gram_eigenvalues(v):
@@ -264,7 +298,7 @@ class TestMod3Elimination:
             assert euclidean_certificate(dm)
             state = sample_state(dm, DepthMethod.MOD3)
             mean = depths._mod3_terms(state, state.values).mean(axis=1)
-            assert np.all(mod3_lower_bounds(dm) <= mean * (1 + deepest._ELIMINATION_MARGIN))
+            assert np.all(mod3_lower_bounds(dm) <= mean * (1 + depths._ELIMINATION_MARGIN))
             self.assert_full_pass_pick(dm)
         assert full_passes == []
 
@@ -365,7 +399,8 @@ class TestCholeskyChart:
             with pytest.raises(DegenerateDecodeError, match="entries must be finite"):
                 cholesky_decode([1.0, bad, 1.0])
             # one bad row of a block does not spoil the others
-            matrices, reasons = deepest._decode_rows(np.array([[1.0, bad, 1.0], [1.0, 1.0, 1.0]]), 2)
+            matrices, _, reasons = deepest._decode_rows(
+                np.array([[1.0, bad, 1.0], [1.0, 1.0, 1.0]]), 2)
         assert reasons == ["encoded vector entries must be finite", None]
         assert np.array_equal(matrices, cholesky_decode([1.0, 1.0, 1.0]).entries[None])
 
@@ -671,14 +706,14 @@ class TestBlockEvaluation:
         model = pca_fit(data, 1.0)
         w = (data[:4] - model.mean) @ model.components.T
         objective(w)
-        measure = deepest._sample_rows
+        measure = deepest._spd_factored_row
 
-        def spoiled(xs, sample):
-            q = measure(xs, sample)
+        def spoiled(factors, table):
+            q = measure(factors, table)
             q[-1, 2] = bad
             return q
 
-        monkeypatch.setattr(deepest, "_sample_rows", spoiled)
+        monkeypatch.setattr(deepest, "_spd_factored_row", spoiled)
         with pytest.raises(InvalidArgumentError):
             objective(w)
 
@@ -720,10 +755,11 @@ class TestBlockEvaluation:
                                          child_rng(3, 1))
         model = pca_fit(np.array([cholesky_encode(o) for o in objs.items]), 1.0)
         v = deepest._pca_decode_rows(model, self.mixed_block(objs, model))
-        matrices, factors, reasons = deepest._decode_factored(v, 4)
+        matrices, factors, reasons = deepest._decode_rows(v, 4)
         assert sum(r is None for r in reasons) == len(matrices) == 5
-        got = deepest._sample_rows(factors, objs)
-        assert got.tobytes() == deepest._sample_rows(matrices, objs).tobytes()
+        got = spaces._spd_factored_row(factors, objs._table)
+        entries = spaces._query_rows("corr", matrices, objs.items, objs._table)
+        assert got.tobytes() == entries.tobytes()
         # and each row as the decoded object measures alone
         alone = [query_distances(cholesky_decode(x), objs)
                  for x, r in zip(v, reasons) if r is None]
@@ -775,14 +811,15 @@ class TestPositiveDefiniteFloor:
         return True
 
     def assert_decoded_alike(self, v):
-        matrices, reasons = deepest._decode_rows(np.asarray(v)[None], 3)
+        matrices, _, reasons = deepest._decode_rows(np.asarray(v)[None], 3)
         if reasons[0] is not None:
             assert reasons[0] == ("decoded matrix is not a valid correlation: "
                                   "correlation matrix is not positive definite")
             with pytest.raises(DegenerateDecodeError, match="not positive definite"):
                 cholesky_decode(v)
             return False
-        assert np.all(np.isfinite(deepest._sample_rows(matrices, self.SAMPLE)))
+        distances = spaces._query_rows("corr", matrices, self.SAMPLE.items, self.SAMPLE._table)
+        assert np.all(np.isfinite(distances))
         assert np.array_equal(cholesky_decode(v).entries, matrices[0])
         return True
 

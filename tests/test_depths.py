@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
 from metricdepth.cli import main
 from metricdepth.core import DistanceMatrix, write_distance_csv
-from metricdepth import deepest, depths
+from metricdepth import depths
 from metricdepth.depths import (
     KERNEL_RADICAND_TOL,
     DepthMethod,
@@ -175,7 +175,7 @@ class TestMod3LowerBound:
             assert euclidean_certificate(dm)
             state = depths.sample_state(dm, DepthMethod.MOD3)
             mean = depths._mod3_terms(state, state.values).mean(axis=1)
-            assert np.all(mod3_lower_bounds(dm) <= mean * (1 + deepest._ELIMINATION_MARGIN))
+            assert np.all(mod3_lower_bounds(dm) <= mean * (1 + depths._ELIMINATION_MARGIN))
 
     def test_certificate_accepts_euclidean_kinds(self, rng):
         for n, seed in [(4, 0), (25, 1), (60, 2)]:

@@ -398,7 +398,8 @@ class TestDistanceMatrixConstruction:
     def test_query_block_rows_equal_single_queries(self, kind, rng):
         objs = ObjectSet(tuple(random_object(rng, kind) for _ in range(9)))
         queries = [random_object(rng, kind) for _ in range(5)]
-        block = spaces._sample_rows(queries, objs)
+        table = None if kind == "hist" else objs._table
+        block = spaces._query_rows(kind, queries, objs.items, table)
         assert block.shape == (5, 9)
         for x, row in zip(queries, block):
             assert row.tobytes() == query_distances(x, objs).tobytes()
