@@ -45,6 +45,11 @@ below in O(n^2) in all. The in-sample MOD3 argmax (``_mod3_argmax``)
 starts from these values on any sample, and drops objects without scoring
 them in full.
 
+Groups of one pooled sample, such as those of every label permutation of a
+two-group test, are scored by ``_group_depths`` for MOD2, MLD and MSD: the
+pooled terms are built once, and each member's depth within its group
+reduces its pooled term row gathered at the group's pairs.
+
 Full-sample evaluation (``depth_values``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
 own index are kept, their kernels are well-defined (and typically zero).
@@ -166,10 +171,9 @@ def sample_state(dm, method: DepthMethod) -> SampleState:
     if method is DepthMethod.MOD3:
         return _mod3_state(v, _triple_indices(v.shape[0]))
     if method is DepthMethod.MHD:
-        # contiguous copies: ``take`` would copy strided index arrays on every call
-        index = tuple(np.ascontiguousarray(t) for t in np.nonzero(~np.eye(v.shape[0], dtype=bool)))
+        index = _anchor_pairs(v.shape[0])
         return SampleState(method, v, index, mhd_pair_probabilities(v)[index])
-    index = np.triu_indices(v.shape[0], 1)
+    index = _pair_indices(v.shape[0])
     d_ij = v[index]
     return SampleState(method, v, index, d_ij if method is DepthMethod.MLD else d_ij ** 2)
 
@@ -198,16 +202,32 @@ def _require(n: int, minimum: int, what: str) -> None:
         raise InsufficientSampleError(f"{what} needs a sample of at least {minimum}, got {n}")
 
 
+def _read_only(index) -> tuple:
+    # contiguous copies: ``take`` would copy strided index arrays on every call
+    out = tuple(np.ascontiguousarray(t) for t in index)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=8)
 def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All index triples i<j<k of range(n), in lexicographic order."""
     r = np.arange(n)
-    mask = (r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r)
-    # contiguous copies: ``take`` would copy strided index arrays on every call
-    out = tuple(np.ascontiguousarray(t) for t in np.nonzero(mask))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return _read_only(np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r)))
+
+
+@lru_cache(maxsize=16)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs i<j of range(n), in lexicographic order."""
+    return _read_only(np.triu_indices(n, 1))
+
+
+@lru_cache(maxsize=8)
+def _anchor_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered index pairs (a1, a2), a1 != a2, of range(n), in
+    lexicographic order."""
+    return _read_only(np.nonzero(~np.eye(n, dtype=bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +286,15 @@ def _mod3_terms(s: SampleState, q: np.ndarray, part=slice(None), c=None,
         np.multiply(a_x, c_x, out=tmp)
         tmp *= c_x
         rad -= tmp
-    # the tolerance -KERNEL_RADICAND_TOL * max(prod, min(1, m^3)), in ``prod``
-    np.maximum(prod, np.minimum(1.0, a.max(axis=1, keepdims=True) ** 3), out=prod)
-    prod *= -KERNEL_RADICAND_TOL
-    if np.less(rad, prod, out=low).any():
-        raise MetricViolationError("kernel radicand below round-off tolerance; not a metric")
+    # the tolerance -KERNEL_RADICAND_TOL * max(prod, min(1, m^3)) lies at or
+    # below -KERNEL_RADICAND_TOL * min(1, m^3): it is built, in ``prod``, only
+    # for a block with a radicand below the latter
+    floor = np.minimum(1.0, a.max(axis=1, keepdims=True) ** 3)
+    if np.less(rad, -KERNEL_RADICAND_TOL * floor, out=low).any():
+        np.maximum(prod, floor, out=prod)
+        prod *= -KERNEL_RADICAND_TOL
+        if np.less(rad, prod, out=low).any():
+            raise MetricViolationError("kernel radicand below round-off tolerance; not a metric")
     np.maximum(rad, 0.0, out=rad)
     return np.sqrt(rad, out=rad)
 
@@ -710,6 +734,84 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
     # several blocks: each thread takes whole blocks, so that a block's shared
     # inputs are built once
     return np.concatenate(_run(block, starts))
+
+
+# the methods whose term of a (query, pair) depends on the three distances
+# among them alone, so that a group of the sample has the pooled sample's
+# terms at its own pairs
+_POOLED = frozenset({DepthMethod.MOD2, DepthMethod.MLD, DepthMethod.MSD})
+
+
+def _group_depths(s: SampleState, groups: list) -> list:
+    """Depths of the members of groups of a sample, each within its group.
+
+    ``s`` is the state of the pooled sample, for a method in ``_POOLED``.
+    Each array of ``groups`` holds one group per row, as increasing pooled
+    indices; groups in one array have the same size. The result holds, for
+    each array, the depth of every member w.r.t. its row's group, bitwise
+    :func:`depth_values` of that group's distance sub-matrix.
+
+    The pooled terms are built once for every sample object against every
+    pooled pair, and a member's depth gathers its pooled term row at the
+    pairs of its group. A group's pairs i<j, in its own lexicographic order,
+    are the pooled pairs restricted to the group, in the pooled order; so a
+    gathered row holds the group's own terms in the group's own order, and
+    is reduced along the same tree. Pooled terms are held one row block at
+    a time, of at most ``_BLOCK_TARGET`` terms and at least one row. Each
+    block scores every member that falls in it, taking draws and then
+    members so that at most ``_BLOCK_TARGET`` pair positions, and at least
+    one row of them, are gathered at once.
+    """
+    _, _, reduce, join, finish = _EVALUATE[s.method]
+    v = s.values
+    n = v.shape[0]
+    size = s.index[0].size
+    rows = max(1, _BLOCK_TARGET // size)
+    # pooled position of the pair (i, j), i < j: first[i] + j
+    first = np.arange(n) * (2 * n - np.arange(n) - 3) // 2 - 1
+    out = [np.empty(g.shape) for g in groups]
+    for start in range(0, n, rows):
+        table = _pooled_terms(s, v[start:start + rows])
+        for g, depth in zip(groups, out):
+            i, j = _pair_indices(g.shape[1])
+            width = i.size
+            leaves = _leaves(0, width)
+            chunk = max(1, _BLOCK_TARGET // width)
+            inside = (g >= start) & (g < start + rows)
+            draws = np.flatnonzero(inside.any(axis=1))
+            for c in range(0, draws.size, chunk):
+                dc = draws[c:c + chunk]
+                gc = g[dc]
+                # pooled positions of the pairs of each draw's group
+                pairs = first.take(gc).take(i, axis=1)
+                pairs += gc.take(j, axis=1)
+                local, member = np.nonzero(inside[dc])
+                for m in range(0, local.size, chunk):
+                    d, a = local[m:m + chunk], member[m:m + chunk]
+                    # flat positions in ``table``: the member's row, its group's pairs
+                    at = pairs.take(d, axis=0)
+                    at += ((gc[d, a] - start) * size)[:, None]
+                    partials = (reduce(table.take(at[:, slice(*leaf)])) for leaf in leaves)
+                    depth[dc[d], a] = finish(_fold(width, partials, join), width)
+    return out
+
+
+def _pooled_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
+    """The terms of the (rows, n) query distances ``q`` against every tuple
+    of ``s``, built leaf by leaf and copied out of the scratch."""
+    terms = _EVALUATE[s.method][1]
+
+    def leaf_terms(leaf):
+        if s.method not in _BUFFERED:
+            return terms(s, q, slice(*leaf))
+        scratch = _lend()
+        try:
+            return terms(s, q, slice(*leaf), scratch=scratch).copy()
+        finally:
+            _give_back(scratch)
+
+    parts = [leaf_terms(leaf) for leaf in _leaves(0, s.index[0].size)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 # ---------------------------------------------------------------------------

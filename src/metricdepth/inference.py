@@ -6,6 +6,18 @@ distance sub-matrix. The null distribution is simulated by group-size
 preserving label permutations; the pooled distance matrix is computed once
 and permutations act on indices only.
 
+The observed labels and every permutation are scored in one call. For
+MOD2, MLD and MSD a term of a (query, pair) depends only on the three
+distances among them, so the pooled sample fixes every group's terms: they
+are built once, n C(n, 2) of them, and each member's depth within its group
+gathers its pooled terms at the group's pairs, bitwise its group-by-group
+value. Scoring each draw afresh would build about a quarter of that per
+draw (two groups of n/2), so pooling costs more for one draw, as
+``statistic_from_dm`` has, and breaks even at about four. MOD3 and MHD
+score each group of each draw on its own sub-matrix: MOD3 drops most
+objects without scoring them in full, and MHD's anchor-pair probabilities
+depend on the group.
+
 The p-value follows the plain convention
 ``#{ t_observed <= t_permuted } / B`` (ties count toward the numerator),
 which can return 0; ``corrected=True`` switches to the finite-sample
@@ -26,9 +38,9 @@ import numpy as np
 
 from .core import as_distance_array
 from .deepest import _deepest_in_sample
-from .depths import DepthMethod, euclidean_certificate
+from .depths import _POOLED, DepthMethod, _group_depths, euclidean_certificate, sample_state
 from .errors import InsufficientSampleError, InvalidArgumentError
-from .seeding import PERMUTATION_TAG, SUBTEST_TAG, SWAP_TAG, child_rng, child_seed
+from .seeding import PERMUTATION_TAG, SUBTEST_TAG, SWAP_TAG, check_seed, child_rng, child_seed
 from .spaces import ObjectSet, distance_matrix
 
 
@@ -103,6 +115,12 @@ def _check_group_sizes(labels, names, *methods: DepthMethod) -> None:
                 )
 
 
+def _check_draws(B, seed) -> None:
+    if not isinstance(B, (int, np.integer)) or B < 1:
+        raise InvalidArgumentError(f"need a whole number of permutations, at least one; got {B!r}")
+    check_seed(seed)
+
+
 def statistic_from_dm(dm, labels, method: DepthMethod) -> float:
     """Distance between the two groups' deepest in-sample objects."""
     v = as_distance_array(dm)
@@ -110,18 +128,30 @@ def statistic_from_dm(dm, labels, method: DepthMethod) -> float:
     if labels.size != v.shape[0]:
         raise InvalidArgumentError("labels length must match the distance matrix")
     _check_group_sizes(labels, names, method)
-    return _statistic(v, labels, names, method, certified=False)
+    return float(_statistics(v, labels[None], names, method, certified=False)[0])
 
 
-def _statistic(v, labels, names, method: DepthMethod, certified: bool) -> float:
-    """:func:`statistic_from_dm` of checked inputs; ``certified`` says that
-    the pooled sample passes ``euclidean_certificate``, and so every group."""
-    picks = []
-    for name in names:
-        idx = np.nonzero(labels == name)[0]
-        sub = v[np.ix_(idx, idx)]
-        picks.append(int(idx[_deepest_in_sample(sub, method, certified).index]))
-    return float(v[picks[0], picks[1]])
+def _statistics(v, draws, names, method: DepthMethod, certified: bool) -> np.ndarray:
+    """:func:`statistic_from_dm` of every row of the checked (draws, n)
+    labels ``draws``, which share their group sizes; ``certified`` says that
+    the pooled sample passes ``euclidean_certificate``, and so every group.
+
+    MOD2, MLD and MSD score every group of every draw from one pooled table
+    of pair terms (see ``depths._group_depths``); MOD3 and MHD score each
+    group on its own sub-matrix.
+    """
+    # one row per draw: the group's pooled indices, increasing
+    groups = [np.nonzero(draws == name)[1].reshape(len(draws), -1) for name in names]
+    if method in _POOLED:
+        # argmax takes the lowest index of ties, as one group's pass does
+        best = [np.argmax(depth, axis=1)
+                for depth in _group_depths(sample_state(v, method), groups)]
+    else:
+        best = [[_deepest_in_sample(v[np.ix_(g, g)], method, certified).index for g in group]
+                for group in groups]
+    rows = np.arange(len(draws))
+    first, second = (group[rows, pick] for group, pick in zip(groups, best))
+    return v[first, second]
 
 
 def deepest_distance_statistic(objects: ObjectSet, method: DepthMethod) -> float:
@@ -141,10 +171,15 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     the report is independent of evaluation order. ``labels`` overrides the
     object set's own labels and ``dm`` short-circuits the single distance
     matrix computation.
+
+    All ``B`` permutations are drawn first, and the observed labels and
+    every draw are scored in one call. MOD2, MLD and MSD build their pair
+    terms once for the pooled sample, n C(n, 2) of them whatever ``B`` is,
+    and gather each draw's group depths from them; MOD3 and MHD find each
+    group's deepest object on its own sub-matrix (see the module notes).
     """
     method = DepthMethod(method)
-    if B < 1:
-        raise InvalidArgumentError("need at least one permutation")
+    _check_draws(B, seed)
     if labels is None:
         labels = objects.labels
     if labels is None:
@@ -163,12 +198,11 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     # every principal submatrix. One check of the pooled sample then covers
     # the groups of every draw; only when it fails is each group checked.
     certified = method is DepthMethod.MOD3 and euclidean_certificate(v)
-    t_obs = _statistic(v, labels, names, method, certified)
-    t_perm = np.empty(B)
     n = len(labels)
-    for b in range(B):
-        rng = child_rng(seed, PERMUTATION_TAG, b)
-        t_perm[b] = _statistic(v, labels[rng.permutation(n)], names, method, certified)
+    draws = [labels] + [labels[child_rng(seed, PERMUTATION_TAG, b).permutation(n)]
+                        for b in range(B)]
+    t = _statistics(v, np.stack(draws), names, method, certified)
+    t_obs, t_perm = float(t[0]), t[1:]
     hits = int(np.count_nonzero(t_obs <= t_perm))
     p = (1 + hits) / (1 + B) if corrected else hits / B
     return PermutationReport(t_observed=t_obs, t_permuted=t_perm, p_value=float(p),
@@ -198,8 +232,7 @@ def label_swap_experiment(objects: ObjectSet, methods, k: int, repeats: int, B: 
         )
     # what permutation_test refuses, refused before the distance matrix
     # (swaps keep the group sizes)
-    if B < 1:
-        raise InvalidArgumentError("need at least one permutation")
+    _check_draws(B, seed)
     _check_group_sizes(labels, names, *methods)
     dm = distance_matrix(objects)
     p_values = {m.value: [] for m in methods}

@@ -570,6 +570,30 @@ class TestMod3InPlaceTerms:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("eps, raises", [(1e-12, False), (1e-9, True)])
+    def test_radicand_between_the_two_tolerances(self, eps, raises):
+        # Three sample points at mutual distance D, a query at s = 10 from
+        # each: with a = s^2 and x = c / a = 1 - D^2 / (2a) = -1 - eps, the
+        # radicand is a^3 (5 + 2x^3 - 3x^2), about -12 eps a^3. The check
+        # first compares it with -KERNEL_RADICAND_TOL * min(1, m^3) = -1e-9,
+        # and then with the exact tolerance -KERNEL_RADICAND_TOL * prod =
+        # -1e-3: eps = 1e-12 falls between the two (clamped to a zero
+        # kernel), eps = 1e-9 below both (raised).
+        s = 10.0
+        d = s * np.sqrt(2 * (2 + eps))
+        state = depths.sample_state(DistanceMatrix(d - d * np.eye(3)), DepthMethod.MOD3)
+        q = np.full((1, 3), s)
+        a, c = s * s, 0.5 * (2 * s * s - d * d)
+        rad = 5 * a ** 3 + 2 * c ** 3 - 3 * a * c * c
+        assert rad < -KERNEL_RADICAND_TOL
+        assert (rad < -KERNEL_RADICAND_TOL * a ** 3) == raises
+        if raises:
+            with pytest.raises(MetricViolationError):
+                depths._mod3_terms(state, q)
+        else:
+            assert depths._mod3_terms(state, q).tolist() == [[0.0]]
+            assert _mod3_terms_expression(state, q).tolist() == [[0.0]]
+
     def test_non_metric_row_raises(self):
         state = depths.sample_state(nonmetric_dm(), DepthMethod.MOD3)
         for q in (state.values, state.values[:1], state.values[2:3]):

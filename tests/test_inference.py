@@ -1,11 +1,15 @@
 """Tests for the two-group permutation inference."""
 
+import math
+
 import numpy as np
 import pytest
 
 import metricdepth.deepest as deepest_module
+import metricdepth.depths as depths_module
 import metricdepth.inference as inference_module
-from metricdepth.depths import DepthMethod
+from metricdepth.deepest import deepest_in_sample
+from metricdepth.depths import DepthMethod, depth_values
 from metricdepth.errors import InsufficientSampleError, InvalidArgumentError
 from metricdepth.inference import (
     deepest_distance_statistic,
@@ -22,6 +26,69 @@ def euclidean_groups(values_a, values_b):
     items = tuple(EuclideanPoint([float(v)]) for v in list(values_a) + list(values_b))
     labels = ("A",) * len(values_a) + ("B",) * len(values_b)
     return ObjectSet(items, labels)
+
+
+def reference_statistics(dm, draws, method):
+    """The statistic of each row of the label array ``draws``, one group at
+    a time: the distance between the picks of ``deepest_in_sample`` on the
+    two groups' distance sub-matrices."""
+    v = np.asarray(getattr(dm, "values", dm))
+    out = []
+    for labels in draws:
+        groups = [np.flatnonzero(labels == name) for name in sorted(set(labels.tolist()))]
+        a, b = (int(g[deepest_in_sample(v[np.ix_(g, g)], method).index]) for g in groups)
+        out.append(v[a, b])
+    return np.array(out)
+
+
+def label_draws(labels, B, seed):
+    """The observed labels and the ``B`` permuted ones of a test."""
+    labels = np.asarray(labels)
+    return [labels] + [labels[child_rng(seed, PERMUTATION_TAG, b).permutation(labels.size)]
+                       for b in range(B)]
+
+
+def shuffled(objects, seed):
+    perm = np.random.default_rng(seed).permutation(len(objects))
+    return ObjectSet(tuple(objects.items[i] for i in perm), tuple(objects.labels[i] for i in perm))
+
+
+def grouped_sample(kind, n1, n2):
+    """``n1`` + ``n2`` labeled objects of one kind, the groups interleaved."""
+    n = n1 + n2
+    labels = ("A",) * n1 + ("B",) * n2
+    if kind == "hist":
+        return shuffled(gen_histogram_groups(n1, n2, 1.0, 10, seed=n), 1)
+    if kind == "corr":
+        corr, _ = gen_correlation_sample(CorrSimConfig(p=3, n=n, eps=0.1, reps=1, seed=5),
+                                         child_rng(5, 1))
+        return shuffled(ObjectSet(corr.items, labels), 2)
+    points = np.random.default_rng(n).standard_normal((n, 2))
+    if kind == "duplicates":
+        # points on a small grid, each of group A's repeated in group B:
+        # depths tie within groups, and the lowest index must win
+        points = np.random.default_rng(n).integers(0, 3, (n, 2)).astype(float)
+        points[n1:2 * n1] = points[:n1]
+    return shuffled(ObjectSet(tuple(EuclideanPoint(p) for p in points), labels), 3)
+
+
+# (n, B, seed, error): no permutations, a fractional count, a negative or a
+# fractional seed, or a group too small for MOD3 (three objects)
+REFUSED_BEFORE_DISTANCES = [
+    pytest.param(5, 0, 3, InvalidArgumentError, id="5-0-InvalidArgumentError"),
+    pytest.param(5, -3, 3, InvalidArgumentError, id="5--3-InvalidArgumentError"),
+    pytest.param(5, 2.5, 3, InvalidArgumentError, id="5-2.5-InvalidArgumentError"),
+    pytest.param(5, 5, -1, InvalidArgumentError, id="seed-1-InvalidArgumentError"),
+    pytest.param(5, 5, 1.5, InvalidArgumentError, id="seed1.5-InvalidArgumentError"),
+    pytest.param(2, 5, 3, InsufficientSampleError, id="2-5-InsufficientSampleError"),
+]
+
+
+def refuse_distance_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("distance matrix computed before validation")
+
+    monkeypatch.setattr(inference_module, "distance_matrix", fail)
 
 
 class TestStatistic:
@@ -173,6 +240,87 @@ class TestPermutationTest:
         with pytest.raises(InvalidArgumentError):
             permutation_test(objs, DepthMethod.MLD, B=0, seed=0)
 
+    @pytest.mark.parametrize("n, B, seed, error", REFUSED_BEFORE_DISTANCES)
+    def test_rejected_before_any_distance_work(self, n, B, seed, error, monkeypatch):
+        refuse_distance_work(monkeypatch)
+        objs = gen_histogram_groups(n, n, 1.0, 8, seed=2)
+        with pytest.raises(error):
+            permutation_test(objs, DepthMethod.MOD3, B=B, seed=seed)
+
+
+class TestPooledGroupDepths:
+    """MOD2, MLD and MSD score every group of every draw from one table of
+    pooled pair terms; every method's statistics stay bitwise those of
+    ``deepest_in_sample`` run on each group's own distance sub-matrix."""
+
+    @pytest.mark.parametrize("kind", ["hist", "corr", "euclidean", "duplicates"])
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    def test_statistics_equal_group_by_group_picks(self, kind, method):
+        objs = grouped_sample(kind, 7, 12)
+        dm = distance_matrix(objs)
+        want = reference_statistics(dm, label_draws(objs.labels, 12, 6), method)
+        report = permutation_test(objs, method, B=12, seed=6)
+        assert report.t_observed == want[0]
+        assert report.t_permuted.tobytes() == want[1:].tobytes()
+        assert statistic_from_dm(dm, objs.labels, method) == want[0]
+
+    @pytest.mark.parametrize("n1, n2", [(7, 12), (5, 18)])
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    def test_small_blocks_and_leaves(self, n1, n2, method, monkeypatch):
+        # with a target of 64 terms each row block holds one row, and a
+        # pooled row (171 or 253 pairs) spans several leaves of up to 128;
+        # a group of 18 has 153 pairs, so its gathered rows span two
+        objs = grouped_sample("hist", n1, n2)
+        want = reference_statistics(distance_matrix(objs), label_draws(objs.labels, 6, 7),
+                                    method)
+        monkeypatch.setattr(depths_module, "_BLOCK_TARGET", 64)
+        report = permutation_test(objs, method, B=6, seed=7)
+        assert report.t_observed == want[0]
+        assert report.t_permuted.tobytes() == want[1:].tobytes()
+
+    @pytest.mark.parametrize("target", [64, depths_module._BLOCK_TARGET])
+    @pytest.mark.parametrize("method", sorted(depths_module._POOLED))
+    def test_group_depths_are_each_groups_own(self, method, target, monkeypatch):
+        # bitwise, so also where rounding would not move a pick
+        objs = grouped_sample("corr", 5, 18)
+        v = distance_matrix(objs).values
+        draws = np.stack(label_draws(objs.labels, 4, 10))
+        groups = [np.nonzero(draws == name)[1].reshape(len(draws), -1) for name in "AB"]
+        want = [np.array([depth_values(v[np.ix_(g, g)], method) for g in group])
+                for group in groups]
+        monkeypatch.setattr(depths_module, "_BLOCK_TARGET", target)
+        got = depths_module._group_depths(depths_module.sample_state(v, method), groups)
+        assert [d.tobytes() for d in got] == [w.tobytes() for w in want]
+
+    def test_label_swap_reports_unchanged(self, monkeypatch):
+        objs = grouped_sample("corr", 7, 12)
+        methods = [m.value for m in DepthMethod]
+        got = label_swap_experiment(objs, methods, k=2, repeats=2, B=8, seed=8).to_dict()
+        monkeypatch.setattr(inference_module, "_statistics",
+                            lambda v, draws, names, method, certified:
+                            reference_statistics(v, draws, method))
+        want = label_swap_experiment(objs, methods, k=2, repeats=2, B=8, seed=8).to_dict()
+        assert got == want
+
+    @pytest.mark.parametrize("method", sorted(depths_module._POOLED))
+    def test_pair_terms_evaluated_once_whatever_the_draws(self, method, monkeypatch):
+        # n C(n, 2) terms, one per (object, pooled pair), for any B: scoring
+        # each draw's groups afresh would evaluate about B/4 times as many
+        objs = grouped_sample("hist", 7, 12)
+        shared, terms, *rest = depths_module._EVALUATE[method]
+        evaluated = []
+
+        def counting(*args, **kwargs):
+            out = terms(*args, **kwargs)
+            evaluated.append(out.size)
+            return out
+
+        monkeypatch.setitem(depths_module._EVALUATE, method, (shared, counting, *rest))
+        for B in (1, 50):
+            evaluated.clear()
+            permutation_test(objs, method, B=B, seed=9)
+            assert sum(evaluated) == 19 * math.comb(19, 2)
+
 
 class TestLabelSwap:
     def test_zero_swaps_equal_plain_tests(self):
@@ -212,18 +360,12 @@ class TestLabelSwap:
         with pytest.raises(InvalidArgumentError):
             label_swap_experiment(objs, ["MLD"], k=6, repeats=1, B=5, seed=18)
 
-    @pytest.mark.parametrize("n, B, error", [(5, 0, InvalidArgumentError),
-                                             (5, -3, InvalidArgumentError),
-                                             (2, 5, InsufficientSampleError)])
-    def test_rejected_before_any_distance_work(self, n, B, error, monkeypatch):
-        # no permutations, or a group too small for MOD3 (three objects)
-        def fail(*args, **kwargs):
-            raise AssertionError("distance matrix computed before validation")
-
-        monkeypatch.setattr(inference_module, "distance_matrix", fail)
+    @pytest.mark.parametrize("n, B, seed, error", REFUSED_BEFORE_DISTANCES)
+    def test_rejected_before_any_distance_work(self, n, B, seed, error, monkeypatch):
+        refuse_distance_work(monkeypatch)
         objs = gen_histogram_groups(n, n, 1.0, 8, seed=2)
         with pytest.raises(error):
-            label_swap_experiment(objs, ["MLD", "MOD3"], k=1, repeats=1, B=B, seed=3)
+            label_swap_experiment(objs, ["MLD", "MOD3"], k=1, repeats=1, B=B, seed=seed)
 
     def test_mean_p_values_reported_per_method(self):
         objs = gen_histogram_groups(8, 8, 3.0, 15, seed=19)
