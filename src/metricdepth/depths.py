@@ -30,7 +30,7 @@ is a 1-row block; scoring every sample object (``depth_values``) runs the
 sample's own distance rows through the same tiles, so both give bitwise
 identical values. A call of two tiles or more runs them on one thread per
 core available to the process; a single tile runs on the calling thread.
-A MOD3 or MSD tile writes its temporaries into buffers that are kept from
+Every tile writes its temporaries and terms into buffers that are kept from
 call to call (one set per tile running at once), so it allocates no array
 of its size: freshly allocated ones had their memory faulted in again on
 many calls.
@@ -63,6 +63,7 @@ import math
 import mmap
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -441,8 +442,7 @@ def _mod3_scan(state: SampleState, ref_depth: float, rows: np.ndarray) -> np.nda
     total = np.zeros(rows.size)
     size = state.index[0].size
     start = 0
-    scratch = _lend()
-    try:
+    with _lent() as scratch:
         while start < size and rows.size:
             # a tile holds up to _BLOCK_TARGET kernels
             stop = start + max(1, _BLOCK_TARGET // rows.size)
@@ -451,44 +451,54 @@ def _mod3_scan(state: SampleState, ref_depth: float, rows: np.ndarray) -> np.nda
             keep = 1.0 / (1.0 + total / (1.0 + _ELIMINATION_MARGIN) / size) >= ref_depth
             if not keep.all():
                 rows, q, c, total = rows[keep], q[keep], c[keep], total[keep]
-    finally:
-        _give_back(scratch)
     return rows
 
 
 # Two-sided clamp for the 2x2 determinant, relative to the squared largest
-# participating entry. Exact arithmetic gives det >= 0 with equality on
-# "aligned" triples; round-off scatters the exact zeros to ~1e-16 * scale,
-# so values below this threshold are treated as exact zeros.
+# participating entry. Exact arithmetic keeps the determinant nonnegative,
+# reaching zero on aligned triples; round-off scatters those zeros to
+# ~1e-16 * scale, so anything at or below this threshold relative to the
+# squared largest entry is treated as an exact zero (also absorbing negative
+# undershoots).
 DET2_TOL = 1e-12
 
 
-def _sqrt_det2(a_i, a_j, c_ij):
-    """sqrt of the 2x2 determinant with exact-zero snapping.
-
-    Exact arithmetic keeps the determinant nonnegative, reaching zero on
-    aligned triples; round-off scatters those zeros to ~1e-16 * scale, so
-    anything below DET2_TOL relative to the squared largest entry is
-    treated as an exact zero (also absorbing negative undershoots).
-    """
-    det = a_i * a_j - c_ij * c_ij
-    m = np.maximum(np.maximum(a_i, a_j), np.abs(c_ij))
-    return np.where(det > DET2_TOL * m * m, np.sqrt(np.maximum(det, 0.0)), 0.0)
-
-
-def _mod2_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
-    """Kernel of every (query, pair) in ``part`` of the pairs."""
-    a = q * q
+def _mod2_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
+    """Kernel of every (query, pair) in ``part`` of the pairs: sqrt(det B2),
+    0 where det B2 is at most its clamp or NaN (on overflowing distances)."""
     i, j = (t[part] for t in s.index)
-    a_i, a_j = a.take(i, axis=1), a.take(j, axis=1)
-    return _sqrt_det2(a_i, a_j, 0.5 * (a_i + a_j - s.table[part]))
+    a_i, a_j, c, det, top, zero = _tile_buffers(scratch, q.shape[0], i.size, 5)
+    for out, index in ((a_i, i), (a_j, j)):
+        q.take(index, axis=1, out=out, mode="clip")
+        out *= out
+    # c = 0.5 * ((a_i + a_j) - d_ij^2), det = a_i * a_j - c * c
+    np.add(a_i, a_j, out=c)
+    c -= s.table[part]
+    c *= 0.5
+    np.multiply(a_i, a_j, out=det)
+    det -= np.multiply(c, c, out=top)
+    # the clamp (DET2_TOL * top) * top, top the largest of a_i, a_j and |c|
+    np.maximum(a_i, a_j, out=top)
+    np.maximum(top, np.abs(c, out=c), out=top)
+    np.multiply(top, DET2_TOL, out=c)
+    c *= top
+    # not (det > clamp), which holds where det is NaN, unlike det <= clamp
+    np.logical_not(np.greater(det, c, out=zero), out=zero)
+    np.maximum(det, 0.0, out=det)
+    np.sqrt(det, out=det)
+    np.copyto(det, 0.0, where=zero)
+    return det
 
 
-def _mld_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
+def _mld_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
     """Whether each pair in ``part`` is farther apart than both are from the
     query."""
     i, j = (t[part] for t in s.index)
-    return s.table[part] > np.maximum(q.take(i, axis=1), q.take(j, axis=1))
+    q_i, q_j, far = _tile_buffers(scratch, q.shape[0], i.size, 2)
+    q.take(i, axis=1, out=q_i, mode="clip")
+    q.take(j, axis=1, out=q_j, mode="clip")
+    np.maximum(q_i, q_j, out=q_i)
+    return np.greater(s.table[part], q_i, out=far)
 
 
 def _msd_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
@@ -514,11 +524,16 @@ def _msd_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) ->
     return num
 
 
-def _mhd_terms(s: SampleState, q: np.ndarray, part=slice(None)) -> np.ndarray:
+def _mhd_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
     """Probability of every anchor pair in ``part`` that qualifies, 1 for the
     others (which keeps the minimum: probabilities never exceed 1)."""
     a1, a2 = (t[part] for t in s.index)
-    return np.where(q.take(a1, axis=1) <= q.take(a2, axis=1), s.table[part], 1.0)
+    q_1, q_2 = _tile_buffers(scratch, q.shape[0], a1.size, 2, 0)
+    q.take(a1, axis=1, out=q_1, mode="clip")
+    q.take(a2, axis=1, out=q_2, mode="clip")
+    # 1 where a1 is farther than a2, 0 where the pair qualifies; probabilities
+    # lie in [0, 1], so the larger of that and the probability is the term
+    return np.maximum(np.greater(q_1, q_2, out=q_1), s.table[part], out=q_1)
 
 
 def _no_shared_inputs(s: SampleState, q: np.ndarray) -> dict:
@@ -569,7 +584,8 @@ _WORKERS = len(os.sched_getaffinity(0))
 
 class _Scratch:
     """Buffers for one tile's temporaries: room for nine float64 and two
-    boolean arrays of ``size`` elements each.
+    boolean arrays of ``size`` elements each, the most any evaluator takes
+    (MOD3 nine floats, MSD two masks).
 
     They lie in an anonymous memory map of their own, outside the heap of
     the allocator, so that they do not keep the heap from shrinking: held
@@ -596,41 +612,41 @@ class _Scratch:
 
 
 def _tile_buffers(scratch, rows: int, width: int, floats: int, masks: int = 1) -> tuple:
-    """:meth:`_Scratch.arrays` of ``scratch``, or of new buffers of just
-    that size when ``scratch`` is None."""
+    """:meth:`_Scratch.arrays` of ``scratch``, which every evaluator writes
+    its temporaries and terms into, or of new buffers of just that size when
+    ``scratch`` is None."""
     return (scratch or _Scratch(rows * width)).arrays(rows, width, floats, masks)
 
 
 # Scratch not lent out at the moment: one per tile that ever ran at the same
-# time as others (one per worker thread), kept from call to call. Tiles
-# that allocated their temporaries afresh (up to 2.4 MB a tile) had their
-# pages faulted in again on many calls, as if the allocator handed the top
-# of its heap back to the system after each tile: in a fresh process a
-# 12-row MOD3 block at n=40 took about 1,500 minor page faults, and an MSD
-# pass at n=140 about 9,500. ``list.pop`` and ``list.append`` are atomic,
-# so lending needs no lock.
+# time as others (one per worker thread), kept from call to call and shared
+# by every method. Tiles that allocated their temporaries afresh (up to
+# 2.4 MB a tile) had their pages faulted in again on many calls, as if the
+# allocator handed the top of its heap back to the system after each tile:
+# in a fresh process a 12-row MOD3 block at n=40 took about 1,500 minor page
+# faults, and passes at n=140 about 16,000 (MOD2), 9,500 (MSD) and 5,000
+# (MLD). ``list.pop`` and ``list.append`` are atomic, so lending needs no
+# lock.
 _SCRATCH: list = []
 
-# the methods whose evaluators take scratch, the two named above; the other
-# evaluators allocate their temporaries
-_BUFFERED = frozenset({DepthMethod.MOD3, DepthMethod.MSD})
 
-
-def _lend() -> _Scratch:
+@contextmanager
+def _lent():
     """A :class:`_Scratch` from the pool that holds a tile of up to
-    ``_BLOCK_TARGET`` elements (the target read now), to be handed to
-    :func:`_give_back` when done. Every tile writes what it reads, so a tile
-    that raised leaves nothing behind that a later tile could read."""
+    ``_BLOCK_TARGET`` elements (the target read now), back in the pool when
+    the block ends. Every tile writes what it reads, so a tile that raised
+    leaves nothing behind that a later tile could read."""
     size = max(_BLOCK_TARGET, _PAIRWISE_BLOCK)
     try:
         scratch = _SCRATCH.pop()
     except IndexError:
-        return _Scratch(size)
-    return scratch if scratch.size == size else _Scratch(size)
-
-
-def _give_back(scratch: _Scratch) -> None:
-    _SCRATCH.append(scratch)
+        scratch = _Scratch(size)
+    if scratch.size != size:
+        scratch = _Scratch(size)
+    try:
+        yield scratch
+    finally:
+        _SCRATCH.append(scratch)
 
 
 def _split(size: int) -> int:
@@ -708,13 +724,8 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
     rows = max(1, _BLOCK_TARGET // max(size, 1))
 
     def tile(qb, leaf, inputs):
-        if s.method not in _BUFFERED:
-            return reduce(terms(s, qb, slice(*leaf), **inputs))
-        scratch = _lend()
-        try:
+        with _lent() as scratch:
             return reduce(terms(s, qb, slice(*leaf), scratch=scratch, **inputs))
-        finally:
-            _give_back(scratch)
 
     if q.shape[0] <= rows and _is_leaf(size):
         # a single tile, as every query of the out-of-sample search is, runs
@@ -800,17 +811,9 @@ def _pooled_terms(s: SampleState, q: np.ndarray) -> np.ndarray:
     """The terms of the (rows, n) query distances ``q`` against every tuple
     of ``s``, built leaf by leaf and copied out of the scratch."""
     terms = _EVALUATE[s.method][1]
-
-    def leaf_terms(leaf):
-        if s.method not in _BUFFERED:
-            return terms(s, q, slice(*leaf))
-        scratch = _lend()
-        try:
-            return terms(s, q, slice(*leaf), scratch=scratch).copy()
-        finally:
-            _give_back(scratch)
-
-    parts = [leaf_terms(leaf) for leaf in _leaves(0, s.index[0].size)]
+    with _lent() as scratch:
+        parts = [terms(s, q, slice(*leaf), scratch=scratch).copy()
+                 for leaf in _leaves(0, s.index[0].size)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 

@@ -24,6 +24,7 @@ OUT = "{out}"
 COMMANDS = {
     "dist": ["dist", "--in", "corr", "--out", OUT],
     "depth-dm-json": ["depth", "--dm", "dm", "--method", "MOD3", "--out", OUT],
+    "depth-dm-mod2": ["depth", "--dm", "dm", "--method", "MOD2", "--out", OUT],
     "depth-in-csv": ["depth", "--in", "corr", "--method", "MLD", "--format", "csv",
                      "--out", OUT],
     "depth-subsample": ["depth", "--in", "corr", "--method", "MOD3", "--subsample", "20",
@@ -38,6 +39,8 @@ COMMANDS = {
                         "--reps", "2", "--methods", "MSD,MHD", "--seed", "1", "--out", OUT],
     "permtest": ["permtest", "--in", "hist", "--method", "MLD", "--B", "10", "--seed", "4",
                  "--out", OUT],
+    "permtest-mod2": ["permtest", "--in", "hist", "--method", "MOD2", "--B", "10", "--seed", "4",
+                      "--out", OUT],
     "swap-test": ["swap-test", "--in", "hist", "--methods", "MLD,MSD", "--k", "1",
                   "--repeats", "2", "--B", "5", "--seed", "5", "--out", OUT],
 }

@@ -22,6 +22,7 @@ from metricdepth.cli import main
 from metricdepth.core import DistanceMatrix, write_distance_csv
 from metricdepth import depths
 from metricdepth.depths import (
+    DET2_TOL,
     KERNEL_RADICAND_TOL,
     DepthMethod,
     DepthReport,
@@ -686,8 +687,23 @@ class TestRangeInvariantsHypothesis:
             assert lo <= value <= hi
 
 
-# the MSD terms as the expression of the evaluator that allocated every
-# temporary, which the in-place one keeps
+# the MOD2, MLD, MSD and MHD terms as the expressions of the evaluators that
+# allocated every temporary, which the in-place ones keep
+def _mod2_terms_expression(s, q, part=slice(None)):
+    a = q * q
+    i, j = (t[part] for t in s.index)
+    a_i, a_j = a.take(i, axis=1), a.take(j, axis=1)
+    c_ij = 0.5 * (a_i + a_j - s.table[part])
+    det = a_i * a_j - c_ij * c_ij
+    m = np.maximum(np.maximum(a_i, a_j), np.abs(c_ij))
+    return np.where(det > DET2_TOL * m * m, np.sqrt(np.maximum(det, 0.0)), 0.0)
+
+
+def _mld_terms_expression(s, q, part=slice(None)):
+    i, j = (t[part] for t in s.index)
+    return s.table[part] > np.maximum(q.take(i, axis=1), q.take(j, axis=1))
+
+
 def _msd_terms_expression(s, q, part=slice(None)):
     i, j = (t[part] for t in s.index)
     qi, qj = q.take(i, axis=1), q.take(j, axis=1)
@@ -697,9 +713,17 @@ def _msd_terms_expression(s, q, part=slice(None)):
     return np.where(active, np.clip(num / denom, -2.0, 2.0), 0.0)
 
 
+def _mhd_terms_expression(s, q, part=slice(None)):
+    a1, a2 = (t[part] for t in s.index)
+    return np.where(q.take(a1, axis=1) <= q.take(a2, axis=1), s.table[part], 1.0)
+
+
 _EXPRESSIONS = {
     DepthMethod.MOD3: (depths._mod3_terms, _mod3_terms_expression),
+    DepthMethod.MOD2: (depths._mod2_terms, _mod2_terms_expression),
+    DepthMethod.MLD: (depths._mld_terms, _mld_terms_expression),
     DepthMethod.MSD: (depths._msd_terms, _msd_terms_expression),
+    DepthMethod.MHD: (depths._mhd_terms, _mhd_terms_expression),
 }
 
 
@@ -727,6 +751,23 @@ class TestTileBuffers:
                     got = terms(state, q, part, scratch=scratch)
                     assert got.shape == want.shape and got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes()
+
+    def test_mod2_terms_of_overflowing_distances_are_zero(self):
+        # squared distances of 1e160 overflow: the determinant and its clamp
+        # are NaN, and a NaN determinant fails the clamp test, so its kernel
+        # is 0, as in the expression
+        with np.errstate(all="ignore"):
+            state = depths.sample_state(line_dm(1e160 * np.arange(12.0)), DepthMethod.MOD2)
+            v = state.values
+            i, j = state.index
+            a = v * v
+            c = 0.5 * (a[:, i] + a[:, j] - state.table)
+            assert np.isnan(a[:, i] * a[:, j] - c * c).any()
+            want = _mod2_terms_expression(state, v)
+            assert not np.isnan(want).any()
+            for scratch in (None, _dirty_scratch(depths._BLOCK_TARGET)):
+                got = depths._mod2_terms(state, v, scratch=scratch)
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_tile_leaves_later_calls_exact(self, workers, monkeypatch):
@@ -770,12 +811,12 @@ class TestTileBuffers:
         # samples at the same time: buffers shared with each other would
         # mix their tiles' temporaries and give wrong depths
         samples = [corr_dm(40, 3), corr_dm(40, 4)]
-        want = [[depth_values(dm, m) for m in depths._BUFFERED] for dm in samples]
+        want = [[depth_values(dm, m) for m in DepthMethod] for dm in samples]
         assert depths._SCRATCH
 
         def score(dm, expected):
             for _ in range(40):
-                got = [depth_values(dm, m) for m in depths._BUFFERED]
+                got = [depth_values(dm, m) for m in DepthMethod]
                 if any(g.tobytes() != w.tobytes() for g, w in zip(got, expected)):
                     sys.exit(1)
 
@@ -791,8 +832,9 @@ class TestTileBuffers:
         # In a fresh process the allocator hands a tile's freed temporaries
         # back to the system and faults them in again on the next call: about
         # 1,500 minor page faults for a 12-row MOD3 block at n=40 (four tiles
-        # of 3 rows), and about 9,500 for an MSD pass at n=140, when each
-        # tile allocated its own. The tile buffers are kept between calls.
+        # of 3 rows), and for passes at n=140 about 16,000 (MOD2), 9,500
+        # (MSD), 5,000 (MLD) and up to 80 (MHD), when each tile allocated its
+        # own. The tile buffers are kept between calls.
         code = """if True:
             import resource
             from metricdepth.depths import DepthMethod, _depths, depth_values, sample_state
@@ -813,13 +855,15 @@ class TestTileBuffers:
 
             v = sample(4, 40)
             mod3 = sample_state(v, DepthMethod.MOD3)
-            msd = sample_state(sample(3, 140), DepthMethod.MSD)
-            print(faults(lambda: _depths(mod3, v[:12])),
-                  faults(lambda: depth_values(msd, DepthMethod.MSD)))
+            print(faults(lambda: _depths(mod3, v[:12])))
+            dm = sample(3, 140)
+            for method in (DepthMethod.MSD, DepthMethod.MOD2, DepthMethod.MLD, DepthMethod.MHD):
+                state = sample_state(dm, method)
+                print(faults(lambda: depth_values(state, method)))
         """
         src = str(Path(depths.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120, check=True)
-        mod3_faults, msd_faults = map(int, proc.stdout.split())
-        assert mod3_faults < 50
-        assert msd_faults < 50
+        counts = list(map(int, proc.stdout.split()))
+        assert len(counts) == 5
+        assert all(c < 50 for c in counts), counts
