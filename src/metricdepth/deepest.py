@@ -165,20 +165,13 @@ def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     triples fit in its first tile, as they do up to n = 22. Check an
     untrusted distance matrix with :func:`check_metric_axioms` first.
     """
-    return _deepest_in_sample(dm, method, certified=False)
-
-
-def _deepest_in_sample(dm, method: DepthMethod, certified: bool) -> DeepestResult:
-    """:func:`deepest_in_sample`, where ``certified`` says that the sample
-    is known to pass :func:`euclidean_certificate` without checking it again."""
     method = DepthMethod(method)
     state = sample_state(dm, method)
     n = state.values.shape[0]
-    full = method is DepthMethod.MOD3 and state.index[0].size == math.comb(n, 3)
-    if full and (certified or euclidean_certificate(state.values)):
-        i0, depth = _mod3_argmax(state, certified=True)
-    elif full and _is_distance_table(state.values):
-        i0, depth = _mod3_argmax(state, certified=False)
+    if (method is DepthMethod.MOD3 and state.index[0].size == math.comb(n, 3)
+            and _is_distance_table(state.values)):
+        pick, depth = _mod3_argmax(state, euclidean_certificate(state.values))
+        i0, depth = int(pick[0]), float(depth[0])
     else:
         values = depth_values(state, method)
         i0 = int(np.argmax(values))

@@ -45,10 +45,15 @@ below in O(n^2) in all. The in-sample MOD3 argmax (``_mod3_argmax``)
 starts from these values on any sample, and drops objects without scoring
 them in full.
 
-Groups of one pooled sample, such as those of every label permutation of a
-two-group test, are scored by ``_group_depths`` for MOD2, MLD and MSD: the
-pooled terms are built once, and each member's depth within its group
-reduces its pooled term row gathered at the group's pairs.
+The deepest member of every group of one pooled sample, such as the groups
+of every label permutation of a two-group test, comes from one entry,
+``_group_picks``, for all five methods. For MOD2, MLD and MSD the pooled
+terms are built once (``_group_depths``), and each member's depth within
+its group reduces its pooled term row gathered at the group's pairs. MOD3
+and MHD stack the groups' distance sub-matrices and score a chunk of them
+at once: MOD3 runs one elimination over the stack, each row scored against
+its own group, and MHD counts every group's anchor-pair probabilities and
+qualifying pairs from one boolean indicator.
 
 Full-sample evaluation (``depth_values``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
@@ -64,7 +69,7 @@ import mmap
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import count
@@ -150,12 +155,18 @@ class SampleState:
     pairs (a1, a2), a1 != a2. ``table`` holds the sample-side numbers:
     squared distances (MOD3), squared pair distances (MOD2, MSD), pair
     distances (MLD), or the anchor-pair probabilities (MHD).
+
+    A MOD3 state over every triple may hold a (k, n, n) stack of samples in
+    ``values`` and ``table``; ``which`` then gives the sample of each query
+    row, so that one block scores rows of many samples, each against its
+    own (see :func:`_mod3_argmax`).
     """
 
     method: DepthMethod
     values: np.ndarray
     index: tuple
     table: np.ndarray
+    which: np.ndarray | None = None
 
 
 def sample_state(dm, method: DepthMethod) -> SampleState:
@@ -181,7 +192,7 @@ def sample_state(dm, method: DepthMethod) -> SampleState:
 
 def _mod3_state(v: np.ndarray, triples: tuple) -> SampleState:
     i, j, k = triples
-    n = v.shape[0]
+    n = v.shape[-1]
     return SampleState(DepthMethod.MOD3, v, (i, j, k, i * n + j, j * n + k, i * n + k), v * v)
 
 
@@ -252,10 +263,11 @@ KERNEL_RADICAND_TOL = 1e-9
 
 
 def _mod3_pairs(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """B-matrix off-diagonal entries of every query against every sample
-    pair, as a (rows, n * n) table."""
+    """B-matrix off-diagonal entries of every query against every pair of
+    its sample, as a (rows, n * n) table."""
     a = q * q
-    return (0.5 * (a[:, :, None] + a[:, None, :] - s.table)).reshape(a.shape[0], -1)
+    table = s.table if s.which is None else s.table[s.which]
+    return (0.5 * (a[:, :, None] + a[:, None, :] - table)).reshape(a.shape[0], -1)
 
 
 def _mod3_terms(s: SampleState, q: np.ndarray, part=slice(None), c=None,
@@ -311,11 +323,26 @@ def _mod3_terms(s: SampleState, q: np.ndarray, part=slice(None), c=None,
 EMBEDDING_TOL = 1e-9
 
 
-def _is_distance_table(v: np.ndarray) -> bool:
-    """Whether the array ``v`` is nonnegative, finite and symmetric, with a
-    zero diagonal."""
-    return bool(np.all((v >= 0) & (v < np.inf)) and np.array_equal(v, v.T)
-                and not np.any(np.diagonal(v)))
+def _is_distance_table(v: np.ndarray) -> np.ndarray:
+    """Whether the array ``v``, or each (n, n) table of a stack of them, is
+    square, nonnegative, finite and symmetric, with a zero diagonal."""
+    if v.shape[-2] != v.shape[-1]:
+        return np.zeros(v.shape[:-2], dtype=bool)
+    last = (-2, -1)
+    return (((v >= 0) & (v < np.inf)).all(axis=last)
+            & (v == np.swapaxes(v, -2, -1)).all(axis=last)
+            & ~np.diagonal(v, axis1=-2, axis2=-1).any(axis=-1))
+
+
+def _embeds(v: np.ndarray) -> np.ndarray:
+    """Whether the distance table ``v``, or each table of a stack of them,
+    passes the Gram test of :func:`euclidean_certificate`; a stack takes one
+    ``eigvalsh``, which decides each table as it does alone."""
+    sq = v * v
+    mean = sq.mean(axis=-1)
+    eig = np.linalg.eigvalsh(-0.5 * (sq - mean[..., :, None] - mean[..., None, :]
+                                     + mean.mean(axis=-1)[..., None, None]))
+    return eig[..., 0] >= -EMBEDDING_TOL * eig[..., -1]
 
 
 def euclidean_certificate(dm) -> bool:
@@ -330,16 +357,12 @@ def euclidean_certificate(dm) -> bool:
     matrices, generally fail.
     """
     v = as_distance_array(dm)
-    if not _is_distance_table(v):
-        return False
-    sq = v * v
-    mean = sq.mean(axis=1)
-    eig = np.linalg.eigvalsh(-0.5 * (sq - mean[:, None] - mean + mean.mean()))
-    return bool(eig[0] >= -EMBEDDING_TOL * eig[-1])
+    return bool(_is_distance_table(v) and _embeds(v))
 
 
 def mod3_lower_bounds(dm) -> np.ndarray:
-    """2 e3(row) / C(n, 3) for every row of the (n, n) distances ``dm``.
+    """2 e3(row) / C(n, 3) for every row of the (n, n) distances ``dm``, or
+    of each table of a (k, n, n) stack of them.
 
     e3, the third elementary symmetric polynomial of an object's distance
     row, sums d_i d_j d_k over the triples i<j<k; so this is the mean of
@@ -350,13 +373,13 @@ def mod3_lower_bounds(dm) -> np.ndarray:
     identity for e3 would cancel.
     """
     v = as_distance_array(dm)
-    n = v.shape[0]
+    n = v.shape[-1]
     # e1 and e2 of each row's entries before column j
     e1 = np.zeros_like(v)
-    np.cumsum(v[:, :-1], axis=1, out=e1[:, 1:])
+    np.cumsum(v[..., :-1], axis=-1, out=e1[..., 1:])
     e2 = np.zeros_like(v)
-    np.cumsum(v[:, :-1] * e1[:, :-1], axis=1, out=e2[:, 1:])
-    return 2.0 * (v * e2).sum(axis=1) / math.comb(n, 3)
+    np.cumsum(v[..., :-1] * e1[..., :-1], axis=-1, out=e2[..., 1:])
+    return 2.0 * (v * e2).sum(axis=-1) / math.comb(n, 3)
 
 
 # relative margin of the in-sample MOD3 elimination: an object is dropped
@@ -365,15 +388,18 @@ def mod3_lower_bounds(dm) -> np.ndarray:
 _ELIMINATION_MARGIN = 1e-9
 
 
-def _mod3_argmax(state: SampleState, certified: bool) -> tuple[int, float]:
-    """Index and depth of the deepest object of a MOD3 state over every
-    triple of a distance table (see :func:`_is_distance_table`), the lowest
-    index on ties, by exact elimination. ``certified`` says that the sample
-    passes :func:`euclidean_certificate`.
+def _mod3_argmax(s: SampleState, certified) -> tuple[np.ndarray, np.ndarray]:
+    """Index and depth of the deepest object of each table of a MOD3 state
+    over every triple, the lowest index on ties, by exact elimination. The
+    state holds one distance table (see :func:`_is_distance_table`), or a
+    (k, n, n) stack of them (see :class:`SampleState`); the result holds k
+    indices and k depths, one of each for one table. ``certified`` says,
+    for all tables or for each, that the table passes
+    :func:`euclidean_certificate`.
 
-    The object with the smallest :func:`mod3_lower_bounds` value is scored
-    first, as the reference. Every other object that cannot reach the
-    reference's depth is dropped, and the others are scored as one block:
+    In each table the object with the smallest :func:`mod3_lower_bounds`
+    value is scored first, as the reference. Every other object that cannot
+    reach the reference's depth is dropped, and the others are scored:
 
     * Certified: every kernel of a sample object is at least
       2 d_i d_j d_k, so its depth is at most 1/(1 + bound/(1 + margin)),
@@ -394,63 +420,85 @@ def _mod3_argmax(state: SampleState, certified: bool) -> tuple[int, float]:
     depths equal after rounding still tie at any distance scale (at
     distances of 1e-6 every depth rounds to 1). ``_depths`` gives a row
     the same bits alone as in a block, so every score is the full pass's
-    and so are the pick and its depth.
+    and so are the picks and their depths.
+
+    The tables take each step together: their bounds are one cumulative
+    sum over the stack, their references one block of rows, each row
+    scored against its own table (``SampleState.which``), and the
+    survivors of every table one more block. The scan's blocks mix the
+    rows of the uncertified tables; where a block is cut changes how a
+    partial sum rounds, by far less than the margin, and so no pick.
     """
-    v = state.values
-    n = v.shape[0]
-    bound = mod3_lower_bounds(v)
-    ref = int(np.argmin(bound))
-    ref_depth = _depths(state, v[ref:ref + 1])[0]
-    others = np.flatnonzero(np.arange(n) != ref)
-    if certified:
-        survivors = others[1.0 / (1.0 + bound[others] / (1.0 + _ELIMINATION_MARGIN)) >= ref_depth]
-    else:
+    n = s.values.shape[-1]
+    v = s.values.reshape(-1, n, n)
+    k = v.shape[0]
+    stack = replace(s, values=v, table=s.table.reshape(v.shape))
+    certified = np.broadcast_to(certified, k)
+    tables = np.arange(k)
+
+    def score(t, rows):
+        return _depths(replace(stack, which=t), v[t, rows])
+
+    bound = np.reshape(mod3_lower_bounds(v), (k, n))
+    ref = np.argmin(bound, axis=1)
+    ref_depth = score(tables, ref)
+    keep = np.zeros((k, n), dtype=bool)
+    keep[certified] = (1.0 / (1.0 + bound[certified] / (1.0 + _ELIMINATION_MARGIN))
+                       >= ref_depth[certified, None])
+    t, r = np.nonzero(~certified[:, None] & (np.arange(n) != ref[:, None]))
+    if t.size:
         # a block's relabelled pair tables hold up to _BLOCK_TARGET elements,
         # as a tile's temporaries do
-        rows = min(n - 1, max(1, _BLOCK_TARGET // (n * n)))
-        scan = partial(_mod3_scan, state, ref_depth)
-        survivors = np.concatenate(_run(scan, [others[s:s + rows] for s in range(0, n - 1, rows)]))
-    best, pick = ref_depth, ref
-    if survivors.size:
-        scores = _depths(state, v[survivors])
-        # survivors keep their increasing order, so argmax takes the lowest
-        # index of their ties
-        i = np.argmax(scores)
-        if scores[i] > best or (scores[i] == best and survivors[i] < ref):
-            best, pick = scores[i], int(survivors[i])
-    return pick, float(best)
+        rows = max(1, _BLOCK_TARGET // (n * n))
+
+        def scan(block):
+            tb = t[block]
+            return block.start + _mod3_scan(replace(stack, which=tb), ref_depth[tb],
+                                             v[tb, r[block]])
+
+        kept = np.concatenate(_run(scan, [slice(i, i + rows) for i in range(0, t.size, rows)]))
+        keep[t[kept], r[kept]] = True
+    keep[tables, ref] = False
+    depth = np.full((k, n), -np.inf)
+    depth[tables, ref] = ref_depth
+    t, r = np.nonzero(keep)
+    if t.size:
+        depth[t, r] = score(t, r)
+    # argmax takes the lowest index of ties
+    pick = np.argmax(depth, axis=1)
+    return pick, depth[tables, pick]
 
 
-def _mod3_scan(state: SampleState, ref_depth: float, rows: np.ndarray) -> np.ndarray:
-    """The objects ``rows`` of a full MOD3 state whose partial kernel sums
-    keep them within reach of ``ref_depth`` (see :func:`_mod3_argmax`).
+def _mod3_scan(s: SampleState, ref_depth: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Positions of the rows of ``q``, objects of the tables ``s.which`` of a
+    stacked MOD3 state, whose partial kernel sums keep them within reach of
+    their own ``ref_depth`` (see :func:`_mod3_argmax`).
 
     Each row's kernels are summed tile by tile along the triple list. Each
-    row sees the sample relabelled in decreasing order of its distances,
+    row sees its table relabelled in decreasing order of its distances,
     so the list starts with the triples that hold its farthest object,
     then those that hold the next farthest, and so on. Relabelled kernels
     round differently from the full pass's, by far less than the margin.
     """
-    v = state.values
-    n = v.shape[0]
-    order = np.argsort(-v[rows], axis=1, kind="stable")
-    q = np.take_along_axis(v[rows], order, axis=1)
+    n = q.shape[1]
+    rows = np.arange(q.shape[0])
+    order = np.argsort(-q, axis=1, kind="stable")
     # the relabelled rows' pair tables, gathered from their own
-    c = _mod3_pairs(state, v[rows]).reshape(-1, n, n)
-    c = c[np.arange(rows.size)[:, None, None], order[:, :, None], order[:, None, :]]
-    c = c.reshape(rows.size, -1)
+    c = _mod3_pairs(s, q).reshape(-1, n, n)
+    c = c[rows[:, None, None], order[:, :, None], order[:, None, :]].reshape(rows.size, -1)
+    q = np.take_along_axis(q, order, axis=1)
     total = np.zeros(rows.size)
-    size = state.index[0].size
+    size = s.index[0].size
     start = 0
     with _lent() as scratch:
         while start < size and rows.size:
             # a tile holds up to _BLOCK_TARGET kernels
             stop = start + max(1, _BLOCK_TARGET // rows.size)
-            total += _mod3_terms(state, q, slice(start, stop), c=c, scratch=scratch).sum(axis=1)
+            total += _mod3_terms(s, q, slice(start, stop), c=c, scratch=scratch).sum(axis=1)
             start = stop
             keep = 1.0 / (1.0 + total / (1.0 + _ELIMINATION_MARGIN) / size) >= ref_depth
             if not keep.all():
-                rows, q, c, total = rows[keep], q[keep], c[keep], total[keep]
+                rows, q, c, total, ref_depth = (x[keep] for x in (rows, q, c, total, ref_depth))
     return rows
 
 
@@ -737,7 +785,9 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
 
     def block(start):
         qb = q[start:start + rows]
-        inputs = shared(s, qb)
+        # the rows of a stacked state name their samples
+        inputs = shared(s if s.which is None else replace(s, which=s.which[start:start + rows]),
+                        qb)
         # a lone block shares its leaves out among the threads
         partials = _run(lambda leaf: tile(qb, leaf, inputs), leaves, threads=len(starts) == 1)
         return finish(_fold(size, iter(partials), join), size)
@@ -751,6 +801,108 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
 # among them alone, so that a group of the sample has the pooled sample's
 # terms at its own pairs
 _POOLED = frozenset({DepthMethod.MOD2, DepthMethod.MLD, DepthMethod.MSD})
+
+
+def _group_picks(v: np.ndarray, groups: list, method: DepthMethod,
+                 certified: bool = False) -> list:
+    """The deepest member of each group of a pooled sample, the lowest on
+    ties.
+
+    ``v`` holds the pooled (n, n) distances. Each array of ``groups`` holds
+    one group per row, as increasing pooled indices; groups in one array
+    have the same size. The result holds, for each array, the position in
+    its row of every row's pick: the pick of ``deepest_in_sample`` on that
+    group's distance sub-matrix. ``certified`` says that the pooled sample
+    passes :func:`euclidean_certificate`, and so does every group.
+
+    MOD2, MLD and MSD take the argmax of :func:`_group_depths`. MOD3 and
+    MHD gather the sub-matrices of a chunk of rows into one (rows, m, m)
+    stack, and find every table's deepest object at once
+    (:func:`_mod3_argmax`, :func:`_mhd_argmax`). A MOD3 chunk holds up to
+    ``_BLOCK_TARGET`` distances, and its reference rows up to
+    ``_BLOCK_TARGET`` kernels: one tile, which runs on the calling thread
+    (chunks of twice to four times that took as long on two threads, and
+    raised the peak memory of a histogram test by 3.5 MB). An MHD chunk's
+    (rows, m, m, m) indicator, a byte an element, holds up to eight times
+    ``_BLOCK_TARGET`` elements (the byte budget of
+    :func:`mhd_pair_probabilities`). Without ``certified``, one stacked
+    ``eigvalsh`` decides every MOD3 table's certificate, and a table that
+    is not a distance table takes the full pass.
+    """
+    method = DepthMethod(method)
+    if method in _POOLED:
+        return [np.argmax(depth, axis=1)
+                for depth in _group_depths(sample_state(v, method), groups)]
+    out = []
+    for g in groups:
+        m = g.shape[1]
+        chunk = max(1, (8 * _BLOCK_TARGET // m ** 3 if method is DepthMethod.MHD
+                        else _BLOCK_TARGET // max(m * m, math.comb(m, 3))))
+        picks = []
+        for start in range(0, len(g), chunk):
+            gc = g[start:start + chunk]
+            sub = v[gc[:, :, None], gc[:, None, :]]
+            picks.append(_mhd_argmax(sub) if method is DepthMethod.MHD
+                         else _mod3_group_argmax(sub, certified))
+        out.append(np.concatenate(picks))
+    return out
+
+
+def _mod3_group_argmax(sub: np.ndarray, certified: bool) -> np.ndarray:
+    """The MOD3 pick of each (m, m) table of the stack ``sub``, as
+    :func:`_group_picks` describes."""
+    triples = _triple_indices(sub.shape[-1])
+    if certified:
+        return _mod3_argmax(_mod3_state(sub, triples), True)[0]
+    distance = _is_distance_table(sub)
+    pick = np.empty(len(sub), dtype=np.intp)
+    if distance.any():
+        tables = sub[distance]
+        pick[distance] = _mod3_argmax(_mod3_state(tables, triples), _embeds(tables))[0]
+    for t in np.flatnonzero(~distance):
+        pick[t] = np.argmax(depth_values(sub[t], DepthMethod.MOD3))
+    return pick
+
+
+def _mhd_argmax(v: np.ndarray) -> np.ndarray:
+    """The index of the deepest object of each (n, n) table of the stack
+    ``v`` under MHD, the lowest on ties.
+
+    One indicator, x at least as close to a1 as to a2, gives both sides of
+    every depth. Summed over the objects x, it counts n P(a1, a2) (see
+    :func:`mhd_pair_probabilities`); and at x, it marks the anchor pairs
+    that qualify for x (a1 not farther from x than a2: the same test for
+    distances without NaN). A depth is the least count of its qualifying
+    pairs over n, or 1. Every P is its count over the same n, so the counts
+    order the depths as the depths themselves do, ties included; and the
+    pairs a1 = a2 count n, as a depth of 1 does, so they change no minimum.
+
+    The counts are held in the smallest unsigned type that holds n. The
+    indicator is built for a block of objects x at a time, up to eight
+    times ``_BLOCK_TARGET`` elements; with more than one block, it is built
+    once for the counts and once more for the minima.
+    """
+    k, n = v.shape[:2]
+    dtype = np.min_scalar_type(n)
+    rows = max(1, 8 * _BLOCK_TARGET // (k * n * n))
+    blocks = [slice(s, s + rows) for s in range(0, n, rows)]
+
+    def indicator(b):
+        # [table, x, a1, a2]
+        return (v[:, b, :, None] <= v[:, b, None, :]).astype(dtype)
+
+    held = [indicator(blocks[0])] if len(blocks) == 1 else []
+    count = np.zeros((k, n, n), dtype)
+    for ind in held or map(indicator, blocks):
+        count += ind.sum(axis=1, dtype=dtype)
+    low = []
+    for ind in held or map(indicator, blocks):
+        # 0 where the pair qualifies for x, the type's largest value where
+        # it does not; then the count where it qualifies
+        ind -= 1
+        ind |= count[:, None]
+        low.append(ind.reshape(k, ind.shape[1], -1).min(axis=2))
+    return np.argmax(np.concatenate(low, axis=1), axis=1)
 
 
 def _group_depths(s: SampleState, groups: list) -> list:

@@ -6,17 +6,20 @@ distance sub-matrix. The null distribution is simulated by group-size
 preserving label permutations; the pooled distance matrix is computed once
 and permutations act on indices only.
 
-The observed labels and every permutation are scored in one call. For
-MOD2, MLD and MSD a term of a (query, pair) depends only on the three
-distances among them, so the pooled sample fixes every group's terms: they
-are built once, n C(n, 2) of them, and each member's depth within its group
-gathers its pooled terms at the group's pairs, bitwise its group-by-group
-value. Scoring each draw afresh would build about a quarter of that per
-draw (two groups of n/2), so pooling costs more for one draw, as
+The observed labels and every permutation are scored in one call, and
+every group of every draw gets its deepest member from one entry,
+``depths._group_picks``, whatever the method; each pick is bitwise the
+group-by-group one. For MOD2, MLD and MSD a term of a (query, pair) depends
+only on the three distances among them, so the pooled sample fixes every
+group's terms: they are built once, n C(n, 2) of them, and each member's
+depth within its group gathers its pooled terms at the group's pairs.
+Scoring each draw afresh would build about a quarter of that per draw (two
+groups of n/2), so pooling costs more for one draw, as
 ``statistic_from_dm`` has, and breaks even at about four. MOD3 and MHD
-score each group of each draw on its own sub-matrix: MOD3 drops most
-objects without scoring them in full, and MHD's anchor-pair probabilities
-depend on the group.
+stack the groups' distance sub-matrices, a chunk of draws at a time: MOD3
+runs one elimination over the stack, which scores few objects of each
+group in full, and MHD counts every group's anchor-pair probabilities at
+once.
 
 The p-value follows the plain convention
 ``#{ t_observed <= t_permuted } / B`` (ties count toward the numerator),
@@ -37,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_distance_array
-from .deepest import _deepest_in_sample
-from .depths import _POOLED, DepthMethod, _group_depths, euclidean_certificate, sample_state
+from .depths import DepthMethod, _group_picks, euclidean_certificate
 from .errors import InsufficientSampleError, InvalidArgumentError
 from .seeding import PERMUTATION_TAG, SUBTEST_TAG, SWAP_TAG, check_seed, child_rng, child_seed
 from .spaces import ObjectSet, distance_matrix
@@ -136,21 +138,14 @@ def _statistics(v, draws, names, method: DepthMethod, certified: bool) -> np.nda
     labels ``draws``, which share their group sizes; ``certified`` says that
     the pooled sample passes ``euclidean_certificate``, and so every group.
 
-    MOD2, MLD and MSD score every group of every draw from one pooled table
-    of pair terms (see ``depths._group_depths``); MOD3 and MHD score each
-    group on its own sub-matrix.
+    Every group of every draw gets its deepest member from one call of
+    ``depths._group_picks``, whatever the method.
     """
     # one row per draw: the group's pooled indices, increasing
     groups = [np.nonzero(draws == name)[1].reshape(len(draws), -1) for name in names]
-    if method in _POOLED:
-        # argmax takes the lowest index of ties, as one group's pass does
-        best = [np.argmax(depth, axis=1)
-                for depth in _group_depths(sample_state(v, method), groups)]
-    else:
-        best = [[_deepest_in_sample(v[np.ix_(g, g)], method, certified).index for g in group]
-                for group in groups]
     rows = np.arange(len(draws))
-    first, second = (group[rows, pick] for group, pick in zip(groups, best))
+    first, second = (group[rows, pick]
+                     for group, pick in zip(groups, _group_picks(v, groups, method, certified)))
     return v[first, second]
 
 
@@ -173,10 +168,11 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     matrix computation.
 
     All ``B`` permutations are drawn first, and the observed labels and
-    every draw are scored in one call. MOD2, MLD and MSD build their pair
-    terms once for the pooled sample, n C(n, 2) of them whatever ``B`` is,
-    and gather each draw's group depths from them; MOD3 and MHD find each
-    group's deepest object on its own sub-matrix (see the module notes).
+    every draw are scored in one call, which picks every group's deepest
+    object for any method. MOD2, MLD and MSD build their pair terms once
+    for the pooled sample, n C(n, 2) of them whatever ``B`` is, and gather
+    each draw's group depths from them; MOD3 and MHD score the groups of a
+    chunk of draws as one stack of sub-matrices (see the module notes).
     """
     method = DepthMethod(method)
     _check_draws(B, seed)

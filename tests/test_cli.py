@@ -41,6 +41,10 @@ COMMANDS = {
                  "--out", OUT],
     "permtest-mod2": ["permtest", "--in", "hist", "--method", "MOD2", "--B", "10", "--seed", "4",
                       "--out", OUT],
+    "permtest-mod3": ["permtest", "--in", "hist", "--method", "MOD3", "--B", "10", "--seed", "4",
+                      "--out", OUT],
+    "permtest-mhd": ["permtest", "--in", "hist", "--method", "MHD", "--B", "10", "--seed", "4",
+                     "--out", OUT],
     "swap-test": ["swap-test", "--in", "hist", "--methods", "MLD,MSD", "--k", "1",
                   "--repeats", "2", "--B", "5", "--seed", "5", "--out", OUT],
 }

@@ -204,7 +204,8 @@ class TestPermutationTest:
     @pytest.mark.parametrize("kind", ["hist", "corr"])
     def test_pooled_certificate_checked_once(self, kind, monkeypatch):
         # a certified pooled sample certifies every group of every draw;
-        # an uncertified one leaves each group to its own check
+        # an uncertified one leaves the groups of each group array to one
+        # stacked Gram test
         if kind == "hist":
             objs = gen_histogram_groups(6, 6, 1.0, 8, seed=2)
         else:
@@ -218,10 +219,20 @@ class TestPermutationTest:
             calls.append(len(dm))
             return original(dm)
 
+        grams = []
+        embeds = depths_module._embeds
+
+        def counting_grams(v):
+            grams.append(v.shape)
+            return embeds(v)
+
         monkeypatch.setattr(inference_module, "euclidean_certificate", counting)
         monkeypatch.setattr(deepest_module, "euclidean_certificate", counting)
+        monkeypatch.setattr(depths_module, "_embeds", counting_grams)
         report = permutation_test(objs, DepthMethod.MOD3, B=10, seed=4)
-        assert calls == ([12] if kind == "hist" else [12] + [6] * 22)
+        assert calls == [12]
+        # the pooled test, then one stack of the 11 draws' groups per label
+        assert grams == ([(12, 12)] if kind == "hist" else [(12, 12)] + [(11, 6, 6)] * 2)
         # the statistics are those of group-by-group checks
         dm = distance_matrix(objs)
         labels = np.asarray(objs.labels)
@@ -250,8 +261,10 @@ class TestPermutationTest:
 
 class TestPooledGroupDepths:
     """MOD2, MLD and MSD score every group of every draw from one table of
-    pooled pair terms; every method's statistics stay bitwise those of
-    ``deepest_in_sample`` run on each group's own distance sub-matrix."""
+    pooled pair terms; MOD3 and MHD score the groups of a chunk of draws as
+    one stack of distance sub-matrices. Every method's statistics stay
+    bitwise those of ``deepest_in_sample`` run on each group's own distance
+    sub-matrix, and no method scores a group on its own."""
 
     @pytest.mark.parametrize("kind", ["hist", "corr", "euclidean", "duplicates"])
     @pytest.mark.parametrize("method", list(DepthMethod))
@@ -320,6 +333,101 @@ class TestPooledGroupDepths:
             evaluated.clear()
             permutation_test(objs, method, B=B, seed=9)
             assert sum(evaluated) == 19 * math.comb(19, 2)
+
+
+    def test_mod3_terms_built_in_two_blocks_per_group_array(self, monkeypatch):
+        # every group array's reference objects are one block of kernels and
+        # its survivors one more, for any B; scoring each group on its own
+        # sub-matrix built them at least once per group, 102 times here
+        objs = grouped_sample("hist", 7, 12)
+        terms = depths_module._mod3_terms
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return terms(*args, **kwargs)
+
+        shared, _, *rest = depths_module._EVALUATE[DepthMethod.MOD3]
+        monkeypatch.setitem(depths_module._EVALUATE, DepthMethod.MOD3, (shared, counting, *rest))
+        monkeypatch.setattr(depths_module, "_mod3_terms", counting)
+        permutation_test(objs, DepthMethod.MOD3, B=50, seed=9)
+        assert 2 <= len(calls) <= 4
+
+    def test_mhd_groups_not_scored_one_by_one(self, monkeypatch):
+        # no group's anchor-pair probabilities, and no depth tile: scoring
+        # each group on its own sub-matrix called both 102 times here
+        objs = grouped_sample("hist", 7, 12)
+        want = reference_statistics(distance_matrix(objs), label_draws(objs.labels, 50, 9),
+                                    DepthMethod.MHD)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a group was scored on its own")
+
+        monkeypatch.setattr(depths_module, "mhd_pair_probabilities", refused)
+        monkeypatch.setattr(depths_module, "_depths", refused)
+        report = permutation_test(objs, DepthMethod.MHD, B=50, seed=9)
+        assert report.t_observed == want[0]
+        assert report.t_permuted.tobytes() == want[1:].tobytes()
+
+    def test_mhd_group_of_more_than_255(self):
+        # counts of a group of 260 need more than a byte: counted in one,
+        # they wrap and move both groups' picks here
+        objs = grouped_sample("euclidean", 8, 260)
+        dm = distance_matrix(objs)
+        want = reference_statistics(dm, label_draws(objs.labels, 1, 3), DepthMethod.MHD)
+        report = permutation_test(objs, DepthMethod.MHD, B=1, seed=3, dm=dm)
+        assert report.t_observed == want[0]
+        assert report.t_permuted.tobytes() == want[1:].tobytes()
+
+    def test_mod3_negative_cross_group_distance(self):
+        # the pooled table is no distance table: groups that hold both ends
+        # of the negative entry take the full pass, the others elimination
+        objs = grouped_sample("hist", 7, 12)
+        v = distance_matrix(objs).values.copy()
+        labels = np.asarray(objs.labels)
+        i, j = np.flatnonzero(labels == "A")[0], np.flatnonzero(labels == "B")[0]
+        v[i, j] = -v[i, j]
+        draws = label_draws(labels, 12, 6)
+        together = [d[i] == d[j] for d in draws]
+        assert any(together) and not all(together)
+        want = reference_statistics(v, draws, DepthMethod.MOD3)
+        report = permutation_test(objs, DepthMethod.MOD3, B=12, seed=6, dm=v)
+        assert report.t_observed == want[0]
+        assert report.t_permuted.tobytes() == want[1:].tobytes()
+
+    @pytest.mark.parametrize("lowered", [False, True])
+    @pytest.mark.parametrize("target", [200, depths_module._BLOCK_TARGET])
+    def test_mod3_uncertified_pooled_sample_with_certified_groups(self, target, lowered,
+                                                                  monkeypatch):
+        # the pooled correlation sample fails the certificate; within each
+        # group array some groups pass it (elimination by bounds) and some
+        # fail (partial kernel sums), decided by one stacked test per chunk.
+        # Here the object of lowest bound is the deepest of every failing
+        # group; lowered to 0, the largest bound of each group puts another
+        # object first, which the others must then beat (a lowered bound is
+        # still a bound)
+        objs = grouped_sample("corr", 9, 10)
+        dm = distance_matrix(objs)
+        assert not depths_module.euclidean_certificate(dm)
+        draws = label_draws(objs.labels, 12, 6)
+        for name in "AB":
+            passes = [depths_module.euclidean_certificate(dm.values[np.ix_(g, g)])
+                      for g in (np.flatnonzero(d == name) for d in draws)]
+            assert any(passes) and not all(passes)
+        want = reference_statistics(dm, draws, DepthMethod.MOD3)
+        bounds = depths_module.mod3_lower_bounds
+
+        def lowest_first(v):
+            b = bounds(v)
+            np.put_along_axis(b, np.argmax(b, axis=-1)[..., None], 0.0, axis=-1)
+            return b
+
+        if lowered:
+            monkeypatch.setattr(depths_module, "mod3_lower_bounds", lowest_first)
+        monkeypatch.setattr(depths_module, "_BLOCK_TARGET", target)
+        report = permutation_test(objs, DepthMethod.MOD3, B=12, seed=6, dm=dm)
+        assert report.t_observed == want[0]
+        assert report.t_permuted.tobytes() == want[1:].tobytes()
 
 
 class TestLabelSwap:
