@@ -33,20 +33,25 @@ that decode with one stacked distance call, and scores them with one depth
 block; rows that do not decode score below the method's range. The decode
 tests positive definiteness with one ``eigh`` of the block, and the
 distances start from those eigenpairs. Each row's value is bitwise what
-scoring it alone gives. Two kinds of step hand the objective several
-independent points at once:
+scoring it alone gives, so scoring rows together changes no start's
+search. The objective gets several points at once from these steps:
 
-* the Nelder-Mead initial simplex (r + 1 points) and each shrink step
-  (r points);
-* each L-BFGS-B gradient, whose 2r central-difference points scipy passes
-  together to its ``workers`` map-like hook; scipy's own step rule and
-  bound handling are unchanged.
+* the values of all the starts, as one block;
+* ``simplex-box``: the starts run in lockstep, so each call scores the
+  next step of every live start together: their initial simplexes
+  (r + 1 points each), then per start a reflect, expand or contract point
+  or a shrink (r points). A start leaves the lockstep when its simplex
+  converges or its budget runs out;
+* ``quasi-newton-box``: each gradient, whose 2r central-difference points
+  scipy passes together to its ``workers`` map-like hook; scipy's own step
+  rule and bound handling are unchanged.
 
-The other steps stay sequential. Each Nelder-Mead reflect, expand or
-contract point depends on the values before it, and L-BFGS-B's line-search
-points come one at a time. A row may cost less in a block than alone, but
-scoring points ahead of time would spend evaluations, which the budget
-counts, on points the search may not take.
+Within a start the steps stay sequential. Each Nelder-Mead reflect,
+expand or contract point depends on the values before it, and L-BFGS-B's
+line-search points come one at a time. Its starts run one after another:
+scipy drives each search from its own loop, so scoring them together would
+take a thread per start. Scoring points ahead of time would spend
+evaluations, which the budget counts, on points the search may not take.
 """
 
 from __future__ import annotations
@@ -357,22 +362,31 @@ class _Incumbent:
     budget: int
     evaluations: int = 0
 
-    def score(self, block, xs: np.ndarray) -> np.ndarray:
-        """Values of the block objective at the rows of ``xs``. Each row
-        counts as one evaluation and, in order, becomes the incumbent when
-        its value is finite and above the incumbent's. A block that does
-        not fit in the evaluation budget is cut at it: the rows that fit
-        are scored, then _BudgetExhausted is raised."""
-        room = self.budget - self.evaluations
-        if room < len(xs):
-            if room > 0:
-                self.score(block, xs[:room])
-            raise _BudgetExhausted
-        values = block(xs)
+    def room(self, xs: np.ndarray) -> np.ndarray:
+        """The leading rows of ``xs`` that fit in the evaluation budget."""
+        return xs[:max(self.budget - self.evaluations, 0)]
+
+    def take(self, xs: np.ndarray, values) -> None:
+        """Count the scored rows ``xs`` as evaluations; in order, each
+        becomes the incumbent when its value is finite and above the
+        incumbent's."""
         for x, val in zip(xs, values):
             self.evaluations += 1
             if np.isfinite(val) and val > self.value:
                 self.point, self.value = x.copy(), float(val)
+
+    def score(self, block, xs: np.ndarray) -> np.ndarray:
+        """Values of the block objective at the rows of ``xs``, taken as
+        evaluations. A block that does not fit in the evaluation budget is
+        cut at it: the rows that fit are scored, then _BudgetExhausted is
+        raised."""
+        fit = self.room(xs)
+        if len(fit) < len(xs):
+            if len(fit):
+                self.take(fit, block(fit))
+            raise _BudgetExhausted
+        values = block(xs)
+        self.take(xs, values)
         return values
 
 
@@ -380,8 +394,9 @@ def _check_box(start, lower, upper):
     start = np.asarray(start, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if start.ndim != 1 or start.shape != lower.shape or start.shape != upper.shape:
-        raise InvalidArgumentError("start, lower, upper must be 1-D vectors of equal length")
+    if start.ndim not in (1, 2) or start.shape != lower.shape or start.shape != upper.shape:
+        raise InvalidArgumentError(
+            "start, lower, upper must be 1-D vectors (or stacks of them) of equal shape")
     if not np.all(lower < upper):
         raise InvalidArgumentError("lower bounds must be strictly below upper bounds")
     if np.any(start < lower) or np.any(start > upper):
@@ -389,7 +404,10 @@ def _check_box(start, lower, upper):
     return start, lower, upper
 
 
-def _nelder_mead_box(block, start, lower, upper, best: _Incumbent):
+def _nelder_mead_box(start, lower, upper):
+    """Nelder-Mead from ``start`` over the box, as a generator: it yields
+    each step's (k, r) block of points and is sent back their k objective
+    values. It returns once the simplex's values lie within ``_FTOL``."""
     width = upper - lower
     margin = 1e-12
 
@@ -402,7 +420,7 @@ def _nelder_mead_box(block, start, lower, upper, best: _Incumbent):
 
     def evaluate(us):
         """Negated objective at the points ``us`` (a list), as one block."""
-        values = best.score(block, to_box(np.array(us)))
+        values = yield to_box(np.array(us))
         return [-float(v) if np.isfinite(v) else np.inf for v in values]  # minimize the negation
 
     r = start.size
@@ -413,20 +431,20 @@ def _nelder_mead_box(block, start, lower, upper, best: _Incumbent):
         vertex[axis] = vertex[axis] + step if vertex[axis] + step <= upper[axis] else vertex[axis] - step
         simplex.append(vertex)
     us = [to_unconstrained(x) for x in simplex]
-    fs = evaluate(us)
+    fs = yield from evaluate(us)
     while True:
         order = np.argsort(fs, kind="stable")
         us = [us[t] for t in order]
         fs = [fs[t] for t in order]
         finite = [f for f in fs if np.isfinite(f)]
         if len(finite) == len(fs) and max(fs) - min(fs) <= _FTOL:
-            break
+            return
         centroid = np.mean(us[:-1], axis=0)
         reflected = centroid + _NM_REFLECT * (centroid - us[-1])
-        [f_r] = evaluate([reflected])
+        [f_r] = yield from evaluate([reflected])
         if f_r < fs[0]:
             expanded = centroid + _NM_EXPAND * (reflected - centroid)
-            [f_e] = evaluate([expanded])
+            [f_e] = yield from evaluate([expanded])
             us[-1], fs[-1] = (expanded, f_e) if f_e < f_r else (reflected, f_r)
         elif f_r < fs[-2]:
             us[-1], fs[-1] = reflected, f_r
@@ -435,12 +453,36 @@ def _nelder_mead_box(block, start, lower, upper, best: _Incumbent):
                 contracted = centroid + _NM_CONTRACT * (reflected - centroid)
             else:
                 contracted = centroid - _NM_CONTRACT * (centroid - us[-1])
-            [f_c] = evaluate([contracted])
+            [f_c] = yield from evaluate([contracted])
             if f_c < min(f_r, fs[-1]):
                 us[-1], fs[-1] = contracted, f_c
             else:
                 us[1:] = [us[0] + _NM_SHRINK * (u - us[0]) for u in us[1:]]
-                fs[1:] = evaluate(us[1:])
+                fs[1:] = yield from evaluate(us[1:])
+
+
+def _lockstep(block, searches, bests) -> None:
+    """Run the search generators ``searches`` side by side, each taking its
+    evaluations in its own incumbent of ``bests``. At each step every live
+    search's pending block is cut at its budget, the cut blocks are scored
+    as one call of ``block``, and each search is sent its own values. A
+    search ends when it returns or when its block was cut."""
+    pending = [(search, best, next(search)) for search, best in zip(searches, bests)]
+    while pending:
+        fits = [best.room(xs) for _, best, xs in pending]
+        rows = np.concatenate(fits)
+        values = block(rows) if len(rows) else np.empty(0)
+        live = []
+        end = 0
+        for (search, best, xs), fit in zip(pending, fits):
+            vals = values[end:end + len(fit)]
+            end += len(fit)
+            best.take(fit, vals)
+            if len(fit) < len(xs):
+                continue
+            with suppress(StopIteration):
+                live.append((search, best, search.send(vals)))
+        pending = live
 
 
 def _lbfgsb_box(block, start, lower, upper, best: _Incumbent):
@@ -481,24 +523,44 @@ def optimize_box(block, start, lower, upper, cfg: OptimizerConfig | None = None)
     """Maximize ``block`` over the box [lower, upper] from ``start``.
 
     ``block`` is a block objective: it maps a (k, r) array of points to
-    their k values (the module notes say which steps pass k > 1). Returns
-    ``(argmax, value, evaluations)`` for the best point scored, which never
-    scores below ``start`` and always lies inside the box. At most
-    ``cfg.max_evaluations`` points are scored (by default 500 per
-    coordinate). Non-finite values are treated as worst-possible during the
-    search, and are an error at the start.
+    their k values. ``start``, ``lower`` and ``upper`` are r-vectors, or
+    (s, r) stacks of s starts and their boxes, each start searched in its
+    own box. Returns ``(argmax, value, evaluations)`` for the best point
+    scored, which never scores below ``start`` and always lies inside the
+    box; for a stack, each is an array with one entry per start. At most
+    ``cfg.max_evaluations`` points are scored per start (by default 500
+    per coordinate). Non-finite values are treated as worst-possible during
+    the search, and are an error at a start.
+
+    The starts' values are scored as one block. ``simplex-box`` then runs
+    the starts in lockstep: at each step, the points every live start needs
+    next (its initial simplex, a reflect, expand or contract point, or a
+    shrink) are scored as one block. ``quasi-newton-box`` runs the starts
+    one after another, and scores the points of each gradient as one
+    block. A start's result is the one its search alone gives when the
+    objective scores each row of a block as it scores the row alone.
     """
     cfg = cfg or OptimizerConfig()
     start, lower, upper = _check_box(start, lower, upper)
-    max_evals = cfg.max_evaluations or 500 * start.size
-    f0 = float(block(start[None])[0])
-    if not np.isfinite(f0):
-        raise InvalidArgumentError(f"objective is not finite at the start: {f0}")
-    best = _Incumbent(point=start.copy(), value=f0, budget=max_evals, evaluations=1)
-    search = _nelder_mead_box if cfg.algorithm == "simplex-box" else _lbfgsb_box
-    with suppress(_BudgetExhausted):
-        search(block, start, lower, upper, best)
-    return best.point, best.value, best.evaluations
+    starts, lowers, uppers = np.atleast_2d(start, lower, upper)
+    max_evals = cfg.max_evaluations or 500 * starts.shape[1]
+    f0 = block(starts)
+    for f in f0:
+        if not np.isfinite(f):
+            raise InvalidArgumentError(f"objective is not finite at the start: {float(f)}")
+    bests = [_Incumbent(point=x.copy(), value=float(f), budget=max_evals, evaluations=1)
+             for x, f in zip(starts, f0)]
+    boxes = zip(starts, lowers, uppers)
+    if cfg.algorithm == "simplex-box":
+        _lockstep(block, [_nelder_mead_box(*box) for box in boxes], bests)
+    else:
+        for box, best in zip(boxes, bests):
+            with suppress(_BudgetExhausted):
+                _lbfgsb_box(block, *box, best)
+    if start.ndim == 1:
+        return bests[0].point, bests[0].value, bests[0].evaluations
+    return (np.array([best.point for best in bests]), np.array([best.value for best in bests]),
+            np.array([best.evaluations for best in bests]))
 
 
 # ---------------------------------------------------------------------------
@@ -549,17 +611,13 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
             values[decoded] = _depths(state, q)
         return values
 
-    best_run = None  # (value, rank, point, evals, sample_index)
-    total_evals = 0
-    for rank, sample_index in enumerate(starts):
-        w0 = pca_encode(model, data[sample_index])
-        lower = w0 - cfg.half_width
-        upper = w0 + cfg.half_width
-        point, value, evals = optimize_box(objective, w0, lower, upper, cfg)
-        total_evals += evals
-        if best_run is None or value > best_run[0]:
-            best_run = (value, rank, point, evals, sample_index)
-    value, rank, point, _, sample_index = best_run
+    w0 = np.array([pca_encode(model, data[sample_index]) for sample_index in starts])
+    points, scores, evals = optimize_box(objective, w0, w0 - cfg.half_width,
+                                         w0 + cfg.half_width, cfg)
+    total_evals = int(evals.sum())
+    # the first start among those of the highest value
+    rank = int(np.argmax(scores))
+    value, point, sample_index = scores[rank], points[rank], starts[rank]
     if value <= failure_score:
         # every evaluation of every run failed to decode; fall back to the
         # best in-sample object, which is always valid

@@ -776,7 +776,7 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
             return reduce(terms(s, qb, slice(*leaf), scratch=scratch, **inputs))
 
     if q.shape[0] <= rows and _is_leaf(size):
-        # a single tile, as every query of the out-of-sample search is, runs
+        # a single tile, as most calls of the out-of-sample search are, runs
         # here: the general case's fixed cost would double a short call's
         # (MLD at n=40: 24 against 11 us per query)
         return finish(tile(q, (0, size), shared(s, q)), size)
@@ -793,8 +793,10 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
         return finish(_fold(size, iter(partials), join), size)
 
     # several blocks: each thread takes whole blocks, so that a block's shared
-    # inputs are built once
-    return np.concatenate(_run(block, starts))
+    # inputs are built once. Two one-tile blocks run on the calling thread: a
+    # second thread, started afresh on every call, made two MOD3 blocks at
+    # n=40 (5 rows, 3 + 2) take 159 against 126 us per row on 2 cores
+    return np.concatenate(_run(block, starts, threads=len(starts) > 2 or len(leaves) > 1))
 
 
 # the methods whose term of a (query, pair) depends on the three distances

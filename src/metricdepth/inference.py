@@ -123,9 +123,19 @@ def _check_draws(B, seed) -> None:
     check_seed(seed)
 
 
+def _finite_distances(dm) -> np.ndarray:
+    """The entries of ``dm``, refused when one is not finite: a NaN would
+    decide picks by how it compares. A raw array is otherwise taken as it
+    is."""
+    v = as_distance_array(dm)
+    if not np.isfinite(v).all():
+        raise InvalidArgumentError("distance matrix entries must be finite")
+    return v
+
+
 def statistic_from_dm(dm, labels, method: DepthMethod) -> float:
     """Distance between the two groups' deepest in-sample objects."""
-    v = as_distance_array(dm)
+    v = _finite_distances(dm)
     labels, names = _two_groups(labels)
     if labels.size != v.shape[0]:
         raise InvalidArgumentError("labels length must match the distance matrix")
@@ -165,7 +175,7 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     preserved); permutation b draws from the child stream of (seed, b), so
     the report is independent of evaluation order. ``labels`` overrides the
     object set's own labels and ``dm`` short-circuits the single distance
-    matrix computation.
+    matrix computation; its entries must be finite.
 
     All ``B`` permutations are drawn first, and the observed labels and
     every draw are scored in one call, which picks every group's deepest
@@ -186,7 +196,7 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     _check_group_sizes(labels, names, method)
     if dm is None:
         dm = distance_matrix(objects)
-    v = as_distance_array(dm)
+    v = _finite_distances(dm)
     if v.shape[0] != len(labels):
         raise InvalidArgumentError("labels length must match the distance matrix")
     # A sum-zero vector restricted to a subset is still sum-zero: when the

@@ -33,6 +33,11 @@ COMMANDS = {
     "deepest-hist-mod3": ["deepest", "--in", "hist", "--method", "MOD3", "--out", OUT],
     "deepest-oos": ["deepest", "--in", "corr", "--method", "MLD", "--out-of-sample",
                     "--seed", "2", "--starts", "2", "--max-evals", "20", "--out", OUT],
+    "deepest-oos-lbfgs": ["deepest", "--in", "corr", "--method", "MLD", "--out-of-sample",
+                          "--optimizer", "lbfgs", "--seed", "2", "--starts", "2",
+                          "--max-evals", "20", "--out", OUT],
+    "deepest-oos-mod3": ["deepest", "--in", "corr", "--method", "MOD3", "--out-of-sample",
+                         "--seed", "2", "--starts", "3", "--max-evals", "30", "--out", OUT],
     "simulate-corr": ["simulate-corr", "--p", "3", "--n", "8", "--eps", "0.1", "--reps", "2",
                       "--methods", "MOD3,MLD", "--seed", "1", "--out", OUT],
     "simulate-sphere": ["simulate-sphere", "--p", "3", "--n", "8", "--eps", "0.1",

@@ -661,8 +661,9 @@ class TestBlockEvaluation:
         captured = []
 
         def capture(block, start, lower, upper, cfg=None):
+            # one search with the stack of starts, scored 0 with 1 evaluation each
             captured.append(block)
-            return start, 0.0, 1
+            return start, np.zeros(len(start)), np.ones(len(start), dtype=int)
 
         with monkeypatch.context() as patch:
             patch.setattr(deepest, "optimize_box", capture)
@@ -855,6 +856,88 @@ class TestPositiveDefiniteFloor:
             assert np.all((values == low - 1.0) | ((low <= values) & (values <= high)))
 
 
+def _scored_blocks(block, box, cfg):
+    """(offset, size) of each block a lone search from ``box`` scores."""
+    sizes = []
+    optimize_box(lambda xs: sizes.append(len(xs)) or block(xs), *box, cfg)
+    return list(zip(np.cumsum([0, *sizes[:-1]]), sizes))
+
+
+class TestLockstep:
+    """The simplex runs a stack of starts in lockstep, scoring each step of
+    every live start in one objective call; each start's point, value and
+    evaluation count are bitwise those of its search alone."""
+
+    @staticmethod
+    def assert_as_alone(block, boxes, cfg):
+        points, values, evals = optimize_box(block, *boxes, cfg)
+        for t, box in enumerate(zip(*boxes)):
+            point, value, count = optimize_box(block, *box, cfg)
+            assert points[t].tobytes() == point.tobytes()
+            assert np.float64(values[t]).tobytes() == np.float64(value).tobytes()
+            assert evals[t] == count
+        return evals
+
+    def test_each_step_of_every_start_is_one_call(self):
+        starts = np.array([BOX[0], -BOX[0], 0.5 * BOX[0]])
+        boxes = (starts, np.full((3, 3), -1.0), np.full((3, 3), 1.0))
+        cfg = OptimizerConfig(max_evaluations=60)
+        evals = self.assert_as_alone(_noisy, boxes, cfg)
+        sizes = []
+        optimize_box(TestBlockEvaluation.logged(_noisy, sizes), *boxes, cfg)
+        # the starts' values, then their initial simplexes (r + 1 = 4 each)
+        assert sizes[:2] == [3, 12]
+        assert sum(sizes) == sum(evals)
+        alone = [len(_scored_blocks(_noisy, box, cfg)) for box in zip(*boxes)]
+        assert len(sizes) == max(alone)
+
+    @staticmethod
+    def depth_search(method, monkeypatch):
+        """The depth objective of a p = 4, n = 20 correlation sample, and the
+        boxes of five starts: four sample objects, and a point that does
+        not decode."""
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=4, n=20, eps=0.1, reps=1, seed=3),
+                                         child_rng(3, 1))
+        block = TestBlockEvaluation.search_objective(objs, method, None, monkeypatch)
+        data = np.array([cholesky_encode(o) for o in objs.items])
+        vecs = data[:5].copy()
+        vecs[4, 1:] = 0.0  # rows 2-4 of the factor vanish
+        model = pca_fit(data, 1.0)
+        starts = (vecs - model.mean) @ model.components.T
+        assert block(starts[4:])[0] == method.value_range[0] - 1.0
+        return block, (starts, starts - 0.05, starts + 0.05)
+
+    @pytest.mark.parametrize("method", [DepthMethod.MOD3, DepthMethod.MLD, DepthMethod.MSD,
+                                        DepthMethod.MHD])
+    def test_depth_search_starts_end_as_alone(self, method, monkeypatch):
+        block, boxes = self.depth_search(method, monkeypatch)
+        budget = 40
+        evals = self.assert_as_alone(block, boxes, OptimizerConfig(max_evaluations=budget))
+        if method is DepthMethod.MLD:
+            # some starts stop on the simplex spread while others run on
+            assert min(evals) < budget == max(evals)
+
+    def test_budget_cut_inside_one_starts_shrink(self, monkeypatch):
+        block, boxes = self.depth_search(DepthMethod.MLD, monkeypatch)
+        r = boxes[0].shape[1]
+        blocks = [_scored_blocks(block, box, OptimizerConfig(max_evaluations=200))
+                  for box in zip(*boxes)]
+        budget = 30
+
+        def cut_in_shrink(scored):
+            return any(at < budget < at + size for at, size in scored[2:] if size == r)
+
+        def runs_past(scored):
+            return sum(size for _, size in scored) > budget
+
+        cut = [cut_in_shrink(scored) for scored in blocks]
+        past = [runs_past(scored) for scored in blocks]
+        # one start's budget ends inside a shrink, another's elsewhere
+        assert any(cut) and any(p and not c for p, c in zip(past, cut))
+        evals = self.assert_as_alone(block, boxes, OptimizerConfig(max_evaluations=budget))
+        assert [e == budget for e in evals] == past
+
+
 class TestOutOfSample:
     def test_identical_sample_recovers_object(self):
         x0 = CorrelationMatrix(np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]))
@@ -906,24 +989,26 @@ class TestOutOfSample:
         with pytest.raises(InvalidArgumentError, match="tsh"):
             deepest_out_of_sample(objs, DepthMethod.MLD, tsh=tsh)
 
-    def test_optimize_box_called_once_per_start(self, monkeypatch):
+    def test_optimize_box_called_once_per_search(self, monkeypatch):
         # the search runs through the public optimize_box, which the
-        # benchmark tracer wraps by name
+        # benchmark tracer wraps by name: one call with the stack of starts
         calls = []
         original = deepest.optimize_box
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(block, start, *args, **kwargs):
+            calls.append(np.shape(start))
+            return original(block, start, *args, **kwargs)
 
         monkeypatch.setattr(deepest, "optimize_box", counting)
         objs, _ = gen_correlation_sample(CorrSimConfig(p=3, n=10, eps=0.1, reps=1, seed=4),
                                          child_rng(4, 1))
-        for starts in (1, 3):
-            calls.clear()
-            cfg = OptimizerConfig(max_evaluations=10, starts=starts)
-            deepest_out_of_sample(objs, DepthMethod.MLD, cfg=cfg)
-            assert len(calls) == starts
+        for algorithm in ("simplex-box", "quasi-newton-box"):
+            for starts in (1, 3):
+                calls.clear()
+                cfg = OptimizerConfig(algorithm=algorithm, max_evaluations=10, starts=starts)
+                res = deepest_out_of_sample(objs, DepthMethod.MLD, cfg=cfg)
+                assert len(calls) == 1 and calls[0][0] == starts
+                assert 0 < res.evaluations <= 10 * starts
 
     def test_deterministic(self, rng):
         cfg = CorrSimConfig(p=3, n=10, eps=0.1, reps=1, seed=4)

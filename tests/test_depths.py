@@ -531,6 +531,9 @@ class TestTiles:
         for method in DepthMethod:
             depth_of_query(dm.values[0], dm, method)
         depth_values(corr_dm(10, 8), DepthMethod.MOD3)
+        # and so do two one-tile blocks: five MOD3 rows at n=40 (3 + 2)
+        assert depths._BLOCK_TARGET // math.comb(40, 3) == 3
+        depths._depths(depths.sample_state(dm, DepthMethod.MOD3), dm.values[:5])
 
 
 def _mod3_terms_expression(s, q, part=slice(None)):

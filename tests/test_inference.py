@@ -258,6 +258,22 @@ class TestPermutationTest:
         with pytest.raises(error):
             permutation_test(objs, DepthMethod.MOD3, B=B, seed=seed)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", [DepthMethod.MHD, DepthMethod.MOD3])
+    def test_non_finite_dm_rejected_before_any_draw(self, bad, method, monkeypatch):
+        objs = gen_histogram_groups(6, 6, 1.0, 8, seed=2)
+        v = distance_matrix(objs).values.copy()
+        v[1, 7] = v[7, 1] = bad
+
+        def fail(*args, **kwargs):
+            raise AssertionError("permutation drawn before validation")
+
+        monkeypatch.setattr(inference_module, "child_rng", fail)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            permutation_test(objs, method, B=10, seed=1, dm=v)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            statistic_from_dm(v, objs.labels, method)
+
 
 class TestPooledGroupDepths:
     """MOD2, MLD and MSD score every group of every draw from one table of
