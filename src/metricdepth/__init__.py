@@ -46,7 +46,6 @@ from .errors import (
 from .inference import (
     PermutationReport,
     SwapExperimentReport,
-    deepest_distance_statistic,
     label_swap_experiment,
     permutation_test,
 )

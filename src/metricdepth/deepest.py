@@ -1,13 +1,13 @@
 """Deepest-object estimation.
 
 The in-sample estimator returns the sample object with maximal full-sample
-depth, the lowest index on ties. For a MOD3 state over every triple of a
-symmetric, finite, nonnegative distance table with a zero diagonal, it
-checks ``depths.euclidean_certificate`` and finds that object by exact
-elimination (``depths._mod3_argmax``), which scores few objects in full
-and gives the full pass's pick and depth bitwise. The other four methods,
-subsampled MOD3 states over fewer than C(n, 3) triples, and other arrays
-take the full pass.
+depth, the lowest index on ties. MOD3 states go to ``depths._mod3_picks``:
+over every triple of a symmetric, finite, nonnegative distance table with a
+zero diagonal, it checks ``depths.euclidean_certificate`` and finds that
+object by exact elimination, which scores few objects in full and gives the
+full pass's pick and depth bitwise. The other four methods, subsampled MOD3
+states over fewer than C(n, 3) triples, and other arrays take the full
+pass.
 
 The out-of-sample estimator lifts the search off the sample grid:
 objects are mapped to Euclidean coordinates (correlation matrices via the
@@ -67,10 +67,8 @@ from .depths import (
     DepthMethod,
     _check_query,
     _depths,
-    _is_distance_table,
-    _mod3_argmax,
+    _mod3_picks,
     depth_values,
-    euclidean_certificate,
     sample_state,
 )
 from .errors import (
@@ -158,7 +156,7 @@ def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     table with a zero diagonal, the argmax is found by exact elimination:
     objects that cannot reach the depth of the object scored first are
     dropped, by a lower bound on their mean kernel when the sample passes
-    :func:`euclidean_certificate`, and otherwise by partial sums of their
+    ``depths.euclidean_certificate``, and otherwise by partial sums of their
     kernels. The result is bitwise the full pass's. Any other case computes
     every depth.
 
@@ -172,10 +170,8 @@ def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     """
     method = DepthMethod(method)
     state = sample_state(dm, method)
-    n = state.values.shape[0]
-    if (method is DepthMethod.MOD3 and state.index[0].size == math.comb(n, 3)
-            and _is_distance_table(state.values)):
-        pick, depth = _mod3_argmax(state, euclidean_certificate(state.values))
+    if method is DepthMethod.MOD3:
+        pick, depth = _mod3_picks(state)
         i0, depth = int(pick[0]), float(depth[0])
     else:
         values = depth_values(state, method)

@@ -28,12 +28,13 @@ pairwise-summation tree over a row, so the partials, joined back along
 that tree, are bitwise the reduction of the whole row. Scoring one query
 is a 1-row block; scoring every sample object (``depth_values``) runs the
 sample's own distance rows through the same tiles, so both give bitwise
-identical values. A call of two tiles or more runs them on one thread per
-core available to the process; a single tile runs on the calling thread.
-Every tile writes its temporaries and terms into buffers that are kept from
-call to call (one set per tile running at once), so it allocates no array
-of its size: freshly allocated ones had their memory faulted in again on
-many calls.
+identical values. A call runs on the calling thread, one row block after
+another, unless its rows hold more than half of ``_BLOCK_TARGET`` terms
+each, so that every block is one row: then two blocks or more run on one
+thread per core available to the process. Every block writes its tiles'
+temporaries and terms into buffers that are kept from call to call (one set
+per block running at once), so it allocates no array of its size: freshly
+allocated ones had their memory faulted in again on many calls.
 
 Subsampled MOD3 (``mod3_subsample_state``) is a MOD3 state over ``m``
 triples drawn once, in place of all C(n, 3); the same evaluator scores one
@@ -67,12 +68,10 @@ import contextvars
 import math
 import mmap
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import count
 
 import numpy as np
 
@@ -214,32 +213,31 @@ def _require(n: int, minimum: int, what: str) -> None:
         raise InsufficientSampleError(f"{what} needs a sample of at least {minimum}, got {n}")
 
 
-def _read_only(index) -> tuple:
-    # contiguous copies: ``take`` would copy strided index arrays on every call
-    out = tuple(np.ascontiguousarray(t) for t in index)
-    for a in out:
-        a.flags.writeable = False
-    return out
+def _contiguous(index) -> tuple:
+    # contiguous, writeable copies: ``take`` copies a strided or read-only
+    # index array on every call (up to 256 KB a tile, faulted in afresh in a
+    # new worker thread). The cached arrays are shared: nothing writes them
+    return tuple(np.ascontiguousarray(t) for t in index)
 
 
 @lru_cache(maxsize=8)
 def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All index triples i<j<k of range(n), in lexicographic order."""
     r = np.arange(n)
-    return _read_only(np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r)))
+    return _contiguous(np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r)))
 
 
 @lru_cache(maxsize=16)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All index pairs i<j of range(n), in lexicographic order."""
-    return _read_only(np.triu_indices(n, 1))
+    return _contiguous(np.triu_indices(n, 1))
 
 
 @lru_cache(maxsize=8)
 def _anchor_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All ordered index pairs (a1, a2), a1 != a2, of range(n), in
     lexicographic order."""
-    return _read_only(np.nonzero(~np.eye(n, dtype=bool)))
+    return _contiguous(np.nonzero(~np.eye(n, dtype=bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +623,15 @@ _EVALUATE = {
 
 _PAIRWISE_BLOCK = 128
 
-# threads that score the tiles of one call; numpy releases the GIL inside
-# ``take`` and its elementwise loops
+# threads that score the one-row blocks of one call, and the blocks of the
+# MOD3 scan; numpy releases the GIL inside ``take`` and its elementwise loops
 _WORKERS = len(os.sched_getaffinity(0))
 
 
 class _Scratch:
-    """Buffers for one tile's temporaries: room for nine float64 and two
-    boolean arrays of ``size`` elements each, the most any evaluator takes
-    (MOD3 nine floats, MSD two masks).
+    """Buffers for the temporaries of a row block's tiles, one tile at a
+    time: room for nine float64 and two boolean arrays of ``size`` elements
+    each, the most any evaluator takes (MOD3 nine floats, MSD two masks).
 
     They lie in an anonymous memory map of their own, outside the heap of
     the allocator, so that they do not keep the heap from shrinking: held
@@ -666,15 +664,15 @@ def _tile_buffers(scratch, rows: int, width: int, floats: int, masks: int = 1) -
     return (scratch or _Scratch(rows * width)).arrays(rows, width, floats, masks)
 
 
-# Scratch not lent out at the moment: one per tile that ever ran at the same
-# time as others (one per worker thread), kept from call to call and shared
-# by every method. Tiles that allocated their temporaries afresh (up to
-# 2.4 MB a tile) had their pages faulted in again on many calls, as if the
-# allocator handed the top of its heap back to the system after each tile:
-# in a fresh process a 12-row MOD3 block at n=40 took about 1,500 minor page
-# faults, and passes at n=140 about 16,000 (MOD2), 9,500 (MSD) and 5,000
-# (MLD). ``list.pop`` and ``list.append`` are atomic, so lending needs no
-# lock.
+# Scratch not lent out at the moment: one per block that ever ran at the
+# same time as others (one per worker thread), kept from call to call and
+# shared by every method. Tiles that allocated their temporaries afresh (up
+# to 2.4 MB a tile) had their pages faulted in again on many calls, as if
+# the allocator handed the top of its heap back to the system after each
+# tile: in a fresh process a 12-row MOD3 call at n=40 took about 1,500 minor
+# page faults, and passes at n=140 about 16,000 (MOD2), 9,500 (MSD) and
+# 5,000 (MLD). ``list.pop`` and ``list.append`` are atomic, so lending needs
+# no lock.
 _SCRATCH: list = []
 
 
@@ -724,79 +722,58 @@ def _fold(size: int, partials, join):
     return join(first, _fold(size - h, partials, join))
 
 
-def _run(task, items, threads: bool = True) -> list:
-    """``[task(x) for x in items]``, on up to ``_WORKERS`` threads (the
-    caller's among them) when ``threads`` is set and there are at least two
-    items; otherwise on the calling thread alone."""
+def _run(task, items) -> list:
+    """``[task(x) for x in items]``, on up to ``_WORKERS`` threads of a pool
+    made for the call when there are at least two items; otherwise on the
+    calling thread. A failure is raised in the caller, once the items not
+    yet started are cancelled and the running ones have ended."""
     items = list(items)
-    workers = min(_WORKERS, len(items)) if threads else 1
+    workers = min(_WORKERS, len(items))
     if workers < 2:
         return [task(x) for x in items]
-    out = [None] * len(items)
-    failures = []
-    claim = count()
-    lock = threading.Lock()
+    # imported here: ``import metricdepth`` would otherwise pay for it (and
+    # for logging, which it imports) in every command
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-    def work():
-        while not failures:
-            with lock:
-                i = next(claim)
-            if i >= len(items):
-                return
-            try:
-                out[i] = task(items[i])
-            except BaseException as exc:  # re-raised in the caller
-                failures.append(exc)
-
-    # numpy keeps ``np.errstate`` in a context variable: each thread runs in
-    # a copy of the caller's context, so the caller's settings apply
-    pool = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
-            for _ in range(workers - 1)]
-    for t in pool:
-        t.start()
-    try:
-        work()
-    finally:
-        for t in pool:
-            t.join()
-    if failures:
-        raise failures[0]
-    return out
+    with ThreadPoolExecutor(workers) as pool:
+        # numpy keeps ``np.errstate`` in a context variable: each item runs
+        # in a copy of the caller's context, so the caller's settings apply
+        futures = [pool.submit(contextvars.copy_context().run, task, x) for x in items]
+        # the caller wakes once, not once an item: waking it per item (as
+        # ``as_completed`` does) made in-sample replicates at n=140 about 10%
+        # slower
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    # items start in order, so every cancelled item comes after a failed one
+    return [future.result() for future in futures]
 
 
 def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """Depths of the (rows, n) query distances ``q``, tile by tile."""
+    """Depths of the (rows, n) query distances ``q``, one row block at a
+    time: a block lends one scratch, scores its leaves in order and joins
+    their partials. Blocks of one row (a row of more than half of
+    ``_BLOCK_TARGET`` terms) run on the workers (:func:`_run`); blocks of
+    several rows run on the calling thread."""
     shared, terms, reduce, join, finish = _EVALUATE[s.method]
     size = s.index[0].size
     # a row block holds up to _BLOCK_TARGET terms, and at least one row
     rows = max(1, _BLOCK_TARGET // max(size, 1))
-
-    def tile(qb, leaf, inputs):
-        with _lent() as scratch:
-            return reduce(terms(s, qb, slice(*leaf), scratch=scratch, **inputs))
-
-    if q.shape[0] <= rows and _is_leaf(size):
-        # a single tile, as most calls of the out-of-sample search are, runs
-        # here: the general case's fixed cost would double a short call's
-        # (MLD at n=40: 24 against 11 us per query)
-        return finish(tile(q, (0, size), shared(s, q)), size)
     leaves = _leaves(0, size)
-    starts = range(0, q.shape[0], rows)
 
     def block(start):
         qb = q[start:start + rows]
         # the rows of a stacked state name their samples
         inputs = shared(s if s.which is None else replace(s, which=s.which[start:start + rows]),
                         qb)
-        # a lone block shares its leaves out among the threads
-        partials = _run(lambda leaf: tile(qb, leaf, inputs), leaves, threads=len(starts) == 1)
-        return finish(_fold(size, iter(partials), join), size)
+        with _lent() as scratch:
+            partials = (reduce(terms(s, qb, slice(*leaf), scratch=scratch, **inputs))
+                        for leaf in leaves)
+            return finish(_fold(size, partials, join), size)
 
-    # several blocks: each thread takes whole blocks, so that a block's shared
-    # inputs are built once. Two one-tile blocks run on the calling thread: a
-    # second thread, started afresh on every call, made two MOD3 blocks at
-    # n=40 (5 rows, 3 + 2) take 159 against 126 us per row on 2 cores
-    return np.concatenate(_run(block, starts, threads=len(starts) > 2 or len(leaves) > 1))
+    starts = range(0, q.shape[0], rows)
+    return np.concatenate(_run(block, starts) if rows == 1 else [block(b) for b in starts])
 
 
 # the methods whose term of a (query, pair) depends on the three distances
@@ -822,14 +799,12 @@ def _group_picks(v: np.ndarray, groups: list, method: DepthMethod,
     stack, and find every table's deepest object at once
     (:func:`_mod3_argmax`, :func:`_mhd_argmax`). A MOD3 chunk holds up to
     ``_BLOCK_TARGET`` distances, and its reference rows up to
-    ``_BLOCK_TARGET`` kernels: one tile, which runs on the calling thread
-    (chunks of twice to four times that took as long on two threads, and
-    raised the peak memory of a histogram test by 3.5 MB). An MHD chunk's
-    (rows, m, m, m) indicator, a byte an element, holds up to eight times
-    ``_BLOCK_TARGET`` elements (the byte budget of
-    :func:`mhd_pair_probabilities`). Without ``certified``, one stacked
-    ``eigvalsh`` decides every MOD3 table's certificate, and a table that
-    is not a distance table takes the full pass.
+    ``_BLOCK_TARGET`` kernels: one tile (chunks of twice to four times that
+    took as long on two threads, and raised the peak memory of a histogram
+    test by 3.5 MB). An MHD chunk's (rows, m, m, m) indicator, a byte an
+    element, holds up to eight times ``_BLOCK_TARGET`` elements (the byte
+    budget of :func:`mhd_pair_probabilities`). MOD3 chunks go to
+    :func:`_mod3_picks`.
     """
     method = DepthMethod(method)
     if method in _POOLED:
@@ -845,25 +820,40 @@ def _group_picks(v: np.ndarray, groups: list, method: DepthMethod,
             gc = g[start:start + chunk]
             sub = v[gc[:, :, None], gc[:, None, :]]
             picks.append(_mhd_argmax(sub) if method is DepthMethod.MHD
-                         else _mod3_group_argmax(sub, certified))
+                         else _mod3_picks(_mod3_state(sub, _triple_indices(m)), certified)[0])
         out.append(np.concatenate(picks))
     return out
 
 
-def _mod3_group_argmax(sub: np.ndarray, certified: bool) -> np.ndarray:
-    """The MOD3 pick of each (m, m) table of the stack ``sub``, as
-    :func:`_group_picks` describes."""
-    triples = _triple_indices(sub.shape[-1])
-    if certified:
-        return _mod3_argmax(_mod3_state(sub, triples), True)[0]
-    distance = _is_distance_table(sub)
-    pick = np.empty(len(sub), dtype=np.intp)
-    if distance.any():
-        tables = sub[distance]
-        pick[distance] = _mod3_argmax(_mod3_state(tables, triples), _embeds(tables))[0]
-    for t in np.flatnonzero(~distance):
-        pick[t] = np.argmax(depth_values(sub[t], DepthMethod.MOD3))
-    return pick
+def _mod3_picks(s: SampleState, certified: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Index and depth of the deepest object of each table of a MOD3 state,
+    the lowest index on ties: of its one (n, n) table, or of each table of a
+    (k, n, n) stack (see :class:`SampleState`).
+
+    A state over every triple takes :func:`_mod3_argmax` on each table that
+    is a distance table (:func:`_is_distance_table`), with the table's
+    :func:`euclidean_certificate`; ``certified`` says that every table is
+    one and passes it. Any other table, and every table of a subsampled
+    state, takes the full pass. Every table is scored through the state's
+    own triples, so a lone table builds no second state.
+    """
+    n = s.values.shape[-1]
+    v = s.values.reshape(-1, n, n)
+    table = s.table.reshape(v.shape)
+    if s.index[0].size != math.comb(n, 3):
+        exact = np.zeros(len(v), dtype=bool)
+    else:
+        exact = np.ones(len(v), dtype=bool) if certified else _is_distance_table(v)
+    pick = np.empty(len(v), dtype=np.intp)
+    depth = np.empty(len(v))
+    if exact.any():
+        sub = s if exact.all() else replace(s, values=v[exact], table=table[exact])
+        pick[exact], depth[exact] = _mod3_argmax(sub, certified or _embeds(sub.values))
+    for t in np.flatnonzero(~exact):
+        values = depth_values(replace(s, values=v[t], table=table[t]), DepthMethod.MOD3)
+        pick[t] = np.argmax(values)
+        depth[t] = values[pick[t]]
+    return pick, depth
 
 
 def _mhd_argmax(v: np.ndarray) -> np.ndarray:

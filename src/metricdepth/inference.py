@@ -159,14 +159,6 @@ def _statistics(v, draws, names, method: DepthMethod, certified: bool) -> np.nda
     return v[first, second]
 
 
-def deepest_distance_statistic(objects: ObjectSet, method: DepthMethod) -> float:
-    """Observed test statistic of a labeled two-group object set."""
-    if objects.labels is None:
-        raise InvalidArgumentError("object set carries no labels")
-    dm = distance_matrix(objects)
-    return statistic_from_dm(dm, objects.labels, DepthMethod(method))
-
-
 def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
                      corrected: bool = False, labels=None, dm=None) -> PermutationReport:
     """Two-group permutation test of the deepest-distance statistic.

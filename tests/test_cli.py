@@ -99,7 +99,7 @@ def test_deepest_mod3_on_an_uncertified_sample(tmp_path, monkeypatch):
     def no_full_pass(*args):
         raise AssertionError("deepest took the full pass")
 
-    monkeypatch.setattr(deepest, "depth_values", no_full_pass)
+    monkeypatch.setattr(depths, "depth_values", no_full_pass)
     outputs = []
     for run in (1, 2):
         out = str(tmp_path / f"deepest-{run}.json")
@@ -189,7 +189,7 @@ def test_stdout_report_matches_out_file_on_fixtures(name, files, capsys, monkeyp
         def fail(*args, **kwargs):
             raise AssertionError("full MOD3 pass on a certified sample")
 
-        monkeypatch.setattr(deepest, "depth_values", fail)
+        monkeypatch.setattr(depths, "depth_values", fail)
     _assert_stdout_matches_out_file(name, files, capsys)
 
 
@@ -210,8 +210,9 @@ def test_subsampled_triples_drawn_once(files, monkeypatch):
 
 
 def test_import_leaves_concurrent_futures_out():
-    # the depth tiles run on ``threading``, which numpy imports anyway;
-    # concurrent.futures would add its import (and logging's) to every command
+    # the depth tiles' thread pool is imported when a call first uses it;
+    # at import, concurrent.futures would add its cost (and logging's) to
+    # every command
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, metricdepth; print('concurrent.futures' in sys.modules)"

@@ -87,14 +87,14 @@ class TestMod3Elimination:
 
     @pytest.fixture
     def full_passes(self, monkeypatch):
-        # counts the full passes deepest_in_sample falls back to
+        # counts the full passes the MOD3 in-sample argmax falls back to
         calls = []
 
         def counting(dm, method):
             calls.append(method)
             return depth_values(dm, method)
 
-        monkeypatch.setattr(deepest, "depth_values", counting)
+        monkeypatch.setattr(depths, "depth_values", counting)
         return calls
 
     @staticmethod
@@ -165,7 +165,7 @@ class TestMod3Elimination:
     def uncertified(self, monkeypatch):
         # partial sums need no certificate: small correlation samples may
         # pass it, and take the partial sums here too
-        monkeypatch.setattr(deepest, "euclidean_certificate", lambda dm: False)
+        monkeypatch.setattr(depths, "_embeds", lambda v: False)
 
     @pytest.fixture
     def scored(self, monkeypatch):
@@ -343,6 +343,34 @@ class TestMod3Elimination:
         # the drawn triples, not the whole sample, decide the pick
         assert picks != {full}
         assert len(full_passes) == 6
+
+    def test_lone_table_scored_through_the_callers_state(self, monkeypatch, full_passes):
+        # a second MOD3 state at n=140 once raised the peak memory of an
+        # in-sample replicate by 10 MB
+        seen = []
+        argmax = depths._mod3_argmax
+
+        def recording(s, certified):
+            seen.append(s)
+            return argmax(s, certified)
+
+        monkeypatch.setattr(depths, "_mod3_argmax", recording)
+        state = sample_state(corr_dm(20, 1), DepthMethod.MOD3)
+        self.assert_full_pass_pick(state)
+        assert len(seen) == 1 and seen[0] is state
+        # the full pass of a subsampled state reads its own triples too
+        state = mod3_subsample_state(histogram_dm(12, 2), 10, 0)
+        scored = []
+        score = depths._depths
+
+        def counting(s, q):
+            scored.append(s)
+            return score(s, q)
+
+        monkeypatch.setattr(depths, "_depths", counting)
+        self.assert_full_pass_pick(state)
+        assert full_passes == [DepthMethod.MOD3] and scored
+        assert all(s.index is state.index for s in scored)
 
     def test_subsampled_state_over_every_triple(self, full_passes):
         dm = histogram_dm(12, 2)

@@ -535,6 +535,54 @@ class TestTiles:
         assert depths._BLOCK_TARGET // math.comb(40, 3) == 3
         depths._depths(depths.sample_state(dm, DepthMethod.MOD3), dm.values[:5])
 
+    def test_blocks_of_several_rows_and_lone_rows_start_no_thread(self, monkeypatch):
+        # MOD3 at n=40: blocks of three rows, four and fourteen of them
+        def fail(self):
+            raise AssertionError("thread started for blocks of several rows or a lone row")
+
+        monkeypatch.setattr(depths, "_WORKERS", 2)
+        monkeypatch.setattr(threading.Thread, "start", fail)
+        dm = corr_dm(40, 8)
+        state = depths.sample_state(dm, DepthMethod.MOD3)
+        for rows in (12, 40):
+            depths._depths(state, dm.values[:rows])
+        # one row over two leaves
+        dm = corr_dm(70, 6)
+        assert len(depths._leaves(0, math.comb(70, 3))) == 2
+        depth_of_query(dm.values[0], dm, DepthMethod.MOD3)
+
+    def test_one_row_blocks_run_on_worker_threads(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(depths, "_WORKERS", 2)
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        dm = corr_dm(70, 6)
+        assert np.array_equal(depth_values(dm, DepthMethod.MOD3),
+                              _full_row_reference(dm, DepthMethod.MOD3))
+        assert started
+        assert threading.active_count() == 1
+
+    def test_a_failure_cancels_the_items_not_started(self, monkeypatch):
+        monkeypatch.setattr(depths, "_WORKERS", 2)
+        ran = []
+
+        def task(x):
+            ran.append(x)
+            if x == 1:
+                raise ValueError(x)
+            time.sleep(0.01)
+            return x
+
+        with pytest.raises(ValueError):
+            depths._run(task, range(200))
+        assert len(ran) < 200
+        assert threading.active_count() == 1
+
 
 def _mod3_terms_expression(s, q, part=slice(None)):
     """MOD3 kernels as one expression, whose evaluation order the in-place

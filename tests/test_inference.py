@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-import metricdepth.deepest as deepest_module
 import metricdepth.depths as depths_module
 import metricdepth.inference as inference_module
 from metricdepth.deepest import deepest_in_sample
 from metricdepth.depths import DepthMethod, depth_values
 from metricdepth.errors import InsufficientSampleError, InvalidArgumentError
 from metricdepth.inference import (
-    deepest_distance_statistic,
     label_swap_experiment,
     permutation_test,
     statistic_from_dm,
@@ -94,35 +92,36 @@ def refuse_distance_work(monkeypatch):
 class TestStatistic:
     def test_separated_line_groups(self):
         objs = euclidean_groups([0, 1, 2], [10, 11, 12])
-        assert deepest_distance_statistic(objs, DepthMethod.MLD) == 10.0
+        assert statistic_from_dm(distance_matrix(objs), objs.labels, DepthMethod.MLD) == 10.0
 
     def test_identical_groups_zero(self):
         objs = euclidean_groups([0, 2], [0, 2])
-        assert deepest_distance_statistic(objs, DepthMethod.MLD) == 0.0
+        assert statistic_from_dm(distance_matrix(objs), objs.labels, DepthMethod.MLD) == 0.0
 
     def test_all_equal_objects_zero(self):
         objs = euclidean_groups([1, 1, 1], [1, 1, 1])
-        assert deepest_distance_statistic(objs, DepthMethod.MSD) == 0.0
+        assert statistic_from_dm(distance_matrix(objs), objs.labels, DepthMethod.MSD) == 0.0
 
     def test_group_too_small(self):
         objs = euclidean_groups([0, 1], [5, 6, 7])
         with pytest.raises(InsufficientSampleError):
-            deepest_distance_statistic(objs, DepthMethod.MOD3)
+            statistic_from_dm(distance_matrix(objs), objs.labels, DepthMethod.MOD3)
 
     def test_needs_exactly_two_labels(self):
         items = tuple(EuclideanPoint([float(v)]) for v in range(6))
         objs = ObjectSet(items, ("A", "A", "B", "B", "C", "C"))
         with pytest.raises(InvalidArgumentError):
-            deepest_distance_statistic(objs, DepthMethod.MLD)
+            statistic_from_dm(distance_matrix(objs), objs.labels, DepthMethod.MLD)
 
     def test_symmetric_in_group_names(self, rng):
         vals_a = rng.standard_normal(6)
         vals_b = rng.standard_normal(7) + 1.0
-        t_ab = deepest_distance_statistic(euclidean_groups(vals_a, vals_b), DepthMethod.MSD)
+        objs = euclidean_groups(vals_a, vals_b)
+        t_ab = statistic_from_dm(distance_matrix(objs), objs.labels, DepthMethod.MSD)
         # swap the group names: relabel A<->B
         items = tuple(EuclideanPoint([float(v)]) for v in list(vals_a) + list(vals_b))
         labels = ("B",) * 6 + ("A",) * 7
-        t_ba = deepest_distance_statistic(ObjectSet(items, labels), DepthMethod.MSD)
+        t_ba = statistic_from_dm(distance_matrix(ObjectSet(items, labels)), labels, DepthMethod.MSD)
         assert t_ab == t_ba
 
 
@@ -182,8 +181,8 @@ class TestPermutationTest:
         perm = rng.permutation(len(objs))
         shuffled = ObjectSet(tuple(objs.items[i] for i in perm),
                              tuple(objs.labels[i] for i in perm))
-        t1 = deepest_distance_statistic(objs, DepthMethod.MOD3)
-        t2 = deepest_distance_statistic(shuffled, DepthMethod.MOD3)
+        t1 = statistic_from_dm(distance_matrix(objs), objs.labels, DepthMethod.MOD3)
+        t2 = statistic_from_dm(distance_matrix(shuffled), shuffled.labels, DepthMethod.MOD3)
         assert t1 == t2
 
     def test_distance_matrix_computed_once(self, monkeypatch):
@@ -213,7 +212,7 @@ class TestPermutationTest:
                                              child_rng(3, 1))
             objs = ObjectSet(corr.items, ("A", "B") * 6)
         calls = []
-        original = deepest_module.euclidean_certificate
+        original = inference_module.euclidean_certificate
 
         def counting(dm):
             calls.append(len(dm))
@@ -227,7 +226,6 @@ class TestPermutationTest:
             return embeds(v)
 
         monkeypatch.setattr(inference_module, "euclidean_certificate", counting)
-        monkeypatch.setattr(deepest_module, "euclidean_certificate", counting)
         monkeypatch.setattr(depths_module, "_embeds", counting_grams)
         report = permutation_test(objs, DepthMethod.MOD3, B=10, seed=4)
         assert calls == [12]

@@ -96,10 +96,11 @@ class TestHistogramGroups:
 
     def test_shifted_groups_separate(self):
         from metricdepth.depths import DepthMethod
-        from metricdepth.inference import deepest_distance_statistic
+        from metricdepth.inference import statistic_from_dm
+        from metricdepth.spaces import distance_matrix
 
         objs = gen_histogram_groups(12, 12, 3.0, 20, seed=4)
-        assert deepest_distance_statistic(objs, DepthMethod.MOD3) > 1.0
+        assert statistic_from_dm(distance_matrix(objs), objs.labels, DepthMethod.MOD3) > 1.0
 
     def test_counts_validated(self):
         with pytest.raises(InvalidArgumentError):
