@@ -1,12 +1,9 @@
 """Deepest-object estimation.
 
 The in-sample estimator returns the sample object with maximal full-sample
-depth, the lowest index on ties. MOD3 states go to ``depths._mod3_picks``:
-over every triple of a symmetric, finite, nonnegative distance table with a
-zero diagonal, it checks ``depths.euclidean_certificate`` and finds that
-object by exact elimination, which scores few objects in full and gives the
-full pass's pick and depth bitwise. The other four methods, subsampled MOD3
-states over fewer than C(n, 3) triples, and other arrays take the full
+depth, the lowest index on ties. MOD3 states go to ``depths._mod3_argmax``,
+which gives the full pass's pick and depth bitwise, mostly by exact
+elimination (its notes say when). The other four methods take the full
 pass.
 
 The out-of-sample estimator lifts the search off the sample grid:
@@ -65,9 +62,8 @@ import numpy as np
 
 from .depths import (
     DepthMethod,
-    _check_query,
     _depths,
-    _mod3_picks,
+    _mod3_argmax,
     depth_values,
     sample_state,
 )
@@ -152,13 +148,10 @@ class DeepestResult:
 def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     """Sample index maximizing the full-sample depth (lowest index on ties).
 
-    For MOD3 over every triple of a symmetric, finite, nonnegative distance
-    table with a zero diagonal, the argmax is found by exact elimination:
-    objects that cannot reach the depth of the object scored first are
-    dropped, by a lower bound on their mean kernel when the sample passes
-    ``depths.euclidean_certificate``, and otherwise by partial sums of their
-    kernels. The result is bitwise the full pass's. Any other case computes
-    every depth.
+    MOD3 takes ``depths._mod3_argmax``, which drops the objects that cannot
+    reach the depth of the object scored first where its notes allow, and
+    scores every object elsewhere; the result is bitwise the full pass's.
+    The other methods compute every depth.
 
     :class:`MetricViolationError` is raised for a kernel radicand below its
     round-off tolerance, as by ``depth_values``, but only among the kernels
@@ -171,7 +164,7 @@ def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     method = DepthMethod(method)
     state = sample_state(dm, method)
     if method is DepthMethod.MOD3:
-        pick, depth = _mod3_picks(state)
+        pick, depth = _mod3_argmax(state)
         i0, depth = int(pick[0]), float(depth[0])
     else:
         values = depth_values(state, method)
@@ -593,18 +586,19 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
     ranked = np.argsort(-values, kind="stable")
     starts = [int(t) for t in ranked[: min(cfg.starts, len(ranked))]]
     failure_score = method.value_range[0] - 1.0
-    p, n = objects.items[0].p, len(objects)
+    p = objects.items[0].p
 
     def objective(w):
         # decode every row, then measure and score the rows that decode
         # together, from the eigenpairs of the decode's positive-definiteness
-        # test: one stacked distance call and one depth block
+        # test: one stacked distance call and one depth block. The distance
+        # call refuses a NaN or nonpositive eigenvalue, so its (rows, n)
+        # distances are finite and nonnegative
         _, factors, reasons = _decode_rows(_pca_decode_rows(model, w), p)
         values = np.full(w.shape[0], failure_score)
         decoded = np.array([reason is None for reason in reasons])
         if decoded.any():
-            q = _check_query(_spd_factored_row(factors, objects._table), n, rows=len(factors.w))
-            values[decoded] = _depths(state, q)
+            values[decoded] = _depths(state, _spd_factored_row(factors, objects._table))
         return values
 
     w0 = np.array([pca_encode(model, data[sample_index]) for sample_index in starts])

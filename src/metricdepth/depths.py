@@ -43,8 +43,8 @@ query or the whole sample against it.
 On samples that embed in a Euclidean space (``euclidean_certificate``),
 ``mod3_lower_bounds`` bounds every sample object's MOD3 mean kernel from
 below in O(n^2) in all. The in-sample MOD3 argmax (``_mod3_argmax``)
-starts from these values on any sample, and drops objects without scoring
-them in full.
+starts from these values on every distance table scored over all of its
+triples, certified or not, and drops objects without scoring them in full.
 
 The deepest member of every group of one pooled sample, such as the groups
 of every label permutation of a two-group test, comes from one entry,
@@ -386,18 +386,23 @@ def mod3_lower_bounds(dm) -> np.ndarray:
 _ELIMINATION_MARGIN = 1e-9
 
 
-def _mod3_argmax(s: SampleState, certified) -> tuple[np.ndarray, np.ndarray]:
-    """Index and depth of the deepest object of each table of a MOD3 state
-    over every triple, the lowest index on ties, by exact elimination. The
-    state holds one distance table (see :func:`_is_distance_table`), or a
-    (k, n, n) stack of them (see :class:`SampleState`); the result holds k
-    indices and k depths, one of each for one table. ``certified`` says,
-    for all tables or for each, that the table passes
-    :func:`euclidean_certificate`.
+def _mod3_argmax(s: SampleState, certified: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Index and depth of the deepest object of each table of a MOD3 state,
+    the lowest index on ties: of its one (n, n) table, or of each table of a
+    (k, n, n) stack (see :class:`SampleState`); the result holds k indices
+    and k depths. It is the one MOD3 pick routine, and every pick and depth
+    is bitwise the table's full pass (``depth_values``).
 
-    In each table the object with the smallest :func:`mod3_lower_bounds`
+    A table is exact when the state holds every triple and the table is a
+    distance table (:func:`_is_distance_table`); ``certified`` says that
+    every table is one and passes :func:`euclidean_certificate`, and
+    otherwise each exact table takes that test itself. Every other table
+    (an asymmetric, negative or non-finite array, or a table of a
+    subsampled state) keeps all of its rows.
+
+    In each exact table the object with the smallest :func:`mod3_lower_bounds`
     value is scored first, as the reference. Every other object that cannot
-    reach the reference's depth is dropped, and the others are scored:
+    reach the reference's depth is dropped:
 
     * Certified: every kernel of a sample object is at least
       2 d_i d_j d_k, so its depth is at most 1/(1 + bound/(1 + margin)),
@@ -420,51 +425,59 @@ def _mod3_argmax(s: SampleState, certified) -> tuple[np.ndarray, np.ndarray]:
     the same bits alone as in a block, so every score is the full pass's
     and so are the picks and their depths.
 
-    The tables take each step together: their bounds are one cumulative
-    sum over the stack, their references one block of rows, each row
-    scored against its own table (``SampleState.which``), and the
-    survivors of every table one more block. The scan's blocks mix the
-    rows of the uncertified tables; where a block is cut changes how a
-    partial sum rounds, by far less than the margin, and so no pick.
+    The tables take each step together: the exact tables' bounds are one
+    cumulative sum over the stack, their references one block of rows,
+    each row scored against its own table (``SampleState.which``), and the
+    survivors of every exact table, with every row of the other tables,
+    one more block. The scan's blocks mix the rows of the uncertified
+    tables; where a block is cut changes how a partial sum rounds, by far
+    less than the margin, and so no pick.
     """
     n = s.values.shape[-1]
     v = s.values.reshape(-1, n, n)
     k = v.shape[0]
     stack = replace(s, values=v, table=s.table.reshape(v.shape))
-    certified = np.broadcast_to(certified, k)
-    tables = np.arange(k)
 
     def score(t, rows):
-        return _depths(replace(stack, which=t), v[t, rows])
+        # a lone table's rows read its pair table as it is, with no copy per row
+        return _depths(replace(stack, which=t if k > 1 else None), v[t, rows])
 
-    bound = np.reshape(mod3_lower_bounds(v), (k, n))
-    ref = np.argmin(bound, axis=1)
-    ref_depth = score(tables, ref)
-    keep = np.zeros((k, n), dtype=bool)
-    keep[certified] = (1.0 / (1.0 + bound[certified] / (1.0 + _ELIMINATION_MARGIN))
-                       >= ref_depth[certified, None])
-    t, r = np.nonzero(~certified[:, None] & (np.arange(n) != ref[:, None]))
-    if t.size:
-        # a block's relabelled pair tables hold up to _BLOCK_TARGET elements,
-        # as a tile's temporaries do
-        rows = max(1, _BLOCK_TARGET // (n * n))
-
-        def scan(block):
-            tb = t[block]
-            return block.start + _mod3_scan(replace(stack, which=tb), ref_depth[tb],
-                                             v[tb, r[block]])
-
-        kept = np.concatenate(_run(scan, [slice(i, i + rows) for i in range(0, t.size, rows)]))
-        keep[t[kept], r[kept]] = True
-    keep[tables, ref] = False
+    # the exact tables: all of them when certified, none of a subsampled state
+    every_triple = s.index[0].size == math.comb(n, 3)
+    e = np.flatnonzero(np.broadcast_to(every_triple and (certified or _is_distance_table(v)), k))
+    keep = np.ones((k, n), dtype=bool)
     depth = np.full((k, n), -np.inf)
-    depth[tables, ref] = ref_depth
+    if e.size:
+        # the bounds and the certificate read exact tables only: both are
+        # meant for finite distances
+        bound = np.reshape(mod3_lower_bounds(v[e]), (e.size, n))
+        passes = np.broadcast_to(certified or _embeds(v[e]), e.size)
+        ref = np.argmin(bound, axis=1)
+        ref_depth = score(e, ref)
+        keep[e] = False
+        keep[e[passes]] = (1.0 / (1.0 + bound[passes] / (1.0 + _ELIMINATION_MARGIN))
+                           >= ref_depth[passes, None])
+        t, r = np.nonzero(~passes[:, None] & (np.arange(n) != ref[:, None]))
+        if t.size:
+            # a block's relabelled pair tables hold up to _BLOCK_TARGET
+            # elements, as a tile's temporaries do
+            rows = max(1, _BLOCK_TARGET // (n * n))
+
+            def scan(block):
+                tb = t[block]
+                return block.start + _mod3_scan(replace(stack, which=e[tb]), ref_depth[tb],
+                                                 v[e[tb], r[block]])
+
+            kept = np.concatenate(_run(scan, [slice(i, i + rows) for i in range(0, t.size, rows)]))
+            keep[e[t[kept]], r[kept]] = True
+        keep[e, ref] = False
+        depth[e, ref] = ref_depth
     t, r = np.nonzero(keep)
     if t.size:
         depth[t, r] = score(t, r)
     # argmax takes the lowest index of ties
     pick = np.argmax(depth, axis=1)
-    return pick, depth[tables, pick]
+    return pick, depth[np.arange(k), pick]
 
 
 def _mod3_scan(s: SampleState, ref_depth: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -782,8 +795,7 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
 _POOLED = frozenset({DepthMethod.MOD2, DepthMethod.MLD, DepthMethod.MSD})
 
 
-def _group_picks(v: np.ndarray, groups: list, method: DepthMethod,
-                 certified: bool = False) -> list:
+def _group_picks(v: np.ndarray, groups: list, method: DepthMethod) -> list:
     """The deepest member of each group of a pooled sample, the lowest on
     ties.
 
@@ -791,8 +803,7 @@ def _group_picks(v: np.ndarray, groups: list, method: DepthMethod,
     one group per row, as increasing pooled indices; groups in one array
     have the same size. The result holds, for each array, the position in
     its row of every row's pick: the pick of ``deepest_in_sample`` on that
-    group's distance sub-matrix. ``certified`` says that the pooled sample
-    passes :func:`euclidean_certificate`, and so does every group.
+    group's distance sub-matrix.
 
     MOD2, MLD and MSD take the argmax of :func:`_group_depths`. MOD3 and
     MHD gather the sub-matrices of a chunk of rows into one (rows, m, m)
@@ -803,13 +814,20 @@ def _group_picks(v: np.ndarray, groups: list, method: DepthMethod,
     took as long on two threads, and raised the peak memory of a histogram
     test by 3.5 MB). An MHD chunk's (rows, m, m, m) indicator, a byte an
     element, holds up to eight times ``_BLOCK_TARGET`` elements (the byte
-    budget of :func:`mhd_pair_probabilities`). MOD3 chunks go to
-    :func:`_mod3_picks`.
+    budget of :func:`mhd_pair_probabilities`).
+
+    MOD3 checks :func:`euclidean_certificate` once, on the pooled sample. A
+    sum-zero vector restricted to a subset is still sum-zero: when the
+    pooled squared distances are conditionally negative definite, so is
+    every principal submatrix. So one check of the pooled sample covers the
+    groups of every draw; only when it fails does each group take its own
+    (:func:`_mod3_argmax`).
     """
     method = DepthMethod(method)
     if method in _POOLED:
         return [np.argmax(depth, axis=1)
                 for depth in _group_depths(sample_state(v, method), groups)]
+    certified = method is DepthMethod.MOD3 and euclidean_certificate(v)
     out = []
     for g in groups:
         m = g.shape[1]
@@ -820,40 +838,9 @@ def _group_picks(v: np.ndarray, groups: list, method: DepthMethod,
             gc = g[start:start + chunk]
             sub = v[gc[:, :, None], gc[:, None, :]]
             picks.append(_mhd_argmax(sub) if method is DepthMethod.MHD
-                         else _mod3_picks(_mod3_state(sub, _triple_indices(m)), certified)[0])
+                         else _mod3_argmax(_mod3_state(sub, _triple_indices(m)), certified)[0])
         out.append(np.concatenate(picks))
     return out
-
-
-def _mod3_picks(s: SampleState, certified: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Index and depth of the deepest object of each table of a MOD3 state,
-    the lowest index on ties: of its one (n, n) table, or of each table of a
-    (k, n, n) stack (see :class:`SampleState`).
-
-    A state over every triple takes :func:`_mod3_argmax` on each table that
-    is a distance table (:func:`_is_distance_table`), with the table's
-    :func:`euclidean_certificate`; ``certified`` says that every table is
-    one and passes it. Any other table, and every table of a subsampled
-    state, takes the full pass. Every table is scored through the state's
-    own triples, so a lone table builds no second state.
-    """
-    n = s.values.shape[-1]
-    v = s.values.reshape(-1, n, n)
-    table = s.table.reshape(v.shape)
-    if s.index[0].size != math.comb(n, 3):
-        exact = np.zeros(len(v), dtype=bool)
-    else:
-        exact = np.ones(len(v), dtype=bool) if certified else _is_distance_table(v)
-    pick = np.empty(len(v), dtype=np.intp)
-    depth = np.empty(len(v))
-    if exact.any():
-        sub = s if exact.all() else replace(s, values=v[exact], table=table[exact])
-        pick[exact], depth[exact] = _mod3_argmax(sub, certified or _embeds(sub.values))
-    for t in np.flatnonzero(~exact):
-        values = depth_values(replace(s, values=v[t], table=table[t]), DepthMethod.MOD3)
-        pick[t] = np.argmax(values)
-        depth[t] = values[pick[t]]
-    return pick, depth
 
 
 def _mhd_argmax(v: np.ndarray) -> np.ndarray:

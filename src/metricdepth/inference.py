@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_distance_array
-from .depths import DepthMethod, _group_picks, euclidean_certificate
+from .depths import DepthMethod, _group_picks
 from .errors import InsufficientSampleError, InvalidArgumentError
 from .seeding import PERMUTATION_TAG, SUBTEST_TAG, SWAP_TAG, check_seed, child_rng, child_seed
 from .spaces import ObjectSet, distance_matrix
@@ -100,6 +100,8 @@ class SwapExperimentReport:
 
 
 def _two_groups(labels) -> tuple[np.ndarray, list]:
+    if labels is None:
+        raise InvalidArgumentError("need two-group labels, got None")
     labels = np.asarray(labels)
     names = sorted(set(labels.tolist()))
     if len(names) != 2:
@@ -135,18 +137,18 @@ def _finite_distances(dm) -> np.ndarray:
 
 def statistic_from_dm(dm, labels, method: DepthMethod) -> float:
     """Distance between the two groups' deepest in-sample objects."""
+    method = DepthMethod(method)
     v = _finite_distances(dm)
     labels, names = _two_groups(labels)
     if labels.size != v.shape[0]:
         raise InvalidArgumentError("labels length must match the distance matrix")
     _check_group_sizes(labels, names, method)
-    return float(_statistics(v, labels[None], names, method, certified=False)[0])
+    return float(_statistics(v, labels[None], names, method)[0])
 
 
-def _statistics(v, draws, names, method: DepthMethod, certified: bool) -> np.ndarray:
+def _statistics(v, draws, names, method: DepthMethod) -> np.ndarray:
     """:func:`statistic_from_dm` of every row of the checked (draws, n)
-    labels ``draws``, which share their group sizes; ``certified`` says that
-    the pooled sample passes ``euclidean_certificate``, and so every group.
+    labels ``draws``, which share their group sizes.
 
     Every group of every draw gets its deepest member from one call of
     ``depths._group_picks``, whatever the method.
@@ -155,7 +157,7 @@ def _statistics(v, draws, names, method: DepthMethod, certified: bool) -> np.nda
     groups = [np.nonzero(draws == name)[1].reshape(len(draws), -1) for name in names]
     rows = np.arange(len(draws))
     first, second = (group[rows, pick]
-                     for group, pick in zip(groups, _group_picks(v, groups, method, certified)))
+                     for group, pick in zip(groups, _group_picks(v, groups, method)))
     return v[first, second]
 
 
@@ -191,15 +193,10 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     v = _finite_distances(dm)
     if v.shape[0] != len(labels):
         raise InvalidArgumentError("labels length must match the distance matrix")
-    # A sum-zero vector restricted to a subset is still sum-zero: when the
-    # pooled squared distances are conditionally negative definite, so is
-    # every principal submatrix. One check of the pooled sample then covers
-    # the groups of every draw; only when it fails is each group checked.
-    certified = method is DepthMethod.MOD3 and euclidean_certificate(v)
     n = len(labels)
     draws = [labels] + [labels[child_rng(seed, PERMUTATION_TAG, b).permutation(n)]
                         for b in range(B)]
-    t = _statistics(v, np.stack(draws), names, method, certified)
+    t = _statistics(v, np.stack(draws), names, method)
     t_obs, t_perm = float(t[0]), t[1:]
     hits = int(np.count_nonzero(t_obs <= t_perm))
     p = (1 + hits) / (1 + B) if corrected else hits / B

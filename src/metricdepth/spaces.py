@@ -222,8 +222,10 @@ class ObjectSet:
 
 
 def _check_positive(w: np.ndarray) -> None:
-    if np.min(w) <= EIGENVALUE_FLOOR:
-        raise NotPositiveDefiniteError(f"matrix has eigenvalue {np.min(w)} <= {EIGENVALUE_FLOOR}")
+    # not (min > floor), which holds for a NaN eigenvalue, unlike min <= floor
+    if not np.min(w) > EIGENVALUE_FLOOR:
+        raise NotPositiveDefiniteError(
+            f"matrix has eigenvalue {np.min(w)}, not above {EIGENVALUE_FLOOR}")
 
 
 def _spd_stack(items) -> np.ndarray:

@@ -59,6 +59,13 @@ def sphere_dm(n, seed):
     return distance_matrix(objects)
 
 
+def full_pass_tables(state, q) -> int:
+    """How many tables of the depth ``state`` have every row among the query
+    rows ``q`` of one ``depths._depths`` call, as a full pass scores them."""
+    which = np.zeros(len(q), dtype=int) if state.which is None else state.which
+    return sum(int(np.count_nonzero(which == t) == q.shape[1]) for t in np.unique(which))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import nonmetric_dm
+from conftest import full_pass_tables, nonmetric_dm
 from metricdepth import cli, deepest, depths, inference, simulation
 from metricdepth.cli import main
 from metricdepth.core import write_distance_csv
@@ -85,6 +85,19 @@ def test_exit_zero_and_byte_identical_rerun(name, files):
     assert outputs[0] == outputs[1]
 
 
+def _refuse_full_passes(monkeypatch, message):
+    """Fail on a depth block that holds every row of a table, as the full
+    pass does."""
+    score = depths._depths
+
+    def refusing(state, q):
+        if full_pass_tables(state, q):
+            raise AssertionError(message)
+        return score(state, q)
+
+    monkeypatch.setattr(depths, "_depths", refusing)
+
+
 def test_deepest_mod3_on_an_uncertified_sample(tmp_path, monkeypatch):
     # 40 correlation matrices fail the Euclidean certificate: the argmax
     # comes from partial kernel sums, and is the full pass's bitwise
@@ -95,11 +108,7 @@ def test_deepest_mod3_on_an_uncertified_sample(tmp_path, monkeypatch):
     dm = distance_matrix(corr)
     assert not depths.euclidean_certificate(dm)
     values = depths.depth_values(dm, depths.DepthMethod.MOD3)
-
-    def no_full_pass(*args):
-        raise AssertionError("deepest took the full pass")
-
-    monkeypatch.setattr(depths, "depth_values", no_full_pass)
+    _refuse_full_passes(monkeypatch, "deepest took the full pass")
     outputs = []
     for run in (1, 2):
         out = str(tmp_path / f"deepest-{run}.json")
@@ -186,10 +195,7 @@ def test_stdout_report_matches_out_file_on_histogram_csv(name, files, capsys):
 def test_stdout_report_matches_out_file_on_fixtures(name, files, capsys, monkeypatch):
     if name == "deepest-hist-mod3":
         # histograms are certified, so MOD3 finds the argmax by elimination
-        def fail(*args, **kwargs):
-            raise AssertionError("full MOD3 pass on a certified sample")
-
-        monkeypatch.setattr(depths, "depth_values", fail)
+        _refuse_full_passes(monkeypatch, "full MOD3 pass on a certified sample")
     _assert_stdout_matches_out_file(name, files, capsys)
 
 

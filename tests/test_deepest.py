@@ -7,7 +7,15 @@ from contextlib import suppress
 import numpy as np
 import pytest
 
-from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
+from conftest import (
+    corr_dm,
+    euclidean_dm,
+    full_pass_tables,
+    histogram_dm,
+    line_dm,
+    nonmetric_dm,
+    sphere_dm,
+)
 from metricdepth import deepest, depths, spaces
 from metricdepth.core import DistanceMatrix
 from metricdepth.deepest import (
@@ -87,14 +95,26 @@ class TestMod3Elimination:
 
     @pytest.fixture
     def full_passes(self, monkeypatch):
-        # counts the full passes the MOD3 in-sample argmax falls back to
+        # one entry per table of which the MOD3 in-sample argmax scores every
+        # row through the depth tiles at once, as the full pass does
         calls = []
+        inside = []
+        argmax, score = deepest._mod3_argmax, depths._depths
 
-        def counting(dm, method):
-            calls.append(method)
-            return depth_values(dm, method)
+        def tracking(*args):
+            inside.append(1)
+            try:
+                return argmax(*args)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(depths, "depth_values", counting)
+        def counting(state, q):
+            if inside:
+                calls.extend([state.method] * full_pass_tables(state, q))
+            return score(state, q)
+
+        monkeypatch.setattr(deepest, "_mod3_argmax", tracking)
+        monkeypatch.setattr(depths, "_depths", counting)
         return calls
 
     @staticmethod
@@ -348,13 +368,13 @@ class TestMod3Elimination:
         # a second MOD3 state at n=140 once raised the peak memory of an
         # in-sample replicate by 10 MB
         seen = []
-        argmax = depths._mod3_argmax
+        argmax = deepest._mod3_argmax
 
-        def recording(s, certified):
+        def recording(s, *args):
             seen.append(s)
-            return argmax(s, certified)
+            return argmax(s, *args)
 
-        monkeypatch.setattr(depths, "_mod3_argmax", recording)
+        monkeypatch.setattr(deepest, "_mod3_argmax", recording)
         state = sample_state(corr_dm(20, 1), DepthMethod.MOD3)
         self.assert_full_pass_pick(state)
         assert len(seen) == 1 and seen[0] is state
@@ -371,6 +391,33 @@ class TestMod3Elimination:
         self.assert_full_pass_pick(state)
         assert full_passes == [DepthMethod.MOD3] and scored
         assert all(s.index is state.index for s in scored)
+
+    def test_stack_of_tables_on_their_own_paths(self, monkeypatch):
+        # a histogram table passes the certificate, a correlation table
+        # fails it and an asymmetric array is no distance table: each pick
+        # and depth is the table's own full pass, bitwise, and only the
+        # asymmetric array has every row scored
+        n = 20
+        asymmetric = corr_dm(n, 3).values.copy()
+        asymmetric[1, 0] *= 1 + 1e-12
+        tables = np.stack([histogram_dm(n, 2).values, corr_dm(n, 1).values, asymmetric])
+        assert euclidean_certificate(tables[0]) and not euclidean_certificate(tables[1])
+        want = [depth_values(v, DepthMethod.MOD3) for v in tables]
+        rows = np.zeros(3, dtype=int)
+        score = depths._depths
+
+        def counting(state, q):
+            rows[:] += np.bincount(state.which, minlength=3)
+            return score(state, q)
+
+        monkeypatch.setattr(depths, "_depths", counting)
+        state = depths._mod3_state(tables, depths._triple_indices(n))
+        pick, depth = depths._mod3_argmax(state)
+        for t, values in enumerate(want):
+            i0 = int(np.argmax(values))
+            assert pick[t] == i0
+            assert depth[t].tobytes() == values[i0].tobytes()
+        assert rows[0] < n and rows[1] < n and rows[2] == n
 
     def test_subsampled_state_over_every_triple(self, full_passes):
         dm = histogram_dm(12, 2)
@@ -735,15 +782,18 @@ class TestBlockEvaluation:
         model = pca_fit(data, 1.0)
         w = (data[:4] - model.mean) @ model.components.T
         objective(w)
-        measure = deepest._spd_factored_row
+        # the query distances are made from the eigenvalues of each
+        # candidate's congruences with the sample, which are checked where
+        # they are made: a spoiled one of the last candidate is refused
+        eigvalsh = np.linalg.eigvalsh
 
-        def spoiled(factors, table):
-            q = measure(factors, table)
-            q[-1, 2] = bad
-            return q
+        def spoiled(m):
+            w = eigvalsh(m)
+            w[-1, 2, 0] = bad
+            return w
 
-        monkeypatch.setattr(deepest, "_spd_factored_row", spoiled)
-        with pytest.raises(InvalidArgumentError):
+        monkeypatch.setattr(np.linalg, "eigvalsh", spoiled)
+        with pytest.raises(NotPositiveDefiniteError):
             objective(w)
 
 

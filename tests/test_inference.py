@@ -124,6 +124,35 @@ class TestStatistic:
         t_ba = statistic_from_dm(distance_matrix(ObjectSet(items, labels)), labels, DepthMethod.MSD)
         assert t_ab == t_ba
 
+    def test_method_by_name(self):
+        objs = euclidean_groups([0, 1, 2, 4], [10, 11, 13, 14])
+        dm = distance_matrix(objs)
+        for method in DepthMethod:
+            assert (statistic_from_dm(dm, objs.labels, method.value)
+                    == statistic_from_dm(dm, objs.labels, method))
+
+    def test_missing_labels_rejected(self):
+        objs = euclidean_groups([0, 1, 2], [10, 11, 12])
+        with pytest.raises(InvalidArgumentError):
+            statistic_from_dm(distance_matrix(objs), None, DepthMethod.MLD)
+
+    def test_certified_pooled_sample_checks_no_group(self, monkeypatch):
+        # the pooled histogram sample passes the certificate, which covers
+        # both groups: its Gram is the only one decomposed
+        objs = gen_histogram_groups(6, 6, 1.0, 8, seed=2)
+        dm = distance_matrix(objs)
+        want = reference_statistics(dm, [np.asarray(objs.labels)], DepthMethod.MOD3)
+        grams = []
+        embeds = depths_module._embeds
+
+        def counting_grams(v):
+            grams.append(v.shape)
+            return embeds(v)
+
+        monkeypatch.setattr(depths_module, "_embeds", counting_grams)
+        assert statistic_from_dm(dm, objs.labels, DepthMethod.MOD3) == want[0]
+        assert grams == [(12, 12)]
+
 
 class TestPermutationTest:
     def test_report_shape_and_range(self):
@@ -212,7 +241,7 @@ class TestPermutationTest:
                                              child_rng(3, 1))
             objs = ObjectSet(corr.items, ("A", "B") * 6)
         calls = []
-        original = inference_module.euclidean_certificate
+        original = depths_module.euclidean_certificate
 
         def counting(dm):
             calls.append(len(dm))
@@ -225,7 +254,7 @@ class TestPermutationTest:
             grams.append(v.shape)
             return embeds(v)
 
-        monkeypatch.setattr(inference_module, "euclidean_certificate", counting)
+        monkeypatch.setattr(depths_module, "euclidean_certificate", counting)
         monkeypatch.setattr(depths_module, "_embeds", counting_grams)
         report = permutation_test(objs, DepthMethod.MOD3, B=10, seed=4)
         assert calls == [12]
@@ -324,7 +353,7 @@ class TestPooledGroupDepths:
         methods = [m.value for m in DepthMethod]
         got = label_swap_experiment(objs, methods, k=2, repeats=2, B=8, seed=8).to_dict()
         monkeypatch.setattr(inference_module, "_statistics",
-                            lambda v, draws, names, method, certified:
+                            lambda v, draws, names, method:
                             reference_statistics(v, draws, method))
         want = label_swap_experiment(objs, methods, k=2, repeats=2, B=8, seed=8).to_dict()
         assert got == want
