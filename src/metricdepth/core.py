@@ -26,7 +26,7 @@ class DistanceMatrix:
     :func:`check_metric_axioms` explicitly for untrusted matrices.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("_values",)
 
     def __init__(self, values) -> None:
         v = np.array(values, dtype=float)
@@ -46,7 +46,13 @@ class DistanceMatrix:
         if np.min(v) < 0.0:
             raise InvalidArgumentError("distances must be nonnegative")
         v.flags.writeable = False
-        self.values = v
+        self._values = v
+
+    @property
+    def values(self) -> np.ndarray:
+        """The distances, read-only and not rebindable: an object set hands
+        its one matrix to every caller."""
+        return self._values
 
     @property
     def n(self) -> int:
@@ -59,6 +65,16 @@ class DistanceMatrix:
 def as_distance_array(dm) -> np.ndarray:
     """Raw ndarray view of a DistanceMatrix or array-like (no revalidation)."""
     return np.asarray(getattr(dm, "values", dm), dtype=float)
+
+
+def sized_distance_array(dm, n: int) -> np.ndarray:
+    """:func:`as_distance_array` of ``dm``, refused unless it is (n, n): a
+    distance matrix given in place of ``n`` objects must cover exactly them."""
+    v = as_distance_array(dm)
+    if v.shape != (n, n):
+        raise InvalidArgumentError(
+            f"distance matrix of {n} objects must be {n} x {n}, got shape {v.shape}")
+    return v
 
 
 def read_distance_csv(path) -> DistanceMatrix:

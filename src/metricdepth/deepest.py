@@ -60,6 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import sized_distance_array
 from .depths import (
     DepthMethod,
     _depths,
@@ -569,6 +570,11 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
     below the method's range instead of aborting the run. The result's
     depth never falls below the depth of any reconstructed start. The
     pipeline is deterministic.
+
+    ``dm`` is used in place of the objects' distance matrix, as given; it
+    must be n x n, for the n objects, and is checked before the PCA fit.
+    Without it, the set's own matrix is used, which the set computes once
+    however many searches run on it.
     """
     method = DepthMethod(method)
     cfg = cfg or OptimizerConfig()
@@ -576,6 +582,8 @@ def deepest_out_of_sample(objects: ObjectSet, method: DepthMethod, tsh: float = 
         raise InvalidArgumentError(
             "out-of-sample estimation supports correlation matrices with p >= 2 only"
         )
+    if dm is not None:
+        sized_distance_array(dm, len(objects))
     data = np.array([cholesky_encode(o) for o in objects.items])
     model = pca_fit(data, tsh)
     if dm is None:

@@ -3,8 +3,10 @@
 The test statistic is the metric distance between the deepest in-sample
 objects of the two label groups, each computed within its own group's
 distance sub-matrix. The null distribution is simulated by group-size
-preserving label permutations; the pooled distance matrix is computed once
-and permutations act on indices only.
+preserving label permutations; permutations act on indices of the pooled
+distance matrix only. That matrix is the object set's own: the set
+computes it on the first test, and every later test on the set, for any
+method or relabeling, reuses it (see ``spaces.ObjectSet``).
 
 The observed labels and every permutation are scored in one call, and
 every group of every draw gets its deepest member from one entry,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_distance_array
+from .core import sized_distance_array
 from .depths import DepthMethod, _group_picks
 from .errors import InsufficientSampleError, InvalidArgumentError
 from .seeding import PERMUTATION_TAG, SUBTEST_TAG, SWAP_TAG, check_seed, child_rng, child_seed
@@ -125,23 +127,24 @@ def _check_draws(B, seed) -> None:
     check_seed(seed)
 
 
-def _finite_distances(dm) -> np.ndarray:
-    """The entries of ``dm``, refused when one is not finite: a NaN would
-    decide picks by how it compares. A raw array is otherwise taken as it
-    is."""
-    v = as_distance_array(dm)
+def _finite_distances(dm, n: int) -> np.ndarray:
+    """The entries of ``dm``, refused unless they are (n, n) and finite: a
+    NaN would decide picks by how it compares. A raw array is otherwise
+    taken as it is."""
+    v = sized_distance_array(dm, n)
     if not np.isfinite(v).all():
         raise InvalidArgumentError("distance matrix entries must be finite")
     return v
 
 
 def statistic_from_dm(dm, labels, method: DepthMethod) -> float:
-    """Distance between the two groups' deepest in-sample objects."""
+    """Distance between the two groups' deepest in-sample objects.
+
+    ``dm`` must be n x n, for the n labels, with finite entries.
+    """
     method = DepthMethod(method)
-    v = _finite_distances(dm)
     labels, names = _two_groups(labels)
-    if labels.size != v.shape[0]:
-        raise InvalidArgumentError("labels length must match the distance matrix")
+    v = _finite_distances(dm, labels.size)
     _check_group_sizes(labels, names, method)
     return float(_statistics(v, labels[None], names, method)[0])
 
@@ -168,8 +171,10 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     Labels are permuted uniformly at random ``B`` times (group sizes
     preserved); permutation b draws from the child stream of (seed, b), so
     the report is independent of evaluation order. ``labels`` overrides the
-    object set's own labels and ``dm`` short-circuits the single distance
-    matrix computation; its entries must be finite.
+    object set's own labels. ``dm`` is used in place of the set's distance
+    matrix, as given; it must be n x n, for the n labels, with finite
+    entries. Without it, the set's own matrix is used, which the set
+    computes once however many tests run on it.
 
     All ``B`` permutations are drawn first, and the observed labels and
     every draw are scored in one call, which picks every group's deepest
@@ -190,10 +195,8 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     _check_group_sizes(labels, names, method)
     if dm is None:
         dm = distance_matrix(objects)
-    v = _finite_distances(dm)
-    if v.shape[0] != len(labels):
-        raise InvalidArgumentError("labels length must match the distance matrix")
     n = len(labels)
+    v = _finite_distances(dm, n)
     draws = [labels] + [labels[child_rng(seed, PERMUTATION_TAG, b).permutation(n)]
                         for b in range(B)]
     t = _statistics(v, np.stack(draws), names, method)
@@ -225,11 +228,10 @@ def label_swap_experiment(objects: ObjectSet, methods, k: int, repeats: int, B: 
         raise InvalidArgumentError(
             f"k={k} must be between 0 and the smaller group size {min(idx_a.size, idx_b.size)}"
         )
-    # what permutation_test refuses, refused before the distance matrix
-    # (swaps keep the group sizes)
+    # what permutation_test refuses, refused before the first test builds
+    # the distance matrix (swaps keep the group sizes)
     _check_draws(B, seed)
     _check_group_sizes(labels, names, *methods)
-    dm = distance_matrix(objects)
     p_values = {m.value: [] for m in methods}
     for rep in range(repeats):
         rng = child_rng(seed, SWAP_TAG, rep)
@@ -242,7 +244,7 @@ def label_swap_experiment(objects: ObjectSet, methods, k: int, repeats: int, B: 
         for m_index, method in enumerate(methods):
             sub_seed = child_seed(seed, SUBTEST_TAG, rep, m_index)
             report = permutation_test(objects, method, B, sub_seed,
-                                      corrected=corrected, labels=swapped, dm=dm)
+                                      corrected=corrected, labels=swapped)
             p_values[method.value].append(report.p_value)
     return SwapExperimentReport(k=k, repeats=repeats, B=B, seed=seed,
                                 methods=tuple(m.value for m in methods),

@@ -258,7 +258,7 @@ def run_location_experiment(space: str, cfg, methods, estimator: str = "in-sampl
                 res = deepest_in_sample(dm, method)
                 estimate = objects.items[res.index]
             else:
-                res = deepest_out_of_sample(objects, method, tsh=tsh, cfg=optimizer, dm=dm)
+                res = deepest_out_of_sample(objects, method, tsh=tsh, cfg=optimizer)
                 estimate = res.object if res.object is not None else objects.items[res.index]
             seconds = time.perf_counter() - t0
             errors[method.value].append(_center_error(estimate, center))

@@ -14,8 +14,10 @@ kind        object                     metric (name in reports)
 Each kind has one row evaluator, which maps a stack of queries and a stack
 of objects to their (queries, objects) distances; query distances, distance
 matrices and the two-object distance functions all run through it, with one
-query. The stack of a sample's matrices or vectors is built once per
-:class:`ObjectSet`. Histogram distances are read off one merged grid per
+query. The stack of a sample's matrices or vectors, and its distance
+matrix, are each built once per :class:`ObjectSet`, on first use: every
+object kind copies its arrays and makes them read-only, so what a set has
+built cannot go stale. Histogram distances are read off one merged grid per
 matrix or query (the union of the cumulative breakpoints of all the histograms
 involved): each histogram's quantile function is evaluated on it once, and
 each row is then one vectorized reduction.
@@ -173,6 +175,12 @@ class ObjectSet:
     Correlation matrices, unit vectors and points must share one dimension;
     histograms may have different bin counts. ``labels``, when present,
     attach one string per object (used by the two-group inference routines).
+
+    A set computes its distance matrix once, on first use, and every later
+    :func:`distance_matrix` call returns that same matrix. This relies on
+    the objects being immutable: each kind holds read-only copies of its
+    arrays. The matrix is shared too, so its values are read-only and
+    cannot be rebound.
     """
 
     items: tuple
@@ -215,6 +223,19 @@ class ObjectSet:
         on first use. Histograms have none: their quantile table takes in
         the breakpoints of every histogram compared, the query's too."""
         return _readonly(_TABLE[self.kind](self.items))
+
+    @cached_property
+    def _distances(self) -> DistanceMatrix:
+        """The objects' distance matrix, built on first use; a build that
+        raises caches nothing."""
+        kind = self.kind
+        row = _ROW[kind]
+        t = _quantile_table(self.items) if kind == "hist" else self._table
+        n = len(self)
+        out = np.zeros((n, n))
+        for i in range(n - 1):
+            out[i, i + 1:] = out[i + 1:, i] = row(t[i:i + 1], t[i + 1:])[0]
+        return DistanceMatrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +432,10 @@ def distance_matrix(objects: ObjectSet) -> DistanceMatrix:
 
     Each unordered pair is evaluated once, as row i against the objects
     after i; the matrix is exactly symmetric with an exactly zero diagonal.
+    The set computes it on the first call and returns the same matrix on
+    every later one.
     """
-    kind = objects.kind
-    row = _ROW[kind]
-    t = _quantile_table(objects.items) if kind == "hist" else objects._table
-    n = len(objects)
-    out = np.zeros((n, n))
-    for i in range(n - 1):
-        out[i, i + 1:] = out[i + 1:, i] = row(t[i:i + 1], t[i + 1:])[0]
-    return DistanceMatrix(out)
+    return objects._distances
 
 
 def query_distances(x, sample: ObjectSet) -> np.ndarray:

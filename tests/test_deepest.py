@@ -1067,6 +1067,18 @@ class TestOutOfSample:
         with pytest.raises(InvalidArgumentError, match="tsh"):
             deepest_out_of_sample(objs, DepthMethod.MLD, tsh=tsh)
 
+    def test_other_samples_dm_rejected_before_the_fit(self, monkeypatch):
+        # the matrix of an 8-object sample given for a 12-object one
+        def fail(*args, **kwargs):
+            raise AssertionError("PCA fitted before the distance matrix was checked")
+
+        monkeypatch.setattr(deepest, "pca_fit", fail)
+        objs, _ = gen_correlation_sample(CorrSimConfig(p=3, n=12, eps=0.1, reps=1, seed=4),
+                                         child_rng(4, 1))
+        dm = distance_matrix(ObjectSet(objs.items[:8]))
+        with pytest.raises(InvalidArgumentError, match="12 x 12"):
+            deepest_out_of_sample(objs, DepthMethod.MLD, dm=dm)
+
     def test_optimize_box_called_once_per_search(self, monkeypatch):
         # the search runs through the public optimize_box, which the
         # benchmark tracer wraps by name: one call with the stack of starts

@@ -7,6 +7,7 @@ import pytest
 
 import metricdepth.depths as depths_module
 import metricdepth.inference as inference_module
+import metricdepth.spaces as spaces_module
 from metricdepth.deepest import deepest_in_sample
 from metricdepth.depths import DepthMethod, depth_values
 from metricdepth.errors import InsufficientSampleError, InvalidArgumentError
@@ -300,6 +301,49 @@ class TestPermutationTest:
             permutation_test(objs, method, B=10, seed=1, dm=v)
         with pytest.raises(InvalidArgumentError, match="finite"):
             statistic_from_dm(v, objs.labels, method)
+
+    @pytest.mark.parametrize("method", [DepthMethod.MLD, DepthMethod.MOD3, DepthMethod.MHD])
+    def test_non_square_dm_rejected_before_any_draw(self, method, monkeypatch):
+        # the rows of a 12-object matrix cut to the first 10 objects: the
+        # row count matches the labels, the column count does not
+        objs = gen_histogram_groups(5, 5, 1.0, 8, seed=2)
+        v = distance_matrix(gen_histogram_groups(6, 6, 1.0, 8, seed=2)).values[:10]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("permutation drawn before validation")
+
+        monkeypatch.setattr(inference_module, "child_rng", fail)
+        with pytest.raises(InvalidArgumentError, match="10 x 10"):
+            permutation_test(objs, method, B=10, seed=1, dm=v)
+        with pytest.raises(InvalidArgumentError, match="10 x 10"):
+            statistic_from_dm(v, objs.labels, method)
+
+    def test_given_dm_used_as_given(self):
+        # a given matrix stands in for the set's own, which is not built
+        objs = gen_histogram_groups(6, 6, 1.0, 8, seed=3)
+        doubled = 2.0 * distance_matrix(ObjectSet(objs.items)).values
+        report = permutation_test(objs, DepthMethod.MOD2, B=20, seed=4, dm=doubled)
+        assert "_distances" not in vars(objs)
+        plain = permutation_test(objs, DepthMethod.MOD2, B=20, seed=4)
+        assert report.t_observed == 2.0 * plain.t_observed
+        assert np.array_equal(report.t_permuted, 2.0 * plain.t_permuted)
+
+    def test_tests_on_one_set_share_its_distances(self, monkeypatch):
+        # one test per method and a label-swap experiment on one set build
+        # the histograms' quantile table, and so the distance matrix, once
+        objs = gen_histogram_groups(6, 6, 1.0, 8, seed=5)
+        calls = []
+        original = spaces_module._quantile_table
+
+        def counting(items):
+            calls.append(len(items))
+            return original(items)
+
+        monkeypatch.setattr(spaces_module, "_quantile_table", counting)
+        for method in DepthMethod:
+            permutation_test(objs, method, B=5, seed=6)
+        label_swap_experiment(objs, ["MLD", "MOD3"], k=1, repeats=2, B=5, seed=7)
+        assert calls == [12]
 
 
 class TestPooledGroupDepths:

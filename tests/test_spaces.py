@@ -1,5 +1,6 @@
 """Tests for the concrete metric spaces and their file formats."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -408,6 +409,46 @@ class TestDistanceMatrixConstruction:
         objs = ObjectSet((EuclideanPoint([0.0]), EuclideanPoint([1.0])))
         with pytest.raises(InvalidArgumentError):
             query_distances(UnitVector([1.0]), objs)
+
+
+class TestDistanceMatrixCache:
+    """A set computes its distance matrix once and hands out that matrix."""
+
+    @pytest.mark.parametrize("kind", ["corr", "sphere", "hist", "eucl"])
+    def test_same_matrix_on_every_call(self, kind, rng):
+        objs = ObjectSet(tuple(random_object(rng, kind) for _ in range(6)))
+        dm = distance_matrix(objs)
+        assert distance_matrix(objs) is dm
+        # no caller can change what the next one gets
+        assert not dm.values.flags.writeable
+        with pytest.raises(AttributeError):
+            dm.values = np.zeros((6, 6))
+        # bitwise the matrix of an equal set that has not computed one yet
+        fresh = distance_matrix(ObjectSet(objs.items))
+        assert fresh is not dm
+        assert fresh.values.tobytes() == dm.values.tobytes()
+
+    def test_failed_build_caches_nothing(self):
+        # each matrix passes the positive-definiteness floor, but the
+        # congruence of the second by the first has an eigenvalue of about
+        # 1.5e-12 / 1.9, below it
+        near = -(1.0 - 1.5e-12)
+        objs = ObjectSet((CorrelationMatrix([[1.0, 0.9], [0.9, 1.0]]),
+                          CorrelationMatrix([[1.0, near], [near, 1.0]]),
+                          CorrelationMatrix(np.eye(2))))
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefiniteError):
+                distance_matrix(objs)
+            assert "_distances" not in vars(objs)
+
+    def test_replaced_set_gets_its_own_matrix(self, rng):
+        objs = ObjectSet(tuple(random_object(rng, "eucl") for _ in range(4)), "AABB")
+        dm = distance_matrix(objs)
+        relabeled = dataclasses.replace(objs, labels="ABAB")
+        assert "_distances" not in vars(relabeled)
+        assert distance_matrix(relabeled) is not dm
+        assert distance_matrix(relabeled).values.tobytes() == dm.values.tobytes()
+        assert distance_matrix(objs) is dm
 
 
 class TestMetricAxiomFuzz:
