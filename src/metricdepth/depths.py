@@ -177,7 +177,7 @@ def sample_state(dm, method: DepthMethod) -> SampleState:
     method = DepthMethod(method)
     if isinstance(dm, SampleState) and dm.method is method:
         return dm
-    v = as_distance_array(dm)
+    v = _square_distances(dm)
     _require(v.shape[0], method.min_sample, method.value)
     if method is DepthMethod.MOD3:
         return _mod3_state(v, _triple_indices(v.shape[0]))
@@ -206,6 +206,15 @@ def _check_query(q, n: int, rows: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(q)) or (q.size and np.min(q) < 0):
         raise InvalidArgumentError("query distances must be finite and nonnegative")
     return q
+
+
+def _square_distances(dm) -> np.ndarray:
+    """:func:`as_distance_array` of ``dm``, refused unless it is 2-D and
+    square: a sample's distances cover every pair of its objects."""
+    v = as_distance_array(dm)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise InvalidArgumentError(f"distance matrix must be square, got shape {v.shape}")
+    return v
 
 
 def _require(n: int, minimum: int, what: str) -> None:
@@ -1038,7 +1047,7 @@ def mod3_subsample_state(dm, m: int, seed: int) -> SampleState:
     order, so with ``m`` equal to C(n, 3) the state scores exactly as the
     full MOD3 state.
     """
-    v = as_distance_array(dm)
+    v = _square_distances(dm)
     n = v.shape[0]
     _require(n, 3, "MOD3")
     total = math.comb(n, 3)

@@ -6,7 +6,9 @@ distance sub-matrix. The null distribution is simulated by group-size
 preserving label permutations; permutations act on indices of the pooled
 distance matrix only. That matrix is the object set's own: the set
 computes it on the first test, and every later test on the set, for any
-method or relabeling, reuses it (see ``spaces.ObjectSet``).
+method or relabeling, reuses it (see ``spaces.ObjectSet``). Permutation b
+is drawn from the child stream (seed, PERMUTATION_TAG, b), and a test
+derives all of its streams in one pass (``seeding.child_permutations``).
 
 The observed labels and every permutation are scored in one call, and
 every group of every draw gets its deepest member from one entry,
@@ -44,7 +46,15 @@ import numpy as np
 from .core import sized_distance_array
 from .depths import DepthMethod, _group_picks
 from .errors import InsufficientSampleError, InvalidArgumentError
-from .seeding import PERMUTATION_TAG, SUBTEST_TAG, SWAP_TAG, check_seed, child_rng, child_seed
+from .seeding import (
+    PERMUTATION_TAG,
+    SUBTEST_TAG,
+    SWAP_TAG,
+    check_seed,
+    child_permutations,
+    child_rng,
+    child_seed,
+)
 from .spaces import ObjectSet, distance_matrix
 
 
@@ -122,8 +132,9 @@ def _check_group_sizes(labels, names, *methods: DepthMethod) -> None:
 
 
 def _check_draws(B, seed) -> None:
-    if not isinstance(B, (int, np.integer)) or B < 1:
-        raise InvalidArgumentError(f"need a whole number of permutations, at least one; got {B!r}")
+    # at most 2**32 draws, as ``child_permutations`` builds them
+    if not isinstance(B, (int, np.integer)) or not 1 <= B <= 2**32:
+        raise InvalidArgumentError(f"need a whole number of permutations in [1, 2**32]; got {B!r}")
     check_seed(seed)
 
 
@@ -169,8 +180,10 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
     """Two-group permutation test of the deepest-distance statistic.
 
     Labels are permuted uniformly at random ``B`` times (group sizes
-    preserved); permutation b draws from the child stream of (seed, b), so
-    the report is independent of evaluation order. ``labels`` overrides the
+    preserved); permutation b draws from the child stream (seed,
+    PERMUTATION_TAG, b), so the report is independent of evaluation order.
+    The ``B`` streams are derived in one pass (``seeding.child_permutations``),
+    bitwise those of one ``child_rng`` per draw. ``labels`` overrides the
     object set's own labels. ``dm`` is used in place of the set's distance
     matrix, as given; it must be n x n, for the n labels, with finite
     entries. Without it, the set's own matrix is used, which the set
@@ -197,9 +210,8 @@ def permutation_test(objects: ObjectSet, method: DepthMethod, B: int, seed: int,
         dm = distance_matrix(objects)
     n = len(labels)
     v = _finite_distances(dm, n)
-    draws = [labels] + [labels[child_rng(seed, PERMUTATION_TAG, b).permutation(n)]
-                        for b in range(B)]
-    t = _statistics(v, np.stack(draws), names, method)
+    draws = np.concatenate([labels[None], labels[child_permutations(seed, PERMUTATION_TAG, B, n)]])
+    t = _statistics(v, draws, names, method)
     t_obs, t_perm = float(t[0]), t[1:]
     hits = int(np.count_nonzero(t_obs <= t_perm))
     p = (1 + hits) / (1 + B) if corrected else hits / B

@@ -13,9 +13,10 @@ from conftest import full_pass_tables, nonmetric_dm
 from metricdepth import cli, deepest, depths, inference, simulation
 from metricdepth.cli import main
 from metricdepth.core import write_distance_csv
-from metricdepth.seeding import child_rng
+from metricdepth.inference import statistic_from_dm
+from metricdepth.seeding import PERMUTATION_TAG, child_rng
 from metricdepth.simulation import CorrSimConfig, gen_correlation_sample, gen_histogram_groups
-from metricdepth.spaces import distance_matrix, dump_objects
+from metricdepth.spaces import distance_matrix, dump_objects, load_objects
 
 OUT = "{out}"
 
@@ -197,6 +198,25 @@ def test_stdout_report_matches_out_file_on_fixtures(name, files, capsys, monkeyp
         # histograms are certified, so MOD3 finds the argmax by elimination
         _refuse_full_passes(monkeypatch, "full MOD3 pass on a certified sample")
     _assert_stdout_matches_out_file(name, files, capsys)
+
+
+def test_permtest_seed_beyond_64_bits(files):
+    # 2**64 + 5 is three entropy words, so numpy's seeding mixes the
+    # permutation index in after the pool: draw b is still the child stream
+    # (seed, PERMUTATION_TAG, b)
+    seed = 2**64 + 5
+    out = str(files["dir"] / "permtest-wide-seed.json")
+    assert main(["permtest", "--in", files["hist"], "--method", "MLD", "--B", "10",
+                 "--seed", str(seed), "--out", out]) == 0
+    with open(out) as fh:
+        report = json.load(fh)
+    assert report["config"]["seed"] == seed
+    objects = load_objects(files["hist"])
+    dm = distance_matrix(objects)
+    labels = np.asarray(objects.labels)
+    want = [statistic_from_dm(dm, labels[child_rng(seed, PERMUTATION_TAG, b).permutation(10)],
+                              "MLD") for b in range(10)]
+    assert report["t_permuted"] == want
 
 
 def test_subsampled_triples_drawn_once(files, monkeypatch):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
 from metricdepth.cli import main
 from metricdepth.core import DistanceMatrix, write_distance_csv
+from metricdepth.deepest import deepest_in_sample
 from metricdepth import depths
 from metricdepth.depths import (
     DET2_TOL,
@@ -357,6 +358,28 @@ class TestFullSample:
         for target in (depths._BLOCK_TARGET, 1500):
             monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
             assert np.array_equal(depth_values(dm, method), per)
+
+    @pytest.mark.parametrize("cut", ["rows", "columns", "row", "stacked"])
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    def test_non_square_matrix_refused_before_any_state(self, method, cut, monkeypatch):
+        # 10 rows of a 12-object matrix once gave MOD2, MLD and MSD depths
+        # read off its first 10 columns, and a bare ValueError for the others
+        v = euclidean_dm(np.random.default_rng(3).standard_normal((12, 2))).values
+        bad = {"rows": v[:10], "columns": v[:, :10], "row": v[0], "stacked": v[None]}[cut]
+
+        def fail(*args):
+            raise AssertionError("state built from a non-square matrix")
+
+        for builder in ("_triple_indices", "_pair_indices", "_anchor_pairs"):
+            monkeypatch.setattr(depths, builder, fail)
+        for call in (lambda: depth_values(bad, method),
+                     lambda: deepest_in_sample(bad, method),
+                     lambda: depth_of_query(v[0, :10], bad, method)):
+            with pytest.raises(InvalidArgumentError, match="square"):
+                call()
+        if method is DepthMethod.MOD3:
+            with pytest.raises(InvalidArgumentError, match="square"):
+                mod3_subsample_state(bad, 5, seed=1)
 
     def test_mod3_metric_violation_raises(self):
         dm = nonmetric_dm()

@@ -71,12 +71,14 @@ def grouped_sample(kind, n1, n2):
     return shuffled(ObjectSet(tuple(EuclideanPoint(p) for p in points), labels), 3)
 
 
-# (n, B, seed, error): no permutations, a fractional count, a negative or a
-# fractional seed, or a group too small for MOD3 (three objects)
+# (n, B, seed, error): no permutations, a fractional count, more draws than
+# the streams allow, a negative or a fractional seed, or a group too small
+# for MOD3 (three objects)
 REFUSED_BEFORE_DISTANCES = [
     pytest.param(5, 0, 3, InvalidArgumentError, id="5-0-InvalidArgumentError"),
     pytest.param(5, -3, 3, InvalidArgumentError, id="5--3-InvalidArgumentError"),
     pytest.param(5, 2.5, 3, InvalidArgumentError, id="5-2.5-InvalidArgumentError"),
+    pytest.param(5, 2**32 + 1, 3, InvalidArgumentError, id="5-2**32+1-InvalidArgumentError"),
     pytest.param(5, 5, -1, InvalidArgumentError, id="seed-1-InvalidArgumentError"),
     pytest.param(5, 5, 1.5, InvalidArgumentError, id="seed1.5-InvalidArgumentError"),
     pytest.param(2, 5, 3, InsufficientSampleError, id="2-5-InsufficientSampleError"),
@@ -88,6 +90,17 @@ def refuse_distance_work(monkeypatch):
         raise AssertionError("distance matrix computed before validation")
 
     monkeypatch.setattr(inference_module, "distance_matrix", fail)
+
+
+def refuse_draws(monkeypatch):
+    """Fail on the first permutation drawn, at ``child_permutations``, the one
+    draw entry point of ``permutation_test``. Each test that uses this also
+    shows that a valid test reaches the patched name."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("permutation drawn before validation")
+
+    monkeypatch.setattr(inference_module, "child_permutations", fail)
 
 
 class TestStatistic:
@@ -257,17 +270,25 @@ class TestPermutationTest:
 
         monkeypatch.setattr(depths_module, "euclidean_certificate", counting)
         monkeypatch.setattr(depths_module, "_embeds", counting_grams)
-        report = permutation_test(objs, DepthMethod.MOD3, B=10, seed=4)
+        permutation_test(objs, DepthMethod.MOD3, B=10, seed=4)
         assert calls == [12]
         # the pooled test, then one stack of the 11 draws' groups per label
         assert grams == ([(12, 12)] if kind == "hist" else [(12, 12)] + [(11, 6, 6)] * 2)
-        # the statistics are those of group-by-group checks
+
+    @pytest.mark.parametrize("seed", [4, 2**64 + 5])
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    @pytest.mark.parametrize("kind", ["hist", "corr"])
+    def test_each_draw_scores_its_child_stream(self, kind, method, seed):
+        # draw b relabels by child_rng(seed, PERMUTATION_TAG, b), also for a
+        # seed of three entropy words, and scores as a group-by-group check
+        objs = grouped_sample(kind, 6, 6)
+        report = permutation_test(objs, method, B=10, seed=seed)
         dm = distance_matrix(objs)
         labels = np.asarray(objs.labels)
-        want = [statistic_from_dm(dm, labels[child_rng(4, PERMUTATION_TAG, b).permutation(12)],
-                                  DepthMethod.MOD3) for b in range(10)]
-        assert report.t_observed == statistic_from_dm(dm, labels, DepthMethod.MOD3)
-        assert np.array_equal(report.t_permuted, want)
+        want = [statistic_from_dm(dm, labels[child_rng(seed, PERMUTATION_TAG, b).permutation(12)],
+                                  method) for b in range(10)]
+        assert report.t_observed == statistic_from_dm(dm, labels, method)
+        assert report.t_permuted.tobytes() == np.array(want).tobytes()
 
     def test_unlabeled_set_rejected(self):
         items = tuple(EuclideanPoint([float(v)]) for v in range(6))
@@ -292,15 +313,13 @@ class TestPermutationTest:
         objs = gen_histogram_groups(6, 6, 1.0, 8, seed=2)
         v = distance_matrix(objs).values.copy()
         v[1, 7] = v[7, 1] = bad
-
-        def fail(*args, **kwargs):
-            raise AssertionError("permutation drawn before validation")
-
-        monkeypatch.setattr(inference_module, "child_rng", fail)
+        refuse_draws(monkeypatch)
         with pytest.raises(InvalidArgumentError, match="finite"):
             permutation_test(objs, method, B=10, seed=1, dm=v)
         with pytest.raises(InvalidArgumentError, match="finite"):
             statistic_from_dm(v, objs.labels, method)
+        with pytest.raises(AssertionError, match="drawn"):
+            permutation_test(objs, method, B=10, seed=1)
 
     @pytest.mark.parametrize("method", [DepthMethod.MLD, DepthMethod.MOD3, DepthMethod.MHD])
     def test_non_square_dm_rejected_before_any_draw(self, method, monkeypatch):
@@ -308,15 +327,13 @@ class TestPermutationTest:
         # row count matches the labels, the column count does not
         objs = gen_histogram_groups(5, 5, 1.0, 8, seed=2)
         v = distance_matrix(gen_histogram_groups(6, 6, 1.0, 8, seed=2)).values[:10]
-
-        def fail(*args, **kwargs):
-            raise AssertionError("permutation drawn before validation")
-
-        monkeypatch.setattr(inference_module, "child_rng", fail)
+        refuse_draws(monkeypatch)
         with pytest.raises(InvalidArgumentError, match="10 x 10"):
             permutation_test(objs, method, B=10, seed=1, dm=v)
         with pytest.raises(InvalidArgumentError, match="10 x 10"):
             statistic_from_dm(v, objs.labels, method)
+        with pytest.raises(AssertionError, match="drawn"):
+            permutation_test(objs, method, B=10, seed=1)
 
     def test_given_dm_used_as_given(self):
         # a given matrix stands in for the set's own, which is not built
