@@ -9,6 +9,7 @@ All functions are pure; inputs are never mutated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,13 @@ class DistanceMatrix:
 def as_distance_array(dm) -> np.ndarray:
     """Raw ndarray view of a DistanceMatrix or array-like (no revalidation)."""
     return np.asarray(getattr(dm, "values", dm), dtype=float)
+
+
+def check_count(x, what: str, low: int = 1, high: float = math.inf) -> None:
+    """Refuse ``x`` unless it is an integer, Python's or numpy's (not a
+    float, and not a bool), in [low, high]."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not low <= x <= high:
+        raise InvalidArgumentError(f"{what} must be a whole number in [{low}, {high}]; got {x!r}")
 
 
 def sized_distance_array(dm, n: int) -> np.ndarray:

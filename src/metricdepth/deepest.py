@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import sized_distance_array
+from .core import check_count, sized_distance_array
 from .depths import (
     DepthMethod,
     _depths,
@@ -114,12 +114,14 @@ class OptimizerConfig:
             raise InvalidArgumentError(
                 f"unknown algorithm {self.algorithm!r}; use 'simplex-box' or 'quasi-newton-box'"
             )
-        if self.half_width <= 0:
-            raise InvalidArgumentError("box half-width must be positive")
-        if self.starts < 1:
-            raise InvalidArgumentError("need at least one start")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise InvalidArgumentError("max_evaluations must be positive")
+        # NaN fails the comparison; a width 2 * half_width beyond the largest
+        # float would search NaN points
+        if not (self.half_width > 0 and math.isfinite(2 * float(self.half_width))):
+            raise InvalidArgumentError(
+                f"box half-width must be positive, with a finite width; got {self.half_width!r}")
+        check_count(self.starts, "starts")
+        if self.max_evaluations is not None:
+            check_count(self.max_evaluations, "max_evaluations")
 
 
 @dataclass(frozen=True)
@@ -387,10 +389,15 @@ def _check_box(start, lower, upper):
     if start.ndim not in (1, 2) or start.shape != lower.shape or start.shape != upper.shape:
         raise InvalidArgumentError(
             "start, lower, upper must be 1-D vectors (or stacks of them) of equal shape")
-    if not np.all(lower < upper):
-        raise InvalidArgumentError("lower bounds must be strictly below upper bounds")
-    if np.any(start < lower) or np.any(start > upper):
-        raise InvalidArgumentError("start must lie within the bounds")
+    # NaN fails every comparison; an infinite bound, or a width beyond the
+    # largest float, gives an infinite width
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = upper - lower
+    if not np.all((0 < width) & (width < np.inf)):
+        raise InvalidArgumentError(
+            "lower bounds must be strictly below upper bounds, with finite bounds and widths")
+    if not np.all((lower <= start) & (start <= upper)):
+        raise InvalidArgumentError("start must be finite and lie within the bounds")
     return start, lower, upper
 
 

@@ -19,13 +19,18 @@ distances ``q`` and the sample's pairwise :class:`DistanceMatrix`:
 
 Each method has one evaluator, which maps a (rows, n) block of query
 distances to ``rows`` depths. It reads a :class:`SampleState` built once
-per sample, holding only what that method needs of the sample. The work is
-cut into tiles: a block of query rows crossed with a range of the sample
-tuples. A tile builds the method's per-tuple terms (one row per query) and
-reduces each row to a partial: a sum (MOD3, MOD2, MSD), a count (MLD) or a
-minimum (MHD). The tuple ranges are the leaves of numpy's own
-pairwise-summation tree over a row, so the partials, joined back along
-that tree, are bitwise the reduction of the whole row. Scoring one query
+per sample, holding only what that method needs of the sample.
+
+MHD reads the sample's (n, n) table of anchor-pair counts: a depth is the
+least count of the pairs that qualify for the query, over n, and a minimum
+is exact in any order (:func:`_mhd_least`).
+
+The other four methods sum per-tuple terms (MLD sums booleans, a count).
+Their work is cut into tiles: a block of query rows crossed with a range of
+the sample tuples. A tile builds the method's terms (one row per query) and
+sums each row to a partial. The tuple ranges are the leaves of numpy's own
+pairwise-summation tree over a row, so the partials, added back along that
+tree, are bitwise the sum of the whole row. Scoring one query
 is a 1-row block; scoring every sample object (``depth_values``) runs the
 sample's own distance rows through the same tiles, so both give bitwise
 identical values. A call runs on the calling thread, one row block after
@@ -50,11 +55,11 @@ The deepest member of every group of one pooled sample, such as the groups
 of every label permutation of a two-group test, comes from one entry,
 ``_group_picks``, for all five methods. For MOD2, MLD and MSD the pooled
 terms are built once (``_group_depths``), and each member's depth within
-its group reduces its pooled term row gathered at the group's pairs. MOD3
+its group sums its pooled term row gathered at the group's pairs. MOD3
 and MHD stack the groups' distance sub-matrices and score a chunk of them
 at once: MOD3 runs one elimination over the stack, each row scored against
-its own group, and MHD counts every group's anchor-pair probabilities and
-qualifying pairs from one boolean indicator.
+its own group, and MHD builds every group's count table and least counts
+with its one evaluator.
 
 Full-sample evaluation (``depth_values``) scores every sample object
 against the entire sample, including itself: tuples containing the query's
@@ -71,7 +76,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,13 +128,13 @@ class DepthReport:
     elapsed_seconds: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         lo, hi = self.method.value_range
-        if v.size and (np.min(v) < lo - 1e-12 or np.max(v) > hi + 1e-12):
+        # NaN fails both comparisons
+        if not np.all((v >= lo - 1e-12) & (v <= hi + 1e-12)):
             raise InvalidArgumentError(
-                f"{self.method.value} values outside [{lo}, {hi}]"
+                f"{self.method.value} values must be finite and within [{lo}, {hi}]"
             )
-        v = np.array(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -147,13 +152,13 @@ class SampleState:
 
     ``values`` is the (n, n) distance array, so a state stands in for the
     distance matrix wherever one is accepted. ``index`` holds the sample
-    tuples the method averages over: pairs i<j for MOD2, MLD and MSD; for
+    tuples the method sums over: pairs i<j for MOD2, MLD and MSD; for
     MOD3 the triples i<j<k (all of them, or the ones drawn by
     :func:`mod3_subsample_state`) followed by the flat positions of their pairs
-    (i, j), (j, k), (i, k) in an (n, n) table; for MHD the ordered anchor
-    pairs (a1, a2), a1 != a2. ``table`` holds the sample-side numbers:
-    squared distances (MOD3), squared pair distances (MOD2, MSD), pair
-    distances (MLD), or the anchor-pair probabilities (MHD).
+    (i, j), (j, k), (i, k) in an (n, n) table; none for MHD, which sums
+    nothing. ``table`` holds the sample-side numbers: squared distances
+    (MOD3), squared pair distances (MOD2, MSD), pair distances (MLD), or the
+    (n, n) anchor-pair counts (MHD, see :func:`_mhd_counts`).
 
     A MOD3 state over every triple may hold a (k, n, n) stack of samples in
     ``values`` and ``table``; ``which`` then gives the sample of each query
@@ -182,8 +187,7 @@ def sample_state(dm, method: DepthMethod) -> SampleState:
     if method is DepthMethod.MOD3:
         return _mod3_state(v, _triple_indices(v.shape[0]))
     if method is DepthMethod.MHD:
-        index = _anchor_pairs(v.shape[0])
-        return SampleState(method, v, index, mhd_pair_probabilities(v)[index])
+        return SampleState(method, v, (), _mhd_counts(v))
     index = _pair_indices(v.shape[0])
     d_ij = v[index]
     return SampleState(method, v, index, d_ij if method is DepthMethod.MLD else d_ij ** 2)
@@ -195,14 +199,12 @@ def _mod3_state(v: np.ndarray, triples: tuple) -> SampleState:
     return SampleState(DepthMethod.MOD3, v, (i, j, k, i * n + j, j * n + k, i * n + k), v * v)
 
 
-def _check_query(q, n: int, rows: int | None = None) -> np.ndarray:
-    """One query's distances to a sample of ``n`` objects, or with ``rows``
-    given a (rows, n) block of queries' distances, as floats: finite and
-    nonnegative."""
+def _check_query(q, n: int) -> np.ndarray:
+    """One query's distances to a sample of ``n`` objects, as floats: finite
+    and nonnegative."""
     q = np.asarray(q, dtype=float)
-    shape = (n,) if rows is None else (rows, n)
-    if q.shape != shape:
-        raise InvalidArgumentError(f"query distances must have shape {shape}, got shape {q.shape}")
+    if q.shape != (n,):
+        raise InvalidArgumentError(f"query distances must have shape {(n,)}, got shape {q.shape}")
     if not np.all(np.isfinite(q)) or (q.size and np.min(q) < 0):
         raise InvalidArgumentError("query distances must be finite and nonnegative")
     return q
@@ -242,20 +244,13 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _contiguous(np.triu_indices(n, 1))
 
 
-@lru_cache(maxsize=8)
-def _anchor_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered index pairs (a1, a2), a1 != a2, of range(n), in
-    lexicographic order."""
-    return _contiguous(np.nonzero(~np.eye(n, dtype=bool)))
-
-
 # ---------------------------------------------------------------------------
 # evaluators: per-tuple terms of a (rows, n) block of query distances over a
-# range ``part`` of the sample tuples, then a reduction of each row of those
-# terms to a partial of that query's depth
+# range ``part`` of the sample tuples, then the sum of each row of those
+# terms, a partial of that query's depth
 #
 # Gathers use ``take``, not fancy indexing, so every table is C-ordered and
-# its rows are reduced one by one, as a 1-row table is.
+# its rows are summed one by one, as a 1-row table is.
 
 
 # Radicand clamp for the MOD3 kernel, relative to max(prod, min(1, m^3)),
@@ -277,17 +272,14 @@ def _mod3_pairs(s: SampleState, q: np.ndarray) -> np.ndarray:
     return (0.5 * (a[:, :, None] + a[:, None, :] - table)).reshape(a.shape[0], -1)
 
 
-def _mod3_terms(s: SampleState, q: np.ndarray, part=slice(None), c=None,
-                scratch=None) -> np.ndarray:
+def _mod3_terms(s: SampleState, q: np.ndarray, part: slice, c: np.ndarray,
+                scratch: "_Scratch") -> np.ndarray:
     """Kernel of every (query, triple) in ``part`` of the triples; ``c`` is
-    the block's :func:`_mod3_pairs`, when already built. The kernels are
-    written into ``scratch`` (see :func:`_tile_buffers`)."""
+    the block's :func:`_mod3_pairs`. The kernels are written into
+    ``scratch``."""
     a = q * q
-    if c is None:
-        c = _mod3_pairs(s, q)
     i, j, k, ij, jk, ik = (t[part] for t in s.index)
-    a_i, a_j, a_k, c_ij, c_jk, c_ik, prod, rad, tmp, low = _tile_buffers(
-        scratch, a.shape[0], i.size, 9)
+    a_i, a_j, a_k, c_ij, c_jk, c_ik, prod, rad, tmp, low = scratch.arrays(a.shape[0], i.size, 9, 1)
     for out, table, index in ((c_ij, c, ij), (c_jk, c, jk), (c_ik, c, ik),
                               (a_i, a, i), (a_j, a, j), (a_k, a, k)):
         # in range by construction; "raise" would buffer ``out``
@@ -531,11 +523,11 @@ def _mod3_scan(s: SampleState, ref_depth: np.ndarray, q: np.ndarray) -> np.ndarr
 DET2_TOL = 1e-12
 
 
-def _mod2_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
+def _mod2_terms(s: SampleState, q: np.ndarray, part: slice, scratch: "_Scratch") -> np.ndarray:
     """Kernel of every (query, pair) in ``part`` of the pairs: sqrt(det B2),
     0 where det B2 is at most its clamp or NaN (on overflowing distances)."""
     i, j = (t[part] for t in s.index)
-    a_i, a_j, c, det, top, zero = _tile_buffers(scratch, q.shape[0], i.size, 5)
+    a_i, a_j, c, det, top, zero = scratch.arrays(q.shape[0], i.size, 5, 1)
     for out, index in ((a_i, i), (a_j, j)):
         q.take(index, axis=1, out=out, mode="clip")
         out *= out
@@ -558,23 +550,23 @@ def _mod2_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -
     return det
 
 
-def _mld_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
+def _mld_terms(s: SampleState, q: np.ndarray, part: slice, scratch: "_Scratch") -> np.ndarray:
     """Whether each pair in ``part`` is farther apart than both are from the
     query."""
     i, j = (t[part] for t in s.index)
-    q_i, q_j, far = _tile_buffers(scratch, q.shape[0], i.size, 2)
+    q_i, q_j, far = scratch.arrays(q.shape[0], i.size, 2, 1)
     q.take(i, axis=1, out=q_i, mode="clip")
     q.take(j, axis=1, out=q_j, mode="clip")
     np.maximum(q_i, q_j, out=q_i)
     return np.greater(s.table[part], q_i, out=far)
 
 
-def _msd_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
+def _msd_terms(s: SampleState, q: np.ndarray, part: slice, scratch: "_Scratch") -> np.ndarray:
     """Cosine-like ratio of every (query, pair) in ``part``, 0 where either
     query distance is 0. Exact arithmetic keeps it in [-2, 2]; the clip
     catches round-off on near-coincident objects."""
     i, j = (t[part] for t in s.index)
-    q_i, q_j, num, denom, active, idle = _tile_buffers(scratch, q.shape[0], i.size, 4, 2)
+    q_i, q_j, num, denom, active, idle = scratch.arrays(q.shape[0], i.size, 4, 2)
     q.take(i, axis=1, out=q_i, mode="clip")
     q.take(j, axis=1, out=q_j, mode="clip")
     np.not_equal(q_i, 0.0, out=active)
@@ -592,18 +584,6 @@ def _msd_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) ->
     return num
 
 
-def _mhd_terms(s: SampleState, q: np.ndarray, part=slice(None), scratch=None) -> np.ndarray:
-    """Probability of every anchor pair in ``part`` that qualifies, 1 for the
-    others (which keeps the minimum: probabilities never exceed 1)."""
-    a1, a2 = (t[part] for t in s.index)
-    q_1, q_2 = _tile_buffers(scratch, q.shape[0], a1.size, 2, 0)
-    q.take(a1, axis=1, out=q_1, mode="clip")
-    q.take(a2, axis=1, out=q_2, mode="clip")
-    # 1 where a1 is farther than a2, 0 where the pair qualifies; probabilities
-    # lie in [0, 1], so the larger of that and the probability is the term
-    return np.maximum(np.greater(q_1, q_2, out=q_1), s.table[part], out=q_1)
-
-
 def _no_shared_inputs(s: SampleState, q: np.ndarray) -> dict:
     return {}
 
@@ -612,24 +592,15 @@ def _kernel_depth(total, size):
     return 1.0 / (1.0 + total / size)
 
 
-_SUM = partial(np.add.reduce, axis=1)
-
 # per method: the inputs that the tiles of one row block share, the terms of
-# a tile, the reduction of a tile's terms to one partial per row, the join
-# of two partials, and the depths from the partial of whole rows of ``size``
-# tuples
+# a tile, and the depths from the sums of whole rows of ``size`` tuples (for
+# MLD, of booleans: ``np.add.reduce`` counts them as ``count_nonzero`` does)
 _EVALUATE = {
-    DepthMethod.MOD3: (lambda s, q: {"c": _mod3_pairs(s, q)}, _mod3_terms, _SUM, np.add,
-                       _kernel_depth),
-    DepthMethod.MOD2: (_no_shared_inputs, _mod2_terms, _SUM, np.add, _kernel_depth),
-    DepthMethod.MLD: (_no_shared_inputs, _mld_terms, partial(np.count_nonzero, axis=1),
-                      np.add, lambda count, size: count / size),
-    DepthMethod.MSD: (_no_shared_inputs, _msd_terms, _SUM, np.add,
+    DepthMethod.MOD3: (lambda s, q: {"c": _mod3_pairs(s, q)}, _mod3_terms, _kernel_depth),
+    DepthMethod.MOD2: (_no_shared_inputs, _mod2_terms, _kernel_depth),
+    DepthMethod.MLD: (_no_shared_inputs, _mld_terms, lambda count, size: count / size),
+    DepthMethod.MSD: (_no_shared_inputs, _msd_terms,
                       lambda total, size: 1.0 - 0.5 * (total / size)),
-    # with no anchor pairs (n = 1) the depth is 1
-    DepthMethod.MHD: (_no_shared_inputs, _mhd_terms,
-                      partial(np.min, axis=1, initial=1.0), np.minimum,
-                      lambda low, size: low),
 }
 
 
@@ -640,8 +611,7 @@ _EVALUATE = {
 # elements is split at _split(size) and the two halves' sums are added; a
 # shorter run is one unrolled loop. The tuple ranges of the tiles are the
 # nodes of that tree at which splitting stops, its leaves; their sums,
-# added back along the tree, are bitwise the sum of the whole row. Counts
-# and minima are exact in any order.
+# added back along the tree, are bitwise the sum of the whole row.
 
 _PAIRWISE_BLOCK = 128
 
@@ -677,13 +647,6 @@ class _Scratch:
         k = rows * width
         return (*self.floats[:floats * k].reshape(floats, rows, width),
                 *self.masks[:masks * k].reshape(masks, rows, width))
-
-
-def _tile_buffers(scratch, rows: int, width: int, floats: int, masks: int = 1) -> tuple:
-    """:meth:`_Scratch.arrays` of ``scratch``, which every evaluator writes
-    its temporaries and terms into, or of new buffers of just that size when
-    ``scratch`` is None."""
-    return (scratch or _Scratch(rows * width)).arrays(rows, width, floats, masks)
 
 
 # Scratch not lent out at the moment: one per block that ever ran at the
@@ -734,14 +697,14 @@ def _leaves(start: int, size: int) -> list:
     return _leaves(start, h) + _leaves(start + h, size - h)
 
 
-def _fold(size: int, partials, join):
-    """The partial of a whole node of ``size`` tuples, joined along the tree
-    from the iterator ``partials`` of its leaves' partials, in order."""
+def _fold(size: int, partials):
+    """The sum of a whole node of ``size`` tuples, added along the tree from
+    the iterator ``partials`` of its leaves' sums, in order."""
     if _is_leaf(size):
         return next(partials)
     h = _split(size)
-    first = _fold(h, partials, join)
-    return join(first, _fold(size - h, partials, join))
+    # the left operand is evaluated first: the leaves are taken in order
+    return _fold(h, partials) + _fold(size - h, partials)
 
 
 def _run(task, items) -> list:
@@ -773,15 +736,19 @@ def _run(task, items) -> list:
 
 
 def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """Depths of the (rows, n) query distances ``q``, one row block at a
-    time: a block lends one scratch, scores its leaves in order and joins
-    their partials. Blocks of one row (a row of more than half of
-    ``_BLOCK_TARGET`` terms) run on the workers (:func:`_run`); blocks of
-    several rows run on the calling thread."""
-    shared, terms, reduce, join, finish = _EVALUATE[s.method]
+    """Depths of the (rows, n) query distances ``q``.
+
+    MHD takes the least counts of :func:`_mhd_least`. The other methods go
+    one row block at a time: a block lends one scratch, sums its leaves in
+    order and adds their sums along the tree. Blocks of one row (a row of
+    more than half of ``_BLOCK_TARGET`` terms) run on the workers
+    (:func:`_run`); blocks of several rows run on the calling thread."""
+    if s.method is DepthMethod.MHD:
+        return _mhd_least(s.table, q) / q.shape[1]
+    shared, terms, finish = _EVALUATE[s.method]
     size = s.index[0].size
     # a row block holds up to _BLOCK_TARGET terms, and at least one row
-    rows = max(1, _BLOCK_TARGET // max(size, 1))
+    rows = max(1, _BLOCK_TARGET // size)
     leaves = _leaves(0, size)
 
     def block(start):
@@ -790,9 +757,9 @@ def _depths(s: SampleState, q: np.ndarray) -> np.ndarray:
         inputs = shared(s if s.which is None else replace(s, which=s.which[start:start + rows]),
                         qb)
         with _lent() as scratch:
-            partials = (reduce(terms(s, qb, slice(*leaf), scratch=scratch, **inputs))
-                        for leaf in leaves)
-            return finish(_fold(size, partials, join), size)
+            partials = (np.add.reduce(terms(s, qb, slice(*leaf), scratch=scratch, **inputs),
+                                      axis=1) for leaf in leaves)
+            return finish(_fold(size, partials), size)
 
     starts = range(0, q.shape[0], rows)
     return np.concatenate(_run(block, starts) if rows == 1 else [block(b) for b in starts])
@@ -821,9 +788,8 @@ def _group_picks(v: np.ndarray, groups: list, method: DepthMethod) -> list:
     ``_BLOCK_TARGET`` distances, and its reference rows up to
     ``_BLOCK_TARGET`` kernels: one tile (chunks of twice to four times that
     took as long on two threads, and raised the peak memory of a histogram
-    test by 3.5 MB). An MHD chunk's (rows, m, m, m) indicator, a byte an
-    element, holds up to eight times ``_BLOCK_TARGET`` elements (the byte
-    budget of :func:`mhd_pair_probabilities`).
+    test by 3.5 MB). An MHD chunk's (rows, m, m, m) indicator holds up to
+    eight times ``_BLOCK_TARGET`` elements (see :func:`_mhd_indicators`).
 
     MOD3 checks :func:`euclidean_certificate` once, on the pooled sample. A
     sum-zero vector restricted to a subset is still sum-zero: when the
@@ -852,45 +818,73 @@ def _group_picks(v: np.ndarray, groups: list, method: DepthMethod) -> list:
     return out
 
 
+# MHD on counts. One indicator, a1 not farther than a2, gives both sides of
+# every depth. At a sample object x, summed over x, it counts the objects at
+# least as close to a1 as to a2: n P(a1, a2). At a query, it marks the anchor
+# pairs that qualify for the query. A depth is the least count of its
+# qualifying pairs, over n. Division by n is monotone and correctly rounded,
+# so that is bitwise the least P. The pairs a1 = a2 qualify and count n, a
+# depth of 1, so they change no minimum, and a query that no pair a1 != a2
+# qualifies for (n = 1) has depth 1. Counts are held in the smallest
+# unsigned type that holds n.
+
+
+def _mhd_indicators(q: np.ndarray, dtype):
+    """The indicator of the (..., rows, n) query distances ``q``, one block
+    of rows at a time: [..., row, a1, a2] is 1 where a1 is not farther than
+    a2 from the row's query, else 0. A block holds up to eight times
+    ``_BLOCK_TARGET`` elements (a float64 tile's bytes, at a byte an
+    element), and at least one row. Each block is written over the last in
+    one lent scratch, or into a new array where the scratch has no room:
+    blocks allocated afresh had their pages faulted in again on every call."""
+    n = q.shape[-1]
+    step = max(1, 8 * _BLOCK_TARGET // (math.prod(q.shape[:-2]) * n * n))
+    with _lent() as scratch:
+        room = scratch.floats.view(dtype)
+        for start in range(0, q.shape[-2], step):
+            b = q[..., start:start + step, :]
+            shape = (*b.shape, n)
+            size = math.prod(shape)
+            out = room[:size].reshape(shape) if size <= room.size else np.empty(shape, dtype)
+            yield np.less_equal(b[..., :, None], b[..., None, :], out=out)
+
+
+def _mhd_counts(v: np.ndarray, held=None) -> np.ndarray:
+    """The anchor-pair counts of the (n, n) distances ``v``, or of each table
+    of a stack of them: [a1, a2] counts the objects x at least as close to
+    a1 as to a2. ``held`` holds ``v``'s indicator blocks, when built."""
+    dtype = np.min_scalar_type(v.shape[-1])
+    count = np.zeros(v.shape, dtype)
+    for ind in held or _mhd_indicators(v, dtype):
+        count += ind.sum(axis=-3, dtype=dtype)
+    return count
+
+
+def _mhd_least(count: np.ndarray, q: np.ndarray, held=None) -> np.ndarray:
+    """The least count of the anchor pairs that qualify for each row of the
+    (..., rows, n) query distances ``q``, against the counts ``count`` of
+    its sample (or of each sample of a stack). ``held`` holds ``q``'s
+    indicator blocks, when built; they are overwritten."""
+    low = []
+    for ind in held or _mhd_indicators(q, count.dtype):
+        # 0 where the pair qualifies, the type's largest value where it does
+        # not; then the count where it qualifies
+        ind -= 1
+        ind |= count[..., None, :, :]
+        low.append(ind.reshape(*ind.shape[:-2], -1).min(axis=-1))
+    return np.concatenate(low, axis=-1)
+
+
 def _mhd_argmax(v: np.ndarray) -> np.ndarray:
     """The index of the deepest object of each (n, n) table of the stack
-    ``v`` under MHD, the lowest on ties.
-
-    One indicator, x at least as close to a1 as to a2, gives both sides of
-    every depth. Summed over the objects x, it counts n P(a1, a2) (see
-    :func:`mhd_pair_probabilities`); and at x, it marks the anchor pairs
-    that qualify for x (a1 not farther from x than a2: the same test for
-    distances without NaN). A depth is the least count of its qualifying
-    pairs over n, or 1. Every P is its count over the same n, so the counts
-    order the depths as the depths themselves do, ties included; and the
-    pairs a1 = a2 count n, as a depth of 1 does, so they change no minimum.
-
-    The counts are held in the smallest unsigned type that holds n. The
-    indicator is built for a block of objects x at a time, up to eight
-    times ``_BLOCK_TARGET`` elements; with more than one block, it is built
-    once for the counts and once more for the minima.
-    """
-    k, n = v.shape[:2]
-    dtype = np.min_scalar_type(n)
-    rows = max(1, 8 * _BLOCK_TARGET // (k * n * n))
-    blocks = [slice(s, s + rows) for s in range(0, n, rows)]
-
-    def indicator(b):
-        # [table, x, a1, a2]
-        return (v[:, b, :, None] <= v[:, b, None, :]).astype(dtype)
-
-    held = [indicator(blocks[0])] if len(blocks) == 1 else []
-    count = np.zeros((k, n, n), dtype)
-    for ind in held or map(indicator, blocks):
-        count += ind.sum(axis=1, dtype=dtype)
-    low = []
-    for ind in held or map(indicator, blocks):
-        # 0 where the pair qualifies for x, the type's largest value where
-        # it does not; then the count where it qualifies
-        ind -= 1
-        ind |= count[:, None]
-        low.append(ind.reshape(k, ind.shape[1], -1).min(axis=2))
-    return np.argmax(np.concatenate(low, axis=1), axis=1)
+    ``v`` under MHD, the lowest on ties: the least counts of the table's own
+    rows order its depths, ties included."""
+    indicators = _mhd_indicators(v, np.min_scalar_type(v.shape[-1]))
+    # an indicator of one block is built once, for the counts and the least
+    # counts both (built twice, it made an MHD permutation test twice as
+    # slow); its scratch stays lent until ``indicators`` is dropped
+    held = [next(indicators)] if v.size * v.shape[-1] <= 8 * _BLOCK_TARGET else None
+    return np.argmax(_mhd_least(_mhd_counts(v, held), v, held), axis=-1)
 
 
 def _group_depths(s: SampleState, groups: list) -> list:
@@ -907,13 +901,13 @@ def _group_depths(s: SampleState, groups: list) -> list:
     pairs of its group. A group's pairs i<j, in its own lexicographic order,
     are the pooled pairs restricted to the group, in the pooled order; so a
     gathered row holds the group's own terms in the group's own order, and
-    is reduced along the same tree. Pooled terms are held one row block at
+    is summed along the same tree. Pooled terms are held one row block at
     a time, of at most ``_BLOCK_TARGET`` terms and at least one row. Each
     block scores every member that falls in it, taking draws and then
     members so that at most ``_BLOCK_TARGET`` pair positions, and at least
     one row of them, are gathered at once.
     """
-    _, _, reduce, join, finish = _EVALUATE[s.method]
+    finish = _EVALUATE[s.method][2]
     v = s.values
     n = v.shape[0]
     size = s.index[0].size
@@ -942,8 +936,9 @@ def _group_depths(s: SampleState, groups: list) -> list:
                     # flat positions in ``table``: the member's row, its group's pairs
                     at = pairs.take(d, axis=0)
                     at += ((gc[d, a] - start) * size)[:, None]
-                    partials = (reduce(table.take(at[:, slice(*leaf)])) for leaf in leaves)
-                    depth[dc[d], a] = finish(_fold(width, partials, join), width)
+                    partials = (np.add.reduce(table.take(at[:, slice(*leaf)]), axis=1)
+                                for leaf in leaves)
+                    depth[dc[d], a] = finish(_fold(width, partials), width)
     return out
 
 
@@ -986,18 +981,10 @@ def mhd_pair_probabilities(dm) -> np.ndarray:
 
     The anchors are the sample objects of the (n, n) distances ``dm``;
     entry [a1, a2] of the result is the fraction of sample points at least
-    as close to a1 as to a2 (ties counted).
+    as close to a1 as to a2 (ties counted): the counts of an MHD state over n.
     """
-    v = as_distance_array(dm)
-    n = v.shape[0]
-    # the (block, n, n) temporaries are boolean, an eighth of a float64
-    # element each: the same byte budget holds eight times the elements
-    block = max(1, 8 * _BLOCK_TARGET // (n * n))
-    acc = np.zeros((n, n))
-    for s in range(0, n, block):
-        part = v[s:s + block]
-        acc += np.count_nonzero(part[:, :, None] <= part[:, None, :], axis=0)
-    return acc / n
+    v = _square_distances(dm)
+    return _mhd_counts(v) / v.shape[0]
 
 
 # ---------------------------------------------------------------------------

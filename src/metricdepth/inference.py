@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import sized_distance_array
+from .core import check_count, sized_distance_array
 from .depths import DepthMethod, _group_picks
 from .errors import InsufficientSampleError, InvalidArgumentError
 from .seeding import (
@@ -133,8 +133,7 @@ def _check_group_sizes(labels, names, *methods: DepthMethod) -> None:
 
 def _check_draws(B, seed) -> None:
     # at most 2**32 draws, as ``child_permutations`` builds them
-    if not isinstance(B, (int, np.integer)) or not 1 <= B <= 2**32:
-        raise InvalidArgumentError(f"need a whole number of permutations in [1, 2**32]; got {B!r}")
+    check_count(B, "the number of permutations B", 1, 2**32)
     check_seed(seed)
 
 
@@ -230,16 +229,12 @@ def label_swap_experiment(objects: ObjectSet, methods, k: int, repeats: int, B: 
     """
     if objects.labels is None:
         raise InvalidArgumentError("object set carries no labels")
-    if repeats < 1:
-        raise InvalidArgumentError("need at least one repeat")
+    check_count(repeats, "repeats")
     methods = [DepthMethod(m) for m in methods]
     labels, names = _two_groups(objects.labels)
     idx_a = np.nonzero(labels == names[0])[0]
     idx_b = np.nonzero(labels == names[1])[0]
-    if k < 0 or k > min(idx_a.size, idx_b.size):
-        raise InvalidArgumentError(
-            f"k={k} must be between 0 and the smaller group size {min(idx_a.size, idx_b.size)}"
-        )
+    check_count(k, "k", 0, min(idx_a.size, idx_b.size))
     # what permutation_test refuses, refused before the first test builds
     # the distance matrix (swaps keep the group sizes)
     _check_draws(B, seed)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metricdepth import depths
 from metricdepth.core import DistanceMatrix
 from metricdepth.seeding import child_rng
 from metricdepth.simulation import (
@@ -64,6 +65,23 @@ def full_pass_tables(state, q) -> int:
     rows ``q`` of one ``depths._depths`` call, as a full pass scores them."""
     which = np.zeros(len(q), dtype=int) if state.which is None else state.which
     return sum(int(np.count_nonzero(which == t) == q.shape[1]) for t in np.unique(which))
+
+
+def tile_terms(state, q, part=slice(None)) -> np.ndarray:
+    """The per-tuple terms of the (rows, n) query distances ``q`` over
+    ``part`` of the tuples of ``state``, as its method's term function
+    builds them. They are built one query row at a time, and at most one
+    scratch's width of tuples at a time, in scratch lent by
+    ``depths._lent()``, and copied out before the scratch is given back."""
+    shared, terms, _ = depths._EVALUATE[state.method]
+    start, stop, _ = part.indices(state.index[0].size)
+    width = max(depths._BLOCK_TARGET, depths._PAIRWISE_BLOCK)
+    with depths._lent() as scratch:
+        return np.concatenate([
+            np.concatenate([terms(state, row, slice(a, min(a + width, stop)), scratch=scratch,
+                                  **shared(state, row)).copy()
+                            for a in range(start, stop, width)], axis=1)
+            for row in np.split(q, len(q))])
 
 
 @pytest.fixture

@@ -48,6 +48,21 @@ def mod3_depth_brute_force(q, dm) -> float:
     return float(1.0 / (1.0 + np.sqrt(np.maximum(rad, 0.0)).mean()))
 
 
+def mhd_depth_brute_force(q, dm) -> float:
+    """MHD depth of one query by its definition, anchor pair by anchor pair.
+
+    The least, over the ordered pairs a1 != a2 with d(x, X_a1) <= d(x, X_a2),
+    of the fraction of sample points at least as close to X_a1 as to X_a2;
+    1 when no pair qualifies (n = 1).
+    """
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(getattr(dm, "values", dm), dtype=float)
+    n = v.shape[0]
+    return min([np.count_nonzero(v[:, a1] <= v[:, a2]) / n
+                for a1 in range(n) for a2 in range(n) if a1 != a2 and q[a1] <= q[a2]],
+               default=1.0)
+
+
 def floyd_sample(total: int, m: int, rng: np.random.Generator) -> list:
     """Uniform m-subset of range(total) by Floyd's algorithm, sorted: for
     t = total - m, ..., total - 1, draw r uniform on [0, t] with one scalar

@@ -288,10 +288,17 @@ def test_out_of_sample_rejected_before_any_distance_work(infile, extra, files, m
      "--tsh", "1.5"],
     ["simulate-corr", "--p", "3", "--n", "8", "--eps", "0.1", "--reps", "1", "--methods", "MLD",
      "--seed", "1", "--out-of-sample", "--tsh", "0"],
-], ids=["swap-test-B0", "deepest-oos-tsh", "simulate-corr-oos-tsh"])
+    *(["deepest", "--in", "corr", "--method", "MLD", "--out-of-sample", "--seed", "1",
+       "--halfwidth", width] for width in ("inf", "1e308", "nan")),
+    ["simulate-corr", "--p", "3", "--n", "8", "--eps", "0.1", "--reps", "1", "--methods", "MLD",
+     "--seed", "1", "--out-of-sample", "--halfwidth", "inf"],
+], ids=["swap-test-B0", "deepest-oos-tsh", "simulate-corr-oos-tsh", "deepest-oos-halfwidth-inf",
+        "deepest-oos-halfwidth-1e308", "deepest-oos-halfwidth-nan",
+        "simulate-corr-oos-halfwidth-inf"])
 def test_bad_arguments_rejected_before_any_distance_work(argv, files, monkeypatch):
-    # no permutations, or a PCA threshold outside (0, 1], is refused before
-    # a replicate is drawn or a distance matrix computed
+    # no permutations, a PCA threshold outside (0, 1], or a box whose width
+    # is not finite, is refused before a replicate is drawn or a distance
+    # matrix computed
     def fail(*args, **kwargs):
         raise AssertionError("distance work before validation")
 

@@ -5,7 +5,7 @@ depth evaluators compute (``_mod3_pairs``, ``_mod3_terms``, ``_mod2_terms``)."""
 import numpy as np
 import pytest
 
-from conftest import euclidean_dm, line_dm
+from conftest import euclidean_dm, line_dm, tile_terms
 from metricdepth import depths
 from metricdepth.core import (
     DistanceMatrix,
@@ -30,14 +30,14 @@ def b3_matrix(dx, dpair) -> np.ndarray:
 def mod3_kernel(dx, dpair) -> float:
     """The MOD3 evaluator's kernel of one query against one sample triple."""
     state = depths.sample_state(np.asarray(dpair, dtype=float), DepthMethod.MOD3)
-    return float(depths._mod3_terms(state, np.asarray(dx, dtype=float)[None])[0, 0])
+    return float(tile_terms(state, np.asarray(dx, dtype=float)[None])[0, 0])
 
 
 def mod2_kernel(d1, d2, d12) -> float:
     """The MOD2 evaluator's kernel sqrt(det B2) of a query at distances
     ``d1``, ``d2`` from a sample pair ``d12`` apart."""
     state = depths.sample_state(np.array([[0.0, d12], [d12, 0.0]]), DepthMethod.MOD2)
-    return float(depths._mod2_terms(state, np.array([[d1, d2]], dtype=float))[0, 0])
+    return float(tile_terms(state, np.array([[d1, d2]], dtype=float))[0, 0])
 
 
 def euclidean_triples(rng, count, dim):
@@ -220,7 +220,7 @@ class TestTheoremBounds:
             state = depths.sample_state(euclidean_dm(pts), DepthMethod.MOD3)
             i, j, k = state.index[:3]
             bound = 2.0 * q[:, i] * q[:, j] * q[:, k]
-            kernels = depths._mod3_terms(state, q)
+            kernels = tile_terms(state, q)
             assert np.all(kernels >= bound - 1e-9 * np.maximum(1.0, bound))
 
 

@@ -15,6 +15,7 @@ from conftest import (
     line_dm,
     nonmetric_dm,
     sphere_dm,
+    tile_terms,
 )
 from metricdepth import deepest, depths, spaces
 from metricdepth.core import DistanceMatrix
@@ -317,7 +318,7 @@ class TestMod3Elimination:
             assert -EMBEDDING_TOL * eig[-1] <= eig[0] < 0
             assert euclidean_certificate(dm)
             state = sample_state(dm, DepthMethod.MOD3)
-            mean = depths._mod3_terms(state, state.values).mean(axis=1)
+            mean = tile_terms(state, state.values).mean(axis=1)
             assert np.all(mod3_lower_bounds(dm) <= mean * (1 + depths._ELIMINATION_MARGIN))
             self.assert_full_pass_pick(dm)
         assert full_passes == []
@@ -651,6 +652,37 @@ class TestOptimizeBox:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(algorithm="gradient-descent")
+
+    @pytest.mark.parametrize("field, bad", [
+        ("half_width", np.inf), ("half_width", 1e308), ("half_width", np.float64(1e308)),
+        ("half_width", np.nan),
+        ("half_width", 0.0), ("starts", 1.5), ("starts", True),
+        ("starts", 0), ("max_evaluations", 1.5), ("max_evaluations", True),
+        ("max_evaluations", 0)])
+    def test_config_refuses_bad_values(self, field, bad):
+        # an infinite box width (2 * 1e308 overflows) once searched NaN
+        # points, and fractional counts raised TypeError inside the search
+        with pytest.raises(InvalidArgumentError):
+            OptimizerConfig(**{field: bad})
+
+    def test_config_takes_numpy_counts(self):
+        cfg = OptimizerConfig(half_width=1e307, starts=np.int64(2), max_evaluations=np.int32(9))
+        assert cfg.starts == 2 and cfg.max_evaluations == 9
+
+    @pytest.mark.parametrize("box", [
+        ([np.nan], [0.0], [1.0]), ([0.5], [-np.inf], [1.0]), ([0.5], [0.0], [np.inf]),
+        ([0.5], [0.0], [np.nan]), ([0.0], [-1e308], [1e308])],
+        ids=["start-nan", "lower-inf", "upper-inf", "upper-nan", "width-overflow"])
+    def test_non_finite_box_rejected(self, box):
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return 0.0
+
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            optimize_box(_block(objective), *map(np.array, box))
+        assert calls == []
 
 
 def _rosenbrock(x):
@@ -1110,18 +1142,17 @@ class TestOutOfSample:
         assert np.array_equal(r1.object.entries, r2.object.entries)
 
     def test_mhd_pair_probabilities_computed_once(self, monkeypatch):
-        # the pair probabilities depend on the sample only, so one search
-        # computes them once however many objective evaluations it makes
-        from metricdepth import depths
-
+        # the anchor-pair counts (n times the pair probabilities) depend on
+        # the sample only, so one search builds its count table once however
+        # many objective evaluations it makes
         calls = []
-        original = depths.mhd_pair_probabilities
+        original = depths._mhd_counts
 
-        def counting(cols):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return original(cols)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(depths, "mhd_pair_probabilities", counting)
+        monkeypatch.setattr(depths, "_mhd_counts", counting)
         cfg = CorrSimConfig(p=3, n=10, eps=0.1, reps=1, seed=4)
         objs, _ = gen_correlation_sample(cfg, child_rng(4, 1))
         res = deepest_out_of_sample(objs, DepthMethod.MHD,

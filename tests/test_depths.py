@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corr_dm, euclidean_dm, histogram_dm, line_dm, nonmetric_dm, sphere_dm
+from conftest import (
+    corr_dm,
+    euclidean_dm,
+    histogram_dm,
+    line_dm,
+    nonmetric_dm,
+    sphere_dm,
+    tile_terms,
+)
 from metricdepth.cli import main
 from metricdepth.core import DistanceMatrix, write_distance_csv
 from metricdepth.deepest import deepest_in_sample
@@ -42,7 +50,12 @@ from metricdepth.errors import (
     InvalidArgumentError,
     MetricViolationError,
 )
-from reference import euclidean_oja_depth, floyd_sample, mod3_depth_brute_force
+from reference import (
+    euclidean_oja_depth,
+    floyd_sample,
+    mhd_depth_brute_force,
+    mod3_depth_brute_force,
+)
 
 LINE_024 = line_dm([0.0, 2.0, 4.0])
 
@@ -176,7 +189,7 @@ class TestMod3LowerBound:
         for dm in samples:
             assert euclidean_certificate(dm)
             state = depths.sample_state(dm, DepthMethod.MOD3)
-            mean = depths._mod3_terms(state, state.values).mean(axis=1)
+            mean = tile_terms(state, state.values).mean(axis=1)
             assert np.all(mod3_lower_bounds(dm) <= mean * (1 + depths._ELIMINATION_MARGIN))
 
     def test_certificate_accepts_euclidean_kinds(self, rng):
@@ -296,6 +309,64 @@ class TestMhd:
             got.append(depths.mhd_pair_probabilities(dm))
         assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
+    @pytest.mark.parametrize("cut", ["rows", "columns", "row", "stacked"])
+    def test_pair_probabilities_refuse_a_non_square_matrix(self, cut):
+        # a bare ValueError once
+        v = euclidean_dm(np.random.default_rng(3).standard_normal((12, 2))).values
+        bad = {"rows": v[:10], "columns": v[:, :10], "row": v[0], "stacked": v[None]}[cut]
+        with pytest.raises(InvalidArgumentError, match="square"):
+            depths.mhd_pair_probabilities(bad)
+
+    def test_single_object_sample_everywhere(self):
+        v = np.zeros((1, 1))
+        assert depth_values(v, DepthMethod.MHD).tolist() == [1.0]
+        res = deepest_in_sample(v, DepthMethod.MHD)
+        assert (res.index, res.depth) == (0, 1.0)
+        assert depths.mhd_pair_probabilities(v).tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("target", [200, 1000, depths._BLOCK_TARGET])
+    def test_tied_distances_match_the_reference(self, target, monkeypatch):
+        # points on a 4 x 4 grid: many distances tie, and ties qualify a pair
+        # and count toward its probability. At n=30 the targets give
+        # indicator blocks of 1 row, of 8 rows and one block of all 30
+        pts = np.random.default_rng(11).integers(0, 4, (30, 2)).astype(float)
+        v = euclidean_dm(pts).values
+        queries = np.concatenate([v, np.linalg.norm(
+            np.random.default_rng(12).integers(0, 4, (9, 2))[:, None] - pts, axis=2)])
+        want = np.array([mhd_depth_brute_force(q, v) for q in queries])
+        monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
+        state = depths.sample_state(v, DepthMethod.MHD)
+        blocks = depths._mhd_indicators(queries, np.uint8)
+        assert len(list(blocks)) == {200: 39, 1000: 5}.get(target, 1)
+        assert np.array_equal(depth_values(state, DepthMethod.MHD), want[:30])
+        assert np.array_equal(depths._depths(state, queries), want)
+        assert [depth_of_query(q, state, DepthMethod.MHD) for q in queries] == want.tolist()
+
+    def test_counts_of_more_than_255(self):
+        # counts of a sample of 260 need two bytes: counted in one, they wrap
+        v = euclidean_dm(np.random.default_rng(13).standard_normal((260, 2))).values
+        state = depths.sample_state(v, DepthMethod.MHD)
+        assert state.table.dtype == np.uint16 and state.table.max() == 260
+        values = depth_values(state, DepthMethod.MHD)
+        off = 0.5 * (v[7] + v[8])
+        for q, got in ((v[0], values[0]), (v[131], values[131]),
+                       (off, depth_of_query(off, v, DepthMethod.MHD))):
+            assert got == mhd_depth_brute_force(q, v)
+        assert values.tolist() == [depth_of_query(q, state, DepthMethod.MHD) for q in v]
+
+    def test_group_picks_across_several_indicator_blocks(self, monkeypatch):
+        # chunks of one group each, whose indicators span several blocks,
+        # pick as one chunk of every group in one block does
+        v = corr_dm(30, 14).values
+        rows = np.array([np.sort(np.random.default_rng(s).permutation(30)[:12]) for s in range(6)])
+        want = [deepest_in_sample(v[np.ix_(g, g)], DepthMethod.MHD).index for g in rows]
+        got = []
+        for target, blocks in ((20, 12), (depths._BLOCK_TARGET, 1)):
+            monkeypatch.setattr(depths, "_BLOCK_TARGET", target)
+            assert len(list(depths._mhd_indicators(v[None, :12, :12], np.uint8))) == blocks
+            got.append(depths._group_picks(v, [rows], DepthMethod.MHD)[0].tolist())
+        assert got == [want, want]
+
 
 class TestEuclideanOja:
     def test_plane_hand_example(self):
@@ -335,7 +406,7 @@ class TestEuclideanOja:
             det_a = abs(np.linalg.det((pts - x).T))
             assert det_b3 >= -1e-10
             assert np.sqrt(max(det_b3, 0.0)) == pytest.approx(det_a, rel=1e-7, abs=1e-9)
-            assert depths._mod3_terms(state, q)[0, 0] == pytest.approx(
+            assert tile_terms(state, q)[0, 0] == pytest.approx(
                 np.sqrt(det_a ** 2 + 4 * np.prod(q * q)), rel=1e-9)
 
 
@@ -370,7 +441,7 @@ class TestFullSample:
         def fail(*args):
             raise AssertionError("state built from a non-square matrix")
 
-        for builder in ("_triple_indices", "_pair_indices", "_anchor_pairs"):
+        for builder in ("_triple_indices", "_pair_indices", "_mhd_counts"):
             monkeypatch.setattr(depths, builder, fail)
         for call in (lambda: depth_values(bad, method),
                      lambda: deepest_in_sample(bad, method),
@@ -420,22 +491,35 @@ class TestFullSample:
         with pytest.raises(InvalidArgumentError):
             DepthReport(DepthMethod.MOD3, np.array([1.5]), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    def test_report_refuses_non_finite_values(self, method, bad):
+        # NaN fails both range comparisons, so it once passed the check
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            DepthReport(method, [bad, 0.5], 0.0)
+        assert DepthReport(method, [0.0, 0.5], 0.0).values.tolist() == [0.0, 0.5]
 
-# the whole-row reduction of each method, applied to one query's full row of
-# terms: what a tile's partials, joined along the summation tree, must equal
-_TERMS = {
-    DepthMethod.MOD3: (depths._mod3_terms, lambda t: 1.0 / (1.0 + t.mean(axis=1))),
-    DepthMethod.MOD2: (depths._mod2_terms, lambda t: 1.0 / (1.0 + t.mean(axis=1))),
-    DepthMethod.MLD: (depths._mld_terms, lambda t: np.count_nonzero(t, axis=1) / t.shape[1]),
-    DepthMethod.MSD: (depths._msd_terms, lambda t: 1.0 - 0.5 * t.mean(axis=1)),
-    DepthMethod.MHD: (depths._mhd_terms, lambda t: t.min(axis=1, initial=1.0)),
+
+# the whole-row reduction of each summing method, applied to one query's
+# full row of terms: what a tile's partials, added along the summation tree,
+# must equal
+_REDUCE = {
+    DepthMethod.MOD3: lambda t: 1.0 / (1.0 + t.mean(axis=1)),
+    DepthMethod.MOD2: lambda t: 1.0 / (1.0 + t.mean(axis=1)),
+    DepthMethod.MLD: lambda t: np.count_nonzero(t, axis=1) / t.shape[1],
+    DepthMethod.MSD: lambda t: 1.0 - 0.5 * t.mean(axis=1),
 }
 
 
 def _full_row_reference(dm, method):
+    """Every sample object's depth, from its whole row of terms, or for MHD
+    from the brute-force reference, which shares no code with the package."""
+    v = getattr(dm, "values", dm)
+    if method is DepthMethod.MHD:
+        return np.array([mhd_depth_brute_force(row, v) for row in v])
     state = depths.sample_state(dm, method)
-    terms, reduce = _TERMS[method]
-    return np.concatenate([reduce(terms(state, row[None, :])) for row in state.values])
+    return np.concatenate([_REDUCE[method](tile_terms(state, row[None, :]))
+                           for row in state.values])
 
 
 class TestTiles:
@@ -449,7 +533,7 @@ class TestTiles:
             assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
             assert all(hi - lo <= max(target, 128) for lo, hi in leaves)
             sums = iter([np.add.reduce(row[lo:hi]) for lo, hi in leaves])
-            assert depths._fold(size, sums, np.add) == np.add.reduce(row)
+            assert depths._fold(size, sums) == np.add.reduce(row)
 
     @pytest.mark.parametrize("method", list(DepthMethod))
     def test_matches_full_row_reference(self, method, monkeypatch):
@@ -500,7 +584,7 @@ class TestTiles:
         monkeypatch.setattr(depths, "_BLOCK_TARGET", 1)
         state = depths.sample_state(v, DepthMethod.MOD3)
         first = depths._leaves(0, math.comb(20, 3))[0]
-        depths._mod3_terms(state, v[:1], slice(*first))
+        tile_terms(state, v[:1], slice(*first))
         with pytest.raises(MetricViolationError):
             depth_of_query(v[0], state, DepthMethod.MOD3)
 
@@ -640,7 +724,7 @@ class TestMod3InPlaceTerms:
         mixed = 0.75 * v[:8] + 0.25 * v[8:16]
         for q in (v[3:4], v[:7], mixed[:1], mixed):
             for part in (slice(None), slice(100, 1311)):
-                got = depths._mod3_terms(state, q, part)
+                got = tile_terms(state, q, part)
                 want = _mod3_terms_expression(state, q, part)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -664,9 +748,9 @@ class TestMod3InPlaceTerms:
         assert (rad < -KERNEL_RADICAND_TOL * a ** 3) == raises
         if raises:
             with pytest.raises(MetricViolationError):
-                depths._mod3_terms(state, q)
+                tile_terms(state, q)
         else:
-            assert depths._mod3_terms(state, q).tolist() == [[0.0]]
+            assert tile_terms(state, q).tolist() == [[0.0]]
             assert _mod3_terms_expression(state, q).tolist() == [[0.0]]
 
     def test_non_metric_row_raises(self):
@@ -675,7 +759,7 @@ class TestMod3InPlaceTerms:
             with pytest.raises(MetricViolationError):
                 _mod3_terms_expression(state, q)
             with pytest.raises(MetricViolationError):
-                depths._mod3_terms(state, q)
+                tile_terms(state, q)
 
 
 class TestInvarianceProperties:
@@ -761,7 +845,7 @@ class TestRangeInvariantsHypothesis:
             assert lo <= value <= hi
 
 
-# the MOD2, MLD, MSD and MHD terms as the expressions of the evaluators that
+# the MOD2, MLD and MSD terms as the expressions of the evaluators that
 # allocated every temporary, which the in-place ones keep
 def _mod2_terms_expression(s, q, part=slice(None)):
     a = q * q
@@ -787,17 +871,11 @@ def _msd_terms_expression(s, q, part=slice(None)):
     return np.where(active, np.clip(num / denom, -2.0, 2.0), 0.0)
 
 
-def _mhd_terms_expression(s, q, part=slice(None)):
-    a1, a2 = (t[part] for t in s.index)
-    return np.where(q.take(a1, axis=1) <= q.take(a2, axis=1), s.table[part], 1.0)
-
-
 _EXPRESSIONS = {
-    DepthMethod.MOD3: (depths._mod3_terms, _mod3_terms_expression),
-    DepthMethod.MOD2: (depths._mod2_terms, _mod2_terms_expression),
-    DepthMethod.MLD: (depths._mld_terms, _mld_terms_expression),
-    DepthMethod.MSD: (depths._msd_terms, _msd_terms_expression),
-    DepthMethod.MHD: (depths._mhd_terms, _mhd_terms_expression),
+    DepthMethod.MOD3: _mod3_terms_expression,
+    DepthMethod.MOD2: _mod2_terms_expression,
+    DepthMethod.MLD: _mld_terms_expression,
+    DepthMethod.MSD: _msd_terms_expression,
 }
 
 
@@ -813,16 +891,17 @@ class TestTileBuffers:
     @pytest.mark.parametrize("method", sorted(_EXPRESSIONS))
     @pytest.mark.parametrize("make", [corr_dm, sphere_dm, histogram_dm])
     def test_terms_equal_the_expressions_bitwise(self, method, make):
-        terms, expression = _EXPRESSIONS[method]
+        shared, terms, _ = depths._EVALUATE[method]
         state = depths.sample_state(make(25, 4), method)
         v = state.values
         # sample rows (a zero distance each) and rows off the sample
         mixed = 0.75 * v[:8] + 0.25 * v[8:16]
         for q in (v[3:4], v[:7], mixed[:1], mixed):
             for part in (slice(None), slice(100, 251)):
-                want = expression(state, q, part)
-                for scratch in (None, _dirty_scratch(depths._BLOCK_TARGET)):
-                    got = terms(state, q, part, scratch=scratch)
+                want = _EXPRESSIONS[method](state, q, part)
+                dirty = terms(state, q, part, scratch=_dirty_scratch(depths._BLOCK_TARGET),
+                              **shared(state, q))
+                for got in (tile_terms(state, q, part), dirty):
                     assert got.shape == want.shape and got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes()
 
@@ -839,8 +918,8 @@ class TestTileBuffers:
             assert np.isnan(a[:, i] * a[:, j] - c * c).any()
             want = _mod2_terms_expression(state, v)
             assert not np.isnan(want).any()
-            for scratch in (None, _dirty_scratch(depths._BLOCK_TARGET)):
-                got = depths._mod2_terms(state, v, scratch=scratch)
+            dirty = depths._mod2_terms(state, v, slice(None), _dirty_scratch(depths._BLOCK_TARGET))
+            for got in (tile_terms(state, v), dirty):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -71,13 +71,14 @@ def grouped_sample(kind, n1, n2):
     return shuffled(ObjectSet(tuple(EuclideanPoint(p) for p in points), labels), 3)
 
 
-# (n, B, seed, error): no permutations, a fractional count, more draws than
-# the streams allow, a negative or a fractional seed, or a group too small
-# for MOD3 (three objects)
+# (n, B, seed, error): no permutations, a fractional or a boolean count,
+# more draws than the streams allow, a negative or a fractional seed, or a
+# group too small for MOD3 (three objects)
 REFUSED_BEFORE_DISTANCES = [
     pytest.param(5, 0, 3, InvalidArgumentError, id="5-0-InvalidArgumentError"),
     pytest.param(5, -3, 3, InvalidArgumentError, id="5--3-InvalidArgumentError"),
     pytest.param(5, 2.5, 3, InvalidArgumentError, id="5-2.5-InvalidArgumentError"),
+    pytest.param(5, True, 3, InvalidArgumentError, id="5-True-InvalidArgumentError"),
     pytest.param(5, 2**32 + 1, 3, InvalidArgumentError, id="5-2**32+1-InvalidArgumentError"),
     pytest.param(5, 5, -1, InvalidArgumentError, id="seed-1-InvalidArgumentError"),
     pytest.param(5, 5, 1.5, InvalidArgumentError, id="seed1.5-InvalidArgumentError"),
@@ -458,8 +459,9 @@ class TestPooledGroupDepths:
         assert 2 <= len(calls) <= 4
 
     def test_mhd_groups_not_scored_one_by_one(self, monkeypatch):
-        # no group's anchor-pair probabilities, and no depth tile: scoring
-        # each group on its own sub-matrix called both 102 times here
+        # one count table build and one least-count call per group array (two
+        # here), for all 51 draws: scoring each group on its own sub-matrix
+        # called each 102 times here
         objs = grouped_sample("hist", 7, 12)
         want = reference_statistics(distance_matrix(objs), label_draws(objs.labels, 50, 9),
                                     DepthMethod.MHD)
@@ -467,9 +469,22 @@ class TestPooledGroupDepths:
         def refused(*args, **kwargs):
             raise AssertionError("a group was scored on its own")
 
+        calls = {"_mhd_counts": 0, "_mhd_least": 0}
+
+        def counting(name):
+            original = getattr(depths_module, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(depths_module, name, counting(name))
         monkeypatch.setattr(depths_module, "mhd_pair_probabilities", refused)
         monkeypatch.setattr(depths_module, "_depths", refused)
         report = permutation_test(objs, DepthMethod.MHD, B=50, seed=9)
+        assert calls == {"_mhd_counts": 2, "_mhd_least": 2}
         assert report.t_observed == want[0]
         assert report.t_permuted.tobytes() == want[1:].tobytes()
 
@@ -578,6 +593,16 @@ class TestLabelSwap:
         objs = gen_histogram_groups(n, n, 1.0, 8, seed=2)
         with pytest.raises(error):
             label_swap_experiment(objs, ["MLD", "MOD3"], k=1, repeats=1, B=B, seed=seed)
+
+    # a fractional or a boolean swap count or repeat count once raised
+    # TypeError inside the experiment
+    @pytest.mark.parametrize("k, repeats", [(1.5, 1), (True, 1), (1, 1.5), (1, True), (1, 0),
+                                            (-1, 1)])
+    def test_counts_rejected_before_any_distance_work(self, k, repeats, monkeypatch):
+        refuse_distance_work(monkeypatch)
+        objs = gen_histogram_groups(5, 5, 1.0, 8, seed=2)
+        with pytest.raises(InvalidArgumentError):
+            label_swap_experiment(objs, ["MLD"], k=k, repeats=repeats, B=5, seed=3)
 
     def test_mean_p_values_reported_per_method(self):
         objs = gen_histogram_groups(8, 8, 3.0, 15, seed=19)
