@@ -159,10 +159,10 @@ def deepest_in_sample(dm, method: DepthMethod) -> DeepestResult:
     :class:`MetricViolationError` is raised for a kernel radicand below its
     round-off tolerance, as by ``depth_values``, but only among the kernels
     evaluated: on an uncertified sample those of the object scored first,
-    of the survivors, and of each dropped object up to the tile in which it
-    was dropped. So every radicand is checked only when each object's
-    triples fit in its first tile, as they do up to n = 22. Check an
-    untrusted distance matrix with :func:`check_metric_axioms` first.
+    of the survivors, and of each object dropped by its partial sums up to
+    the tile in which it was dropped. Up to n = 22 no bound drops one there
+    and each one's triples fit in its first tile, so every radicand is
+    checked. Check an untrusted distance matrix with :func:`check_metric_axioms`.
     """
     method = DepthMethod(method)
     state = sample_state(dm, method)

@@ -47,9 +47,9 @@ query or the whole sample against it.
 
 On samples that embed in a Euclidean space (``euclidean_certificate``),
 ``mod3_lower_bounds`` bounds every sample object's MOD3 mean kernel from
-below in O(n^2) in all. The in-sample MOD3 argmax (``_mod3_argmax``)
-starts from these values on every distance table scored over all of its
-triples, certified or not, and drops objects without scoring them in full.
+below in O(n^2) in all, and a pseudo-Euclidean bound does on others. The
+in-sample MOD3 argmax (``_mod3_argmax``) drops the objects that these rule
+out, unscored, on every distance table scored over all of its triples.
 
 The deepest member of every group of one pooled sample, such as the groups
 of every label permutation of a two-group test, comes from one entry,
@@ -154,11 +154,12 @@ class SampleState:
     distance matrix wherever one is accepted. ``index`` holds the sample
     tuples the method sums over: pairs i<j for MOD2, MLD and MSD; for
     MOD3 the triples i<j<k (all of them, or the ones drawn by
-    :func:`mod3_subsample_state`) followed by the flat positions of their pairs
-    (i, j), (j, k), (i, k) in an (n, n) table; none for MHD, which sums
-    nothing. ``table`` holds the sample-side numbers: squared distances
-    (MOD3), squared pair distances (MOD2, MSD), pair distances (MLD), or the
-    (n, n) anchor-pair counts (MHD, see :func:`_mhd_counts`).
+    :func:`mod3_subsample_state`), as the flat positions of their pairs
+    (i, j), (j, k), (i, k) in an (n, n) table (:func:`_pair_positions`);
+    none for MHD, which sums nothing. ``table`` holds the sample-side
+    numbers: squared distances (MOD3), squared pair distances (MOD2, MSD),
+    pair distances (MLD), or the (n, n) anchor-pair counts (MHD, see
+    :func:`_mhd_counts`).
 
     A MOD3 state over every triple may hold a (k, n, n) stack of samples in
     ``values`` and ``table``; ``which`` then gives the sample of each query
@@ -185,7 +186,7 @@ def sample_state(dm, method: DepthMethod) -> SampleState:
     v = _square_distances(dm)
     _require(v.shape[0], method.min_sample, method.value)
     if method is DepthMethod.MOD3:
-        return _mod3_state(v, _triple_indices(v.shape[0]))
+        return _mod3_state(v, _triple_pairs(v.shape[0]))
     if method is DepthMethod.MHD:
         return SampleState(method, v, (), _mhd_counts(v))
     index = _pair_indices(v.shape[0])
@@ -193,10 +194,13 @@ def sample_state(dm, method: DepthMethod) -> SampleState:
     return SampleState(method, v, index, d_ij if method is DepthMethod.MLD else d_ij ** 2)
 
 
-def _mod3_state(v: np.ndarray, triples: tuple) -> SampleState:
-    i, j, k = triples
-    n = v.shape[-1]
-    return SampleState(DepthMethod.MOD3, v, (i, j, k, i * n + j, j * n + k, i * n + k), v * v)
+def _mod3_state(v: np.ndarray, pairs: tuple) -> SampleState:
+    return SampleState(DepthMethod.MOD3, v, pairs, v * v)
+
+
+def _pair_positions(i, j, k, n: int) -> tuple:
+    """Flat positions of the pairs (i, j), (j, k), (i, k) in an (n, n) table."""
+    return i * n + j, j * n + k, i * n + k
 
 
 def _check_query(q, n: int) -> np.ndarray:
@@ -211,11 +215,13 @@ def _check_query(q, n: int) -> np.ndarray:
 
 
 def _square_distances(dm) -> np.ndarray:
-    """:func:`as_distance_array` of ``dm``, refused unless it is 2-D and
-    square: a sample's distances cover every pair of its objects."""
+    """:func:`as_distance_array` of ``dm``, refused unless it is 2-D, square
+    and finite: a sample's distances cover every pair of its objects."""
     v = as_distance_array(dm)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise InvalidArgumentError(f"distance matrix must be square, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise InvalidArgumentError("distance matrix entries must be finite")
     return v
 
 
@@ -224,24 +230,26 @@ def _require(n: int, minimum: int, what: str) -> None:
         raise InsufficientSampleError(f"{what} needs a sample of at least {minimum}, got {n}")
 
 
-def _contiguous(index) -> tuple:
-    # contiguous, writeable copies: ``take`` copies a strided or read-only
-    # index array on every call (up to 256 KB a tile, faulted in afresh in a
-    # new worker thread). The cached arrays are shared: nothing writes them
-    return tuple(np.ascontiguousarray(t) for t in index)
-
-
 @lru_cache(maxsize=8)
-def _triple_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All index triples i<j<k of range(n), in lexicographic order."""
-    r = np.arange(n)
-    return _contiguous(np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r)))
+def _triple_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_pair_positions` of the triples i<j<k of range(n), in
+    lexicographic order: rows of one array filled a first index at a time."""
+    out = np.empty((3, math.comb(n, 3)), dtype=np.intp)
+    start = 0
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - 1 - i, 1)
+        out[:, start:start + j.size] = _pair_positions(i, j + i + 1, k + i + 1, n)
+        start += j.size
+    return tuple(out)
 
 
 @lru_cache(maxsize=16)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All index pairs i<j of range(n), in lexicographic order."""
-    return _contiguous(np.triu_indices(n, 1))
+    # contiguous, writeable copies: ``take`` copies a strided or read-only
+    # index array on every call (up to 256 KB a tile, faulted in afresh in a
+    # new worker thread). The cached arrays are shared: nothing writes them
+    return tuple(np.ascontiguousarray(t) for t in np.triu_indices(n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +272,30 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 KERNEL_RADICAND_TOL = 1e-9
 
 
-def _mod3_pairs(s: SampleState, q: np.ndarray) -> np.ndarray:
-    """B-matrix off-diagonal entries of every query against every pair of
-    its sample, as a (rows, n * n) table."""
+def _mod3_inputs(s: SampleState, q: np.ndarray) -> dict:
+    """What the tiles of a block share, as (rows, n * n) tables read at the
+    flat positions of the sample's pairs (x, y): the B-matrix entry ``c`` of
+    each query, and its squared distances a_x (``a_row``) and a_y (``a_col``)."""
     a = q * q
-    table = s.table if s.which is None else s.table[s.which]
-    return (0.5 * (a[:, :, None] + a[:, None, :] - table)).reshape(a.shape[0], -1)
+    c, a_row, a_col = out = np.empty((3, *a.shape, a.shape[1]))
+    a_row[...] = a[:, :, None]
+    a_col[...] = a[:, None, :]
+    # c = 0.5 * ((a_x + a_y) - d_xy^2)
+    np.add(a_row, a_col, out=c)
+    c -= s.table if s.which is None else s.table[s.which]
+    c *= 0.5
+    return dict(zip(("c", "a_row", "a_col"), out.reshape(3, len(q), -1)))
 
 
-def _mod3_terms(s: SampleState, q: np.ndarray, part: slice, c: np.ndarray,
-                scratch: "_Scratch") -> np.ndarray:
-    """Kernel of every (query, triple) in ``part`` of the triples; ``c`` is
-    the block's :func:`_mod3_pairs`. The kernels are written into
-    ``scratch``."""
+def _mod3_terms(s: SampleState, q: np.ndarray, part: slice, c: np.ndarray, a_row: np.ndarray,
+                a_col: np.ndarray, scratch: "_Scratch") -> np.ndarray:
+    """Kernel of every (query, triple) in ``part`` of the triples, from the
+    block's :func:`_mod3_inputs`, written into ``scratch``."""
     a = q * q
-    i, j, k, ij, jk, ik = (t[part] for t in s.index)
-    a_i, a_j, a_k, c_ij, c_jk, c_ik, prod, rad, tmp, low = scratch.arrays(a.shape[0], i.size, 9, 1)
+    ij, jk, ik = (t[part] for t in s.index)
+    a_i, a_j, a_k, c_ij, c_jk, c_ik, prod, rad, tmp, low = scratch.arrays(len(q), ij.size, 9, 1)
     for out, table, index in ((c_ij, c, ij), (c_jk, c, jk), (c_ik, c, ik),
-                              (a_i, a, i), (a_j, a, j), (a_k, a, k)):
+                              (a_i, a_row, ij), (a_j, a_row, jk), (a_k, a_col, ik)):
         # in range by construction; "raise" would buffer ``out``
         table.take(index, axis=1, out=out, mode="clip")
     # kernel radicand det(B3) + 4*prod, evaluated as
@@ -333,14 +347,16 @@ def _is_distance_table(v: np.ndarray) -> np.ndarray:
             & ~np.diagonal(v, axis1=-2, axis2=-1).any(axis=-1))
 
 
-def _embeds(v: np.ndarray) -> np.ndarray:
-    """Whether the distance table ``v``, or each table of a stack of them,
-    passes the Gram test of :func:`euclidean_certificate`; a stack takes one
-    ``eigvalsh``, which decides each table as it does alone."""
+def _gram(v: np.ndarray) -> np.ndarray:
+    """The Gram -1/2 J D^2 J of the distances ``v``, or of each table."""
     sq = v * v
     mean = sq.mean(axis=-1)
-    eig = np.linalg.eigvalsh(-0.5 * (sq - mean[..., :, None] - mean[..., None, :]
-                                     + mean.mean(axis=-1)[..., None, None]))
+    return -0.5 * (sq - mean[..., :, None] - mean[..., None, :]
+                   + mean.mean(axis=-1)[..., None, None])
+
+
+def _embeds(eig: np.ndarray) -> np.ndarray:
+    """Whether each Gram of ascending eigenvalues ``eig`` passes :func:`euclidean_certificate`."""
     return eig[..., 0] >= -EMBEDDING_TOL * eig[..., -1]
 
 
@@ -356,7 +372,7 @@ def euclidean_certificate(dm) -> bool:
     matrices, generally fail.
     """
     v = as_distance_array(dm)
-    return bool(_is_distance_table(v) and _embeds(v))
+    return bool(_is_distance_table(v) and _embeds(np.linalg.eigvalsh(_gram(v))))
 
 
 def mod3_lower_bounds(dm) -> np.ndarray:
@@ -372,13 +388,36 @@ def mod3_lower_bounds(dm) -> np.ndarray:
     identity for e3 would cancel.
     """
     v = as_distance_array(dm)
-    n = v.shape[-1]
-    # e1 and e2 of each row's entries before column j
+    return 2.0 * (v * _e2_before(v)).sum(axis=-1) / math.comb(v.shape[-1], 3)
+
+
+def _e2_before(v: np.ndarray) -> np.ndarray:
+    """e2 of each row's entries before column j, at column j."""
     e1 = np.zeros_like(v)
     np.cumsum(v[..., :-1], axis=-1, out=e1[..., 1:])
     e2 = np.zeros_like(v)
     np.cumsum(v[..., :-1] * e1[..., :-1], axis=-1, out=e2[..., 1:])
-    return 2.0 * (v * e2).sum(axis=-1) / math.comb(n, 3)
+    return e2
+
+
+def _pseudo_euclidean_bounds(v: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A lower bound on every row's MOD3 mean kernel in each table of the
+    stack ``v``, from its Gram's ``eigh`` (``w``, ``u``); see :func:`_mod3_argmax`."""
+    neg = (u * np.maximum(-w, 0.0)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    diag = np.diagonal(neg, axis1=-2, axis2=-1)
+    # N^x_ii + 4 tau at row x, column i
+    slack = (diag[..., :, None] + diag[..., None, :] - 2.0 * neg
+             + 4.0 * EMBEDDING_TOL * w[..., -1, None, None])
+    sq = v * v
+    with np.errstate(over="ignore"):
+        nu = np.divide(slack, sq, out=np.full_like(sq, np.inf), where=sq > 0)
+        order = np.argsort(nu, axis=-1)
+        d = np.take_along_axis(v, order, axis=-1)
+        t = 3.0 * np.take_along_axis(nu, order, axis=-1)
+        s = np.sqrt(np.maximum(0.0, 1.0 - t * (3.0 + t) ** 2 / 16.0))
+    # e3 of every prefix of each row, in increasing order of nu
+    e3 = np.cumsum(d * _e2_before(d), axis=-1)
+    return 2.0 * (s * e3).max(axis=-1) / math.comb(v.shape[-1], 3)
 
 
 # relative margin of the in-sample MOD3 elimination: an object is dropped
@@ -402,23 +441,38 @@ def _mod3_argmax(s: SampleState, certified: bool = False) -> tuple[np.ndarray, n
     subsampled state) keeps all of its rows.
 
     In each exact table the object with the smallest :func:`mod3_lower_bounds`
-    value is scored first, as the reference. Every other object that cannot
-    reach the reference's depth is dropped:
+    value is scored first, as the reference. Another object is dropped when
+    1/(1 + b/(1 + margin)), b a lower bound on its mean kernel, falls below
+    the reference's depth. The margin, ``_ELIMINATION_MARGIN``, covers the
+    round-off by which a mean kernel can fall below a tight b (det B3 = 0
+    on one- and two-dimensional data). The bound b is:
 
-    * Certified: every kernel of a sample object is at least
-      2 d_i d_j d_k, so its depth is at most 1/(1 + bound/(1 + margin)),
-      with ``_ELIMINATION_MARGIN`` as the margin. The margin covers the
-      round-off by which a computed mean kernel can fall below its bound,
-      as it does where the bound is tight (det B3 = 0 on one- and
-      two-dimensional data). On histogram and Euclidean samples one to
-      three objects are scored instead of n.
-    * Otherwise the values are no bound, but kernels are nonnegative, so
-      a partial sum of an object's kernels is at most its total. Each object
-      sums its kernels, large ones first (:func:`_mod3_scan`), and is
-      dropped once the depth of its partial sum, with the sum lowered by
-      the margin, falls below the reference's depth. At n = 140 to 200,
-      26-29% of the kernels of the full pass are summed on correlation
-      samples, and about 20% on sphere samples.
+    * Certified, :func:`mod3_lower_bounds`: every kernel is at least
+      2 d_i d_j d_k. One to three objects of n are scored on histogram and
+      Euclidean samples.
+    * Otherwise :func:`_pseudo_euclidean_bounds`. The ``eigh`` that decides
+      the certificate splits the Gram G = -1/2 J D^2 J into PSD parts
+      P - N. Seen from object x the Gram is T G T' (T = I - 1 e_x'), and B3
+      is its restriction to the triple, at least -N^x there (N^x = T N T').
+      So C = D^-1 B3 D^-1, D = diag(d_i, d_j, d_k), has lambda_min(C) >= -t,
+      t = nu_i + nu_j + nu_k, nu_i = N^x_ii / d_i^2 (a trace bound). As C
+      has trace 3, a negative least eigenvalue leaves two positive ones of
+      product at most ((3 + t)/2)^2: det C >= -t(3 + t)^2/4, and the kernel
+      d_i d_j d_k sqrt(4 + det C) >= 2 d_i d_j d_k s(t), with
+      s(t) = sqrt(max(0, 1 - t(3 + t)^2/16)) falling in t. Kernels are
+      nonnegative, so b is the largest over m of s(3 nu_m) 2 e3 / C(n, 3),
+      e3 over the first m columns of the row in increasing nu (d = 0 takes
+      nu = inf). eigh is backward stable: G = P - N + E, ||E|| of order
+      n eps ||G|| <= n^2 eps lambda_max(G) (trace G >= 0), far below
+      tau = EMBEDDING_TOL lambda_max(G) for n in the hundreds; on a triple
+      T E T' has norm at most 4 ||E|| (T T' = I + 11'), so nu_i takes
+      N^x_ii + 4 tau. On four replicates of the correlation study (p=3,
+      n=140) b was 0.87-0.90 of the mean kernel at the median, and left
+      17-22 objects of 139. Up to n = 22 (every other row of a table fits
+      one tile with all its triples) b is 0, so that every radicand is
+      checked. The objects left sum their kernels, large ones first
+      (:func:`_mod3_scan`), each dropped once the depth of its partial sum,
+      lowered by the margin, falls below the reference's.
 
     Both tests compare depths, as the full pass rounds them, so that
     depths equal after rounding still tie at any distance scale (at
@@ -427,12 +481,12 @@ def _mod3_argmax(s: SampleState, certified: bool = False) -> tuple[np.ndarray, n
     and so are the picks and their depths.
 
     The tables take each step together: the exact tables' bounds are one
-    cumulative sum over the stack, their references one block of rows,
-    each row scored against its own table (``SampleState.which``), and the
-    survivors of every exact table, with every row of the other tables,
-    one more block. The scan's blocks mix the rows of the uncertified
-    tables; where a block is cut changes how a partial sum rounds, by far
-    less than the margin, and so no pick.
+    cumulative sum (and one ``eigh``) over the stack, their references one
+    block of rows, each row scored against its own table
+    (``SampleState.which``), and the survivors of every exact table, with
+    every row of the other tables, one more block. The scan's blocks mix
+    the rows of the uncertified tables; where a block is cut changes how a
+    partial sum rounds, by far less than the margin, and so no pick.
     """
     n = s.values.shape[-1]
     v = s.values.reshape(-1, n, n)
@@ -452,16 +506,25 @@ def _mod3_argmax(s: SampleState, certified: bool = False) -> tuple[np.ndarray, n
         # the bounds and the certificate read exact tables only: both are
         # meant for finite distances
         bound = np.reshape(mod3_lower_bounds(v[e]), (e.size, n))
-        passes = np.broadcast_to(certified or _embeds(v[e]), e.size)
         ref = np.argmin(bound, axis=1)
         ref_depth = score(e, ref)
-        keep[e] = False
-        keep[e[passes]] = (1.0 / (1.0 + bound[passes] / (1.0 + _ELIMINATION_MARGIN))
-                           >= ref_depth[passes, None])
-        t, r = np.nonzero(~passes[:, None] & (np.arange(n) != ref[:, None]))
+        if not certified:
+            w, u = np.linalg.eigh(_gram(v[e]))
+        passes = np.broadcast_to(certified or _embeds(w), e.size)
+        # kernels are nonnegative, so 0 bounds every mean kernel: it stands
+        # where every other row of a table fits one scan tile with all of
+        # its triples, so that the scan checks every radicand
+        bound = np.where(passes[:, None], bound, 0.0)
+        if not passes.all() and (n - 1) * math.comb(n, 3) > _BLOCK_TARGET:
+            bound[~passes] = _pseudo_euclidean_bounds(v[e[~passes]], w[~passes], u[~passes])
+        reach = 1.0 / (1.0 + bound / (1.0 + _ELIMINATION_MARGIN)) >= ref_depth[:, None]
+        reach[np.arange(e.size), ref] = False
+        keep[e] = reach & passes[:, None]
+        t, r = np.nonzero(reach & ~passes[:, None])
         if t.size:
-            # a block's relabelled pair tables hold up to _BLOCK_TARGET
-            # elements, as a tile's temporaries do
+            # each of a block's relabelled tables (its distances and the
+            # tiles' inputs) holds up to _BLOCK_TARGET elements, as a tile's
+            # temporaries do
             rows = max(1, _BLOCK_TARGET // (n * n))
 
             def scan(block):
@@ -471,7 +534,6 @@ def _mod3_argmax(s: SampleState, certified: bool = False) -> tuple[np.ndarray, n
 
             kept = np.concatenate(_run(scan, [slice(i, i + rows) for i in range(0, t.size, rows)]))
             keep[e[t[kept]], r[kept]] = True
-        keep[e, ref] = False
         depth[e, ref] = ref_depth
     t, r = np.nonzero(keep)
     if t.size:
@@ -492,13 +554,12 @@ def _mod3_scan(s: SampleState, ref_depth: np.ndarray, q: np.ndarray) -> np.ndarr
     then those that hold the next farthest, and so on. Relabelled kernels
     round differently from the full pass's, by far less than the margin.
     """
-    n = q.shape[1]
     rows = np.arange(q.shape[0])
     order = np.argsort(-q, axis=1, kind="stable")
-    # the relabelled rows' pair tables, gathered from their own
-    c = _mod3_pairs(s, q).reshape(-1, n, n)
-    c = c[rows[:, None, None], order[:, :, None], order[:, None, :]].reshape(rows.size, -1)
+    # each row's own table, relabelled, read as a stack of lone tables
+    table = s.table[s.which[:, None, None], order[:, :, None], order[:, None, :]]
     q = np.take_along_axis(q, order, axis=1)
+    inputs = _mod3_inputs(replace(s, table=table, which=None), q)
     total = np.zeros(rows.size)
     size = s.index[0].size
     start = 0
@@ -506,11 +567,12 @@ def _mod3_scan(s: SampleState, ref_depth: np.ndarray, q: np.ndarray) -> np.ndarr
         while start < size and rows.size:
             # a tile holds up to _BLOCK_TARGET kernels
             stop = start + max(1, _BLOCK_TARGET // rows.size)
-            total += _mod3_terms(s, q, slice(start, stop), c=c, scratch=scratch).sum(axis=1)
+            total += _mod3_terms(s, q, slice(start, stop), scratch=scratch, **inputs).sum(axis=1)
             start = stop
             keep = 1.0 / (1.0 + total / (1.0 + _ELIMINATION_MARGIN) / size) >= ref_depth
             if not keep.all():
-                rows, q, c, total, ref_depth = (x[keep] for x in (rows, q, c, total, ref_depth))
+                rows, q, total, ref_depth = (x[keep] for x in (rows, q, total, ref_depth))
+                inputs = {key: x[keep] for key, x in inputs.items()}
     return rows
 
 
@@ -596,7 +658,7 @@ def _kernel_depth(total, size):
 # a tile, and the depths from the sums of whole rows of ``size`` tuples (for
 # MLD, of booleans: ``np.add.reduce`` counts them as ``count_nonzero`` does)
 _EVALUATE = {
-    DepthMethod.MOD3: (lambda s, q: {"c": _mod3_pairs(s, q)}, _mod3_terms, _kernel_depth),
+    DepthMethod.MOD3: (_mod3_inputs, _mod3_terms, _kernel_depth),
     DepthMethod.MOD2: (_no_shared_inputs, _mod2_terms, _kernel_depth),
     DepthMethod.MLD: (_no_shared_inputs, _mld_terms, lambda count, size: count / size),
     DepthMethod.MSD: (_no_shared_inputs, _msd_terms,
@@ -813,7 +875,7 @@ def _group_picks(v: np.ndarray, groups: list, method: DepthMethod) -> list:
             gc = g[start:start + chunk]
             sub = v[gc[:, :, None], gc[:, None, :]]
             picks.append(_mhd_argmax(sub) if method is DepthMethod.MHD
-                         else _mod3_argmax(_mod3_state(sub, _triple_indices(m)), certified)[0])
+                         else _mod3_argmax(_mod3_state(sub, _triple_pairs(m)), certified)[0])
         out.append(np.concatenate(picks))
     return out
 
@@ -1041,7 +1103,7 @@ def mod3_subsample_state(dm, m: int, seed: int) -> SampleState:
     if not 1 <= m <= total:
         raise InvalidArgumentError(f"triple count m={m} must be in [1, C({n},3)={total}]")
     ranks = _sample_triple_ranks(total, m, child_rng(seed, SUBSAMPLE_TAG))
-    return _mod3_state(v, _unrank_triples(ranks, n))
+    return _mod3_state(v, _pair_positions(*_unrank_triples(ranks, n), n))
 
 
 def mod3_depth_subsampled(q, dm, m: int, seed: int) -> float:

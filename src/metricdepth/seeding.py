@@ -38,7 +38,7 @@ _MASK128 = (1 << 128) - 1
 
 
 def check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidArgumentError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
 

@@ -235,27 +235,18 @@ def test_subsampled_triples_drawn_once(files, monkeypatch):
     assert len(calls) == 1
 
 
-def test_import_leaves_concurrent_futures_out():
-    # the depth tiles' thread pool is imported when a call first uses it;
-    # at import, concurrent.futures would add its cost (and logging's) to
-    # every command
+def test_cli_import_loads_no_scipy_and_no_concurrent():
+    # every command pays for what its import loads: scipy.optimize, which
+    # would cost most of a command's start-up, is imported by the
+    # quasi-Newton search, and concurrent.futures (with logging, which it
+    # imports) by the depth tiles' thread pool when a call first uses it
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, metricdepth; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, metricdepth.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'concurrent'}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
-
-
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize is imported by the quasi-Newton search only; importing
-    # it costs most of a command's start-up
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, metricdepth.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("extra", [["--method", "MLD", "--seed", "1"], ["--method", "MOD3"]])

@@ -1,6 +1,6 @@
 """Tests for the distance container and its checks, and for the paper's
 identities of the squared-distance kernels, checked on the kernels that the
-depth evaluators compute (``_mod3_pairs``, ``_mod3_terms``, ``_mod2_terms``)."""
+depth evaluators compute (``_mod3_inputs``, ``_mod3_terms``, ``_mod2_terms``)."""
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ def b3_matrix(dx, dpair) -> np.ndarray:
     """B3 of a query at distances ``dx`` from three sample objects
     ``dpair`` apart, as the MOD3 evaluator builds it."""
     state = depths.sample_state(np.asarray(dpair, dtype=float), DepthMethod.MOD3)
-    return depths._mod3_pairs(state, np.asarray(dx, dtype=float)[None]).reshape(3, 3)
+    return depths._mod3_inputs(state, np.asarray(dx, dtype=float)[None])["c"].reshape(3, 3)
 
 
 def mod3_kernel(dx, dpair) -> float:
@@ -218,7 +218,8 @@ class TestTheoremBounds:
             queries = np.vstack([pts, rng.standard_normal((30, dim))])
             q = np.linalg.norm(queries[:, None] - pts, axis=2)
             state = depths.sample_state(euclidean_dm(pts), DepthMethod.MOD3)
-            i, j, k = state.index[:3]
+            ij, jk, _ = state.index
+            i, j, k = ij // 12, ij % 12, jk % 12
             bound = 2.0 * q[:, i] * q[:, j] * q[:, k]
             kernels = tile_terms(state, q)
             assert np.all(kernels >= bound - 1e-9 * np.maximum(1.0, bound))

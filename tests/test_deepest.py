@@ -59,6 +59,15 @@ from metricdepth.spaces import (
 )
 
 
+def corr_study_dm(n, eps, s):
+    """Distances of n correlation matrices (p=3) drawn at noise ``eps`` by
+    ``default_rng([s, 1, 0])``: at n=140 and eps=0.1, the sample of round 0
+    of the benchmark's ``sim-corr-insample`` workload at seed s."""
+    objects, _ = gen_correlation_sample(CorrSimConfig(p=3, n=n, eps=eps, reps=1, seed=0),
+                                        np.random.default_rng([s, 1, 0]))
+    return distance_matrix(objects)
+
+
 def random_correlation(rng, p):
     a = rng.standard_normal((p, p))
     s = a @ a.T + 0.5 * np.eye(p)
@@ -186,7 +195,7 @@ class TestMod3Elimination:
     def uncertified(self, monkeypatch):
         # partial sums need no certificate: small correlation samples may
         # pass it, and take the partial sums here too
-        monkeypatch.setattr(depths, "_embeds", lambda v: False)
+        monkeypatch.setattr(depths, "_embeds", lambda eig: False)
 
     @pytest.fixture
     def scored(self, monkeypatch):
@@ -412,7 +421,7 @@ class TestMod3Elimination:
             return score(state, q)
 
         monkeypatch.setattr(depths, "_depths", counting)
-        state = depths._mod3_state(tables, depths._triple_indices(n))
+        state = depths._mod3_state(tables, depths._triple_pairs(n))
         pick, depth = depths._mod3_argmax(state)
         for t, values in enumerate(want):
             i0 = int(np.argmax(values))
@@ -425,6 +434,113 @@ class TestMod3Elimination:
         res = self.assert_full_pass_pick(mod3_subsample_state(dm, 220, 1))
         assert res == deepest_in_sample(dm, DepthMethod.MOD3)
         assert full_passes == []
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        # the number of rows in each call of the partial-sum scan
+        counts = []
+        scan = depths._mod3_scan
+
+        def counting(s, ref_depth, q):
+            counts.append(q.shape[0])
+            return scan(s, ref_depth, q)
+
+        monkeypatch.setattr(depths, "_mod3_scan", counting)
+        return counts
+
+    def assert_bound_and_pick(self, v):
+        """The pseudo-Euclidean bounds of the uncertified table ``v`` lie
+        below every object's mean kernel, within the margin, and the pick
+        and its depth are the full pass's. Returns the bounds over the mean
+        kernels, and the pick."""
+        assert not euclidean_certificate(v)
+        w, u = np.linalg.eigh(depths._gram(v))
+        bound = depths._pseudo_euclidean_bounds(v[None], w[None], u[None])[0]
+        state = sample_state(v, DepthMethod.MOD3)
+        mean = np.array([tile_terms(state, row[None]).mean() for row in v])
+        assert np.all(bound <= mean * (1 + depths._ELIMINATION_MARGIN))
+        return bound / mean, self.assert_full_pass_pick(v)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.5])
+    def test_pseudo_euclidean_bound_on_correlation_samples(self, eps, full_passes):
+        # the bound's median is 0.83-0.90 of the mean kernel here
+        for n, s in [(40, 0), (80, 1)] + [(140, 2)] * (eps == 0.1):
+            ratio, _ = self.assert_bound_and_pick(corr_study_dm(n, eps, s).values)
+            assert np.median(ratio) >= 0.8
+        assert full_passes == []
+
+    def test_pseudo_euclidean_bound_on_sphere_samples(self, full_passes):
+        # valid but weak: its median is 0.15-0.32 of the mean kernel here
+        for n, s in [(40, 1), (60, 2), (80, 3)]:
+            ratio, _ = self.assert_bound_and_pick(sphere_dm(n, s).values)
+            assert np.median(ratio) >= 0.1
+        assert full_passes == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pseudo_euclidean_bound_on_perturbed_euclidean_samples(self, dim, rng, full_passes):
+        # in one and two dimensions det B3 = 0 before the perturbation, so
+        # that at 1e-7 the closest bound lies within about 3e-6 of its mean
+        # kernel, relative;
+        # at 1e-3 some one-dimensional tables are no longer metrics
+        for eps in (1e-7, 1e-5, 1e-4):
+            v = euclidean_dm(rng.standard_normal((40, dim))).values
+            noise = np.triu(rng.uniform(-1.0, 1.0, v.shape), 1)
+            self.assert_bound_and_pick(v * (1 + eps * (noise + noise.T)))
+        assert full_passes == []
+
+    @pytest.mark.parametrize("make", [corr_dm, sphere_dm])
+    def test_pseudo_euclidean_bound_with_a_duplicated_deepest_object(self, make, full_passes):
+        # the copies lie at distance 0 from each other, where no cosine is
+        # defined: the bound leaves out every triple that holds both
+        for n, s in [(30, 0), (50, 1)]:
+            v = make(n, s).values
+            i0 = int(np.argmax(depth_values(v, DepthMethod.MOD3)))
+            dup = np.concatenate([[i0], np.arange(n)])
+            _, res = self.assert_bound_and_pick(v[np.ix_(dup, dup)])
+            assert res.index == 0
+        assert full_passes == []
+
+    def test_pseudo_euclidean_bound_on_tied_grids(self, full_passes):
+        # Manhattan distances on square grids: many depths tie, and the pick
+        # is the lowest index among the deepest
+        for side in (5, 6, 7):
+            g = np.indices((side, side)).reshape(2, -1).T.astype(float)
+            self.assert_bound_and_pick(np.abs(g[:, None] - g).sum(axis=-1))
+        assert full_passes == []
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e3])
+    def test_pseudo_euclidean_bound_at_small_and_large_scales(self, scale, full_passes):
+        # at 1e-6 every depth rounds to 1, and the pick is index 0
+        for v in (corr_dm(40, 1).values, sphere_dm(40, 2).values):
+            ratio, res = self.assert_bound_and_pick(v * scale)
+            assert np.median(ratio) >= 0.1
+            if scale < 1:
+                assert res.index == 0
+        assert full_passes == []
+
+    def test_bound_leaves_few_rows_to_the_scan(self, scanned):
+        # in-sample replicates of the correlation study (p=3, n=140): each
+        # sent its 139 rows besides the reference to the scan before the
+        # bound, and 17-22 with it
+        for s in range(4):
+            scanned.clear()
+            deepest_in_sample(corr_study_dm(140, 0.1, s), DepthMethod.MOD3)
+            assert 0 < sum(scanned) <= 30
+
+    def test_group_picks_on_an_uncertified_pooled_sample(self, scanned):
+        # groups of 30 of a correlation sample of 60: each group fails the
+        # certificate and is bounded in one stack, each pick is the group's
+        # full pass's, and most rows are dropped before the scan
+        v = corr_study_dm(60, 0.1, 4).values
+        assert not euclidean_certificate(v)
+        draws = np.array([np.random.default_rng([4, b]).permutation(60) for b in range(6)])
+        groups = [np.sort(draws[:, :30], axis=1), np.sort(draws[:, 30:], axis=1)]
+        for g, picks in zip(groups, depths._group_picks(v, groups, DepthMethod.MOD3)):
+            for members, pick in zip(g, picks):
+                assert not euclidean_certificate(v[np.ix_(members, members)])
+                assert pick == np.argmax(depth_values(v[np.ix_(members, members)],
+                                                      DepthMethod.MOD3))
+        assert 0 < sum(scanned) < 12 * 29 // 2
 
 
 class TestCholeskyChart:

@@ -42,7 +42,8 @@ from metricdepth.depths import (
     mod3_lower_bounds,
     mod3_subsample_state,
     _sample_triple_ranks,
-    _triple_indices,
+    _pair_positions,
+    _triple_pairs,
     _unrank_triples,
 )
 from metricdepth.errors import (
@@ -143,9 +144,10 @@ class TestMod3Subsampled:
 
     def test_unranking_matches_materialized_indices(self, rng):
         for n in (3, 4, 5, 40):
-            got = _unrank_triples(np.arange(math.comb(n, 3)), n)
-            for a, b in zip(got, _triple_indices(n)):
-                assert np.array_equal(a, b)
+            want = _pair_positions(*np.array(list(combinations(range(n), 3))).T, n)
+            got = _pair_positions(*_unrank_triples(np.arange(math.comb(n, 3)), n), n)
+            for a, b, c in zip(want, got, _triple_pairs(n)):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
         # C(320, 3) > 5M: too many triples to build the index table here
         n = 320
         ranks = _sample_triple_ranks(math.comb(n, 3), 2000, rng)
@@ -402,7 +404,7 @@ class TestEuclideanOja:
             x = rng.standard_normal(3)
             q = np.linalg.norm(pts - x, axis=1)[None]
             state = depths.sample_state(euclidean_dm(pts), DepthMethod.MOD3)
-            det_b3 = np.linalg.det(depths._mod3_pairs(state, q).reshape(3, 3))
+            det_b3 = np.linalg.det(depths._mod3_inputs(state, q)["c"].reshape(3, 3))
             det_a = abs(np.linalg.det((pts - x).T))
             assert det_b3 >= -1e-10
             assert np.sqrt(max(det_b3, 0.0)) == pytest.approx(det_a, rel=1e-7, abs=1e-9)
@@ -441,7 +443,7 @@ class TestFullSample:
         def fail(*args):
             raise AssertionError("state built from a non-square matrix")
 
-        for builder in ("_triple_indices", "_pair_indices", "_mhd_counts"):
+        for builder in ("_triple_pairs", "_pair_indices", "_mhd_counts"):
             monkeypatch.setattr(depths, builder, fail)
         for call in (lambda: depth_values(bad, method),
                      lambda: deepest_in_sample(bad, method),
@@ -451,6 +453,22 @@ class TestFullSample:
         if method is DepthMethod.MOD3:
             with pytest.raises(InvalidArgumentError, match="square"):
                 mod3_subsample_state(bad, 5, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", list(DepthMethod))
+    def test_non_finite_matrix_refused_before_any_state(self, method, bad, monkeypatch):
+        # with NaN, this array once gave MLD depths [0, 0, 0], MSD [nan,
+        # nan, nan], MOD2 [1, 1, 1] and MHD [1/3, 1/3, 1/3], and an MHD pick
+        v = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
+
+        def fail(*args):
+            raise AssertionError("state built from a non-finite matrix")
+
+        for builder in ("_triple_pairs", "_pair_indices", "_mhd_counts"):
+            monkeypatch.setattr(depths, builder, fail)
+        for call in (depth_values, deepest_in_sample, depths.sample_state):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                call(v, method)
 
     def test_mod3_metric_violation_raises(self):
         dm = nonmetric_dm()
@@ -695,8 +713,10 @@ def _mod3_terms_expression(s, q, part=slice(None)):
     """MOD3 kernels as one expression, whose evaluation order the in-place
     ``_mod3_terms`` keeps."""
     a = q * q
-    c = depths._mod3_pairs(s, q)
-    i, j, k, ij, jk, ik = (t[part] for t in s.index)
+    c = (0.5 * (a[:, :, None] + a[:, None, :] - s.table)).reshape(len(q), -1)
+    ij, jk, ik = (t[part] for t in s.index)
+    n = q.shape[1]
+    i, j, k = ij // n, ij % n, jk % n
     c_ij, c_jk, c_ik = c.take(ij, axis=1), c.take(jk, axis=1), c.take(ik, axis=1)
     a_i, a_j, a_k = a.take(i, axis=1), a.take(j, axis=1), a.take(k, axis=1)
     prod = a_i * a_j * a_k

@@ -72,8 +72,8 @@ def grouped_sample(kind, n1, n2):
 
 
 # (n, B, seed, error): no permutations, a fractional or a boolean count,
-# more draws than the streams allow, a negative or a fractional seed, or a
-# group too small for MOD3 (three objects)
+# more draws than the streams allow, a negative, a fractional or a boolean
+# seed, or a group too small for MOD3 (three objects)
 REFUSED_BEFORE_DISTANCES = [
     pytest.param(5, 0, 3, InvalidArgumentError, id="5-0-InvalidArgumentError"),
     pytest.param(5, -3, 3, InvalidArgumentError, id="5--3-InvalidArgumentError"),
@@ -82,6 +82,7 @@ REFUSED_BEFORE_DISTANCES = [
     pytest.param(5, 2**32 + 1, 3, InvalidArgumentError, id="5-2**32+1-InvalidArgumentError"),
     pytest.param(5, 5, -1, InvalidArgumentError, id="seed-1-InvalidArgumentError"),
     pytest.param(5, 5, 1.5, InvalidArgumentError, id="seed1.5-InvalidArgumentError"),
+    pytest.param(5, 5, True, InvalidArgumentError, id="seedTrue-InvalidArgumentError"),
     pytest.param(2, 5, 3, InsufficientSampleError, id="2-5-InsufficientSampleError"),
 ]
 
@@ -160,13 +161,14 @@ class TestStatistic:
         grams = []
         embeds = depths_module._embeds
 
-        def counting_grams(v):
-            grams.append(v.shape)
-            return embeds(v)
+        def counting_grams(eig):
+            # the eigenvalues of one Gram, or of a stack of them
+            grams.append(eig.shape)
+            return embeds(eig)
 
         monkeypatch.setattr(depths_module, "_embeds", counting_grams)
         assert statistic_from_dm(dm, objs.labels, DepthMethod.MOD3) == want[0]
-        assert grams == [(12, 12)]
+        assert grams == [(12,)]
 
 
 class TestPermutationTest:
@@ -265,16 +267,17 @@ class TestPermutationTest:
         grams = []
         embeds = depths_module._embeds
 
-        def counting_grams(v):
-            grams.append(v.shape)
-            return embeds(v)
+        def counting_grams(eig):
+            # the eigenvalues of one Gram, or of a stack of them
+            grams.append(eig.shape)
+            return embeds(eig)
 
         monkeypatch.setattr(depths_module, "euclidean_certificate", counting)
         monkeypatch.setattr(depths_module, "_embeds", counting_grams)
         permutation_test(objs, DepthMethod.MOD3, B=10, seed=4)
         assert calls == [12]
         # the pooled test, then one stack of the 11 draws' groups per label
-        assert grams == ([(12, 12)] if kind == "hist" else [(12, 12)] + [(11, 6, 6)] * 2)
+        assert grams == ([(12,)] if kind == "hist" else [(12,)] + [(11, 6)] * 2)
 
     @pytest.mark.parametrize("seed", [4, 2**64 + 5])
     @pytest.mark.parametrize("method", list(DepthMethod))

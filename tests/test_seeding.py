@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metricdepth.errors import InvalidArgumentError
-from metricdepth.seeding import PERMUTATION_TAG, child_permutations, child_rng
+from metricdepth.seeding import PERMUTATION_TAG, check_seed, child_permutations, child_rng
 
 # seeds of one to four entropy words: the largest fill the pool and take
 # numpy's extra-entropy loop
@@ -45,6 +45,15 @@ def test_numpy_integers_taken_as_ints():
 def test_refuses_what_check_seed_refuses(seed):
     with pytest.raises(InvalidArgumentError, match="seed"):
         child_permutations(seed, PERMUTATION_TAG, 10, 5)
+
+
+@pytest.mark.parametrize("seed", [True, False, np.True_])
+def test_refuses_a_bool_seed(seed):
+    # True once ran as seed 1; counts refuse bools too (core.check_count)
+    for call in (lambda: check_seed(seed), lambda: child_rng(seed, PERMUTATION_TAG),
+                 lambda: child_permutations(seed, PERMUTATION_TAG, 10, 5)):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            call()
 
 
 @pytest.mark.parametrize("count", [-1, 2.0, 2**32 + 1, 2**64])
