@@ -235,18 +235,29 @@ def test_subsampled_triples_drawn_once(files, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_import_loads_no_scipy_and_no_concurrent():
-    # every command pays for what its import loads: scipy.optimize, which
-    # would cost most of a command's start-up, is imported by the
-    # quasi-Newton search, and concurrent.futures (with logging, which it
-    # imports) by the depth tiles' thread pool when a call first uses it
+def _top_modules_after_cli_import(names):
+    # the top-level packages among names that importing metricdepth.cli
+    # (and so metricdepth) loads, in a fresh interpreter
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, metricdepth.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'concurrent'}))")
+            f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {set(names)!r}))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_concurrent_futures_out():
+    # the depth tiles' thread pool is imported when a call first uses it;
+    # at import, concurrent.futures would add its cost (and logging's) to
+    # every command
+    assert _top_modules_after_cli_import(["concurrent"]) == "[]"
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize is imported by the quasi-Newton search only; importing
+    # it, or any other scipy module, costs most of a command's start-up
+    assert _top_modules_after_cli_import(["scipy"]) == "[]"
 
 
 @pytest.mark.parametrize("extra", [["--method", "MLD", "--seed", "1"], ["--method", "MOD3"]])
